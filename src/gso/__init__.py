@@ -15,12 +15,12 @@ from .graphs import (
     rev,
 )
 from .canon import (
-    canonical_form,
     canonical_graph,
     certificate,
     is_isomorphic,
     is_rooted_isomorphic,
     rooted_certificate,
+    unique,
 )
 from .gio import (
     Graph6Error,

@@ -8,7 +8,7 @@ machinery work for rooted graphs (roots colored by membership).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, RootedGraph
 
@@ -77,10 +77,6 @@ def certificate(g: Graph, colors: Sequence[int] | None = None) -> bytes:
     return repr((g.n, code, cols)).encode()
 
 
-def canonical_form(g: Graph) -> bytes:
-    return certificate(g)
-
-
 def canonical_graph(g: Graph) -> Graph:
     """A canonical representative: relabeling shared by all isomorphic inputs."""
     perm = _canon_perm(g, _refine(g, tuple([0] * g.n)))
@@ -88,6 +84,19 @@ def canonical_graph(g: Graph) -> Graph:
     for i, v in enumerate(perm):
         inv[v] = i
     return g.relabel(inv)
+
+
+def unique(graphs: Iterable[Graph]) -> list[Graph]:
+    """One canonical representative per isomorphism class, in certificate order.
+
+    Each input is certified once; only the first of its class is relabeled.
+    """
+    reps: dict[bytes, Graph] = {}
+    for g in graphs:
+        c = certificate(g)
+        if c not in reps:
+            reps[c] = canonical_graph(g)
+    return [reps[c] for c in sorted(reps)]
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

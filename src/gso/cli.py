@@ -3,7 +3,6 @@
 Subcommands: solve, mine, verify-paper, branches, glue.  Reports go to
 stdout as JSON; graph artifacts go to --out.  Exit codes: 0 success,
 1 failed verification, 2 input/parse error, 3 budget exhaustion.
-Worker count for per-graph parallel sections comes from GSO_THREADS.
 """
 
 from __future__ import annotations
@@ -12,13 +11,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import __version__
 from .expansions import expansion_to_strategy
 from .gio import (
-    Graph6Error,
     graph6_decode,
     graph6_encode,
     rooted_from_json,
@@ -37,10 +34,6 @@ from .obstructions import (
 from .paperchecks import run_all
 from .simulate import Move
 from .solvers import BudgetExceeded, cmp_value, mp_value, solve_game
-
-
-def _threads() -> int:
-    return max(1, int(os.environ.get("GSO_THREADS", "1")))
 
 
 def _read_inputs(path: str) -> list[RootedGraph]:
@@ -77,7 +70,7 @@ def _witness_path(out: str, index: int, many: bool) -> str:
 def _solve_one(rg: RootedGraph, param: str, k: int | None, budget: int | None, wit: bool):
     if param in ("cmp", "mp"):
         fn = cmp_value if param == "cmp" else mp_value
-        res = fn(rg, witness=wit)
+        res = fn(rg, witness=wit, budget=budget)
         moves = None
         if wit and res.witness is not None:
             moves = expansion_to_strategy(enhance(rg), res.witness)
@@ -110,19 +103,14 @@ def _solve_one(rg: RootedGraph, param: str, k: int | None, budget: int | None, w
 def cmd_solve(args) -> int:
     try:
         inputs = _read_inputs(args.input)
-    except (Graph6Error, ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            results = list(
-                pool.map(
-                    lambda rg: _solve_one(
-                        rg, args.param, args.k, args.budget, args.emit_witness
-                    ),
-                    inputs,
-                )
-            )
+        results = [
+            _solve_one(rg, args.param, args.k, args.budget, args.emit_witness)
+            for rg in inputs
+        ]
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -198,7 +186,7 @@ def cmd_branches(args) -> int:
     if not args.count_only:
         try:
             base = _load_base(args.base)
-        except (Graph6Error, ValueError, KeyError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         branches = branch_set(args.k, base)
@@ -216,7 +204,7 @@ def cmd_glue(args) -> int:
     try:
         fam = _read_inputs(args.family)
         glued = sorted(glue_family_at_root(fam, args.m), key=graph6_encode)
-    except (Graph6Error, ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
@@ -241,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--param", choices=["ms", "cms", "cmms", "cmp", "mp"], default="cmms")
     p.add_argument("-k", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, metavar="NODES")
+    p.add_argument(
+        "--budget", type=int, default=None, metavar="NODES",
+        help="most search states per level k; exit 3 when exceeded",
+    )
     p.add_argument("--emit-witness", action="store_true")
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(fn=cmd_solve)

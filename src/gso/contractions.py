@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canon import certificate, canonical_graph
-from .graphs import Graph, RootedGraph, complete_bipartite, complete_graph
-
-
-class BudgetExceeded(Exception):
-    pass
+from .canon import unique
+from .graphs import Graph, RootedGraph, complete_bipartite, complete_graph, contract_edge
+from .solvers import BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -159,15 +156,10 @@ def contains_any(g, family, relation: str = "contraction", budget: int | None = 
     return any(test(member, g, budget=budget) is not None for member in family)
 
 
-def proper_contractions(g: Graph) -> set[Graph]:
-    """All single-edge contractions of g, deduplicated up to isomorphism."""
-    seen: dict[bytes, Graph] = {}
-    from .graphs import contract_edge
-
-    for e in g.edges:
-        c = canonical_graph(contract_edge(g, e))
-        seen.setdefault(certificate(c), c)
-    return set(seen.values())
+def proper_contractions(g: Graph) -> list[Graph]:
+    """All single-edge contractions of g, one per isomorphism class, in
+    certificate order."""
+    return unique(contract_edge(g, e) for e in g.edges)
 
 
 _K4 = complete_graph(4)

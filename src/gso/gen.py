@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .canon import canonical_graph, certificate
+from .canon import certificate, unique
 from .gio import read_graph6_lines
 from .graphs import Graph
 
@@ -27,15 +27,14 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     if n == 1:
         out = (Graph.from_edges(1, []),)
     else:
-        seen: dict[bytes, Graph] = {}
-        for g in connected_graphs(n - 1):
-            base = list(g.edges)
-            for size in range(1, n):
-                for nb in combinations(range(n - 1), size):
-                    cand = Graph.from_edges(n, base + [(v, n - 1) for v in nb])
-                    c = canonical_graph(cand)
-                    seen.setdefault(certificate(c), c)
-        out = tuple(sorted(seen.values(), key=certificate))
+        out = tuple(
+            unique(
+                Graph.from_edges(n, list(g.edges) + [(v, n - 1) for v in nb])
+                for g in connected_graphs(n - 1)
+                for size in range(1, n)
+                for nb in combinations(range(n - 1), size)
+            )
+        )
     _cache[n] = out
     return out
 

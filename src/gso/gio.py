@@ -109,8 +109,18 @@ def rooted_from_json(line: str) -> RootedGraph:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad rooted-graph record: {exc}") from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("g6"), str):
+        raise ValueError("bad rooted-graph record: expected an object with a string g6")
     g = graph6_decode(obj["g6"])
-    return RootedGraph(g, frozenset(obj.get("s_in", [])), frozenset(obj.get("s_out", [])))
+    roots = []
+    for key in ("s_in", "s_out"):
+        vs = obj.get(key, [])
+        # bool is an int subclass, but true/false name no vertex
+        if not isinstance(vs, list) or any(type(v) is not int for v in vs):
+            raise ValueError(f"bad rooted-graph record: {key} must be a list of vertices")
+        roots.append(frozenset(vs))
+    # RootedGraph rejects vertices outside range(n)
+    return RootedGraph(g, *roots)
 
 
 def read_rooted_lines(fh: TextIO) -> Iterator[RootedGraph]:

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .canon import canonical_graph, certificate, rooted_certificate
+from .canon import certificate, rooted_certificate, unique
 from .contractions import contains_any, is_outerplanar
 from .gen import connected_graphs
 from .graphs import (
@@ -65,7 +65,7 @@ def is_obstruction(g: Graph, param, k: int, relation: str = "contraction") -> bo
     seen: set[bytes] = set()
     for e in g.edges:
         c = contract_edge(g, e)
-        cc = certificate(canonical_graph(c))
+        cc = certificate(c)
         if cc in seen:
             continue
         seen.add(cc)
@@ -91,23 +91,21 @@ def mine_obstructions(
                 continue
             if is_obstruction(g, param, k, relation):
                 fresh.append(g)
-        found.extend(sorted(fresh, key=certificate))
+        found.extend(fresh)  # connected_graphs(n) is in certificate order
     return found
 
 
-def glue_family_at_root(fam: Sequence[RootedGraph], m: int) -> set[Graph]:
-    """All graphs from identifying the roots of a size-m multiset of members."""
+def glue_family_at_root(fam: Sequence[RootedGraph], m: int) -> list[Graph]:
+    """All graphs from identifying the roots of a size-m multiset of members,
+    one per isomorphism class, in certificate order."""
     if m < 1:
         raise ValueError("m must be at least 1")
     for rg in fam:
         if not (len(rg.s_in) == 1 and rg.s_in == rg.s_out):
             raise ValueError("family members must be doubly rooted on one vertex")
-    out: dict[bytes, Graph] = {}
-    for combo in combinations_with_replacement(fam, m):
-        g, _ = _identify_roots(combo)
-        c = canonical_graph(g)
-        out.setdefault(certificate(c), c)
-    return set(out.values())
+    return unique(
+        _identify_roots(combo)[0] for combo in combinations_with_replacement(fam, m)
+    )
 
 
 def _identify_roots(members: Sequence[RootedGraph]) -> tuple[Graph, int]:
@@ -188,7 +186,7 @@ def mine_fan_base(n_max: int = 7) -> list[RootedGraph]:
                     _is_rooted_fan(contract_edge_rooted(rg, e)) for e in g.edges
                 ):
                     out.setdefault(rc, rg)
-    return sorted(out.values(), key=rooted_certificate)
+    return [out[c] for c in sorted(out)]
 
 
 def _is_rooted_fan(rg: RootedGraph) -> bool:
@@ -225,7 +223,7 @@ def mine_branch_base(n_max: int = 7) -> list[RootedGraph]:
                     cmp_decide(contract_edge_rooted(rg, e), 2) for e in g.edges
                 ):
                     out.setdefault(rc, rg)
-    return sorted(out.values(), key=rooted_certificate)
+    return [out[c] for c in sorted(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +276,7 @@ def branch_set(k: int, base: Sequence[RootedGraph]) -> list[Branch]:
             g2 = Graph.from_edges(n + 1, list(g.edges) + [(junction, n)])
             br = Branch(g2, n, norm_edge(junction, n), lvl)
             seen.setdefault(rooted_certificate(_branch_rooted(br)), br)
-        level = sorted(
-            seen.values(), key=lambda b: rooted_certificate(_branch_rooted(b))
-        )
+        level = [seen[c] for c in sorted(seen)]
     return level
 
 
@@ -291,14 +287,13 @@ def branch_count(k: int, base_size: int = 5) -> int:
     return f
 
 
-def obr_set(k: int, base: Sequence[RootedGraph]) -> set[Graph]:
-    """O_Br(k): three Br(k) branches with their roots identified."""
-    out: dict[bytes, Graph] = {}
-    for combo in combinations_with_replacement(branch_set(k, base), 3):
-        g, _ = _identify_roots([_branch_rooted(b) for b in combo])
-        c = canonical_graph(g)
-        out.setdefault(certificate(c), c)
-    return set(out.values())
+def obr_set(k: int, base: Sequence[RootedGraph]) -> list[Graph]:
+    """O_Br(k): three Br(k) branches with their roots identified, one per
+    isomorphism class, in certificate order."""
+    return unique(
+        _identify_roots([_branch_rooted(b) for b in combo])[0]
+        for combo in combinations_with_replacement(branch_set(k, base), 3)
+    )
 
 
 def obr_count(k: int, base_size: int = 5) -> int:
@@ -333,7 +328,7 @@ def verify_obr(k: int, base: Sequence[RootedGraph]) -> dict:
 
     report: dict = {"k": k, "violations": [], "graphs": 0, "branches": 0}
 
-    for g in sorted(obr_set(k, base), key=certificate):
+    for g in obr_set(k, base):
         report["graphs"] += 1
         if cmms_decide(g, k + 1):
             report["violations"].append(("value", certificate(g).decode()))

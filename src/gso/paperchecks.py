@@ -377,11 +377,10 @@ def check_d1(families_dir: str | None) -> CheckResult:
     for g in members:
         if not is_obstruction(g, "cmp", 2, "contraction"):
             fails.append(f"not an obstruction: n={g.n} m={g.m}")
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if certificate(a) != certificate(b) and (
-                is_contraction(a, b) or is_contraction(b, a)
-            ):
+    keyed = [(certificate(g), g) for g in members]
+    for i, (ca, a) in enumerate(keyed):
+        for cb, b in keyed[i + 1 :]:
+            if ca != cb and (is_contraction(a, b) or is_contraction(b, a)):
                 fails.append("comparable pair")
     return CheckResult(
         "10 full 177-graph family verification", not fails, detail="; ".join(fails[:5])

@@ -32,7 +32,8 @@ from .simulate import HostCtx, Move
 
 
 class BudgetExceeded(Exception):
-    pass
+    """A search ran past its node budget: game or expansion states, or
+    partitions in the contraction search."""
 
 
 @dataclass
@@ -171,7 +172,7 @@ def _jumps(ec: _ExpCtx, a: int, k: int):
 
 
 def _expansion_decide(
-    rg: RootedGraph, k: int, connected: bool, witness: bool
+    rg: RootedGraph, k: int, connected: bool, witness: bool, budget: int | None = None
 ) -> tuple[bool, Expansion | None, int]:
     ec = _ExpCtx(rg)
     ctx = ec.ctx
@@ -186,6 +187,8 @@ def _expansion_decide(
     while queue:
         a = queue.popleft()
         explored += 1
+        if budget is not None and explored > budget:
+            raise BudgetExceeded("expansion state budget exhausted")
         if a == ec.target:
             if not witness:
                 return True, None, explored
@@ -260,23 +263,30 @@ def mp_decide(rg: RootedGraph, k: int, witness: bool = False):
     return (ok, wit) if witness else ok
 
 
-def _expansion_value(rg: RootedGraph, connected: bool, witness: bool) -> SolveResult:
+def _expansion_value(
+    rg: RootedGraph, connected: bool, witness: bool, budget: int | None
+) -> SolveResult:
     total = 0
     for k in range(rg.graph.n + 2):
-        ok, wit, explored = _expansion_decide(rg, k, connected, witness)
+        ok, wit, explored = _expansion_decide(rg, k, connected, witness, budget)
         total += explored
         if ok:
             return SolveResult(k, wit, {"states": total})
     raise AssertionError("no expansion found below the trivial bound")
 
 
-def cmp_value(rg: RootedGraph, witness: bool = False) -> SolveResult:
+def cmp_value(
+    rg: RootedGraph, witness: bool = False, budget: int | None = None
+) -> SolveResult:
+    """budget: most states one level k may pop before BudgetExceeded."""
     _check_s_in(rg)
-    return _expansion_value(rg, connected=True, witness=witness)
+    return _expansion_value(rg, connected=True, witness=witness, budget=budget)
 
 
-def mp_value(rg: RootedGraph, witness: bool = False) -> SolveResult:
-    return _expansion_value(rg, connected=False, witness=witness)
+def mp_value(
+    rg: RootedGraph, witness: bool = False, budget: int | None = None
+) -> SolveResult:
+    return _expansion_value(rg, connected=False, witness=witness, budget=budget)
 
 
 def cmp_plain(g: Graph) -> int:

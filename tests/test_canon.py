@@ -3,12 +3,12 @@ import itertools
 import networkx as nx
 
 from gso.canon import (
-    canonical_form,
     canonical_graph,
     certificate,
     is_isomorphic,
     is_rooted_isomorphic,
     rooted_certificate,
+    unique,
 )
 from gso.gen import connected_graphs
 from gso.graphs import Graph, RootedGraph, cycle_graph, path_graph, star_graph
@@ -45,7 +45,21 @@ def test_canonical_graph_is_isomorphic_fixpoint(rng):
         g = random_connected(rng, 6)
         c = canonical_graph(g)
         assert is_isomorphic(g, c)
-        assert canonical_form(c) == canonical_form(g)
+        assert certificate(c) == certificate(g)
+
+
+def test_unique_keeps_one_canonical_graph_per_class(rng):
+    graphs = []
+    for _ in range(60):
+        g = random_connected(rng, 6)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs += [g, g.relabel(perm)]
+    got = unique(graphs)
+    certs = [certificate(c) for c in got]
+    assert set(certs) == {certificate(g) for g in graphs}
+    assert certs == sorted(set(certs))  # strictly increasing: one per class
+    assert all(canonical_graph(c) == c for c in got)
 
 
 def test_exhaustive_n4_classes():

@@ -78,13 +78,32 @@ def test_solve_rooted_rejected_for_game_params(tmp_path, capsys):
     assert code == 2
 
 
-def test_solve_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GSO_THREADS", "4")
+def test_solve_many_graphs(tmp_path, capsys):
     lines = [graph6_encode(path_graph(n)) for n in range(2, 6)]
     inp = write_inputs(tmp_path / "in.g6", lines)
     code, rep = run(capsys, "solve", inp, "--param", "cmp")
     assert code == 0
     assert [e["value"] for e in rep["results"]] == [1, 1, 1, 1]
+    assert [e["g6"] for e in rep["results"]] == lines
+
+
+@pytest.mark.parametrize(
+    "line", ['{"g6":"C~","s_in":5}', '{"g6":"C~","s_out":[4]}', '{"g6":5}', "[1]"]
+)
+def test_solve_malformed_record_is_exit_2(tmp_path, capsys, line):
+    inp = write_inputs(tmp_path / "in.jsonl", [line])
+    code = main(["solve", inp, "--param", "cmp"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("param", ["cmp", "mp"])
+def test_solve_expansion_budget_is_exit_3(tmp_path, capsys, param):
+    inp = write_inputs(tmp_path / "in.g6", [graph6_encode(complete_graph(4))])
+    code = main(["solve", inp, "--param", param, "--budget", "1"])
+    capsys.readouterr()
+    assert code == 3
 
 
 def test_mine_writes_graph6(tmp_path, capsys):

@@ -24,6 +24,12 @@ def test_no_duplicates_and_all_connected():
         assert all(g.is_connected() and g.n == n for g in graphs)
 
 
+def test_connected_graphs_in_strict_certificate_order():
+    for n in range(1, 8):
+        certs = [certificate(g) for g in connected_graphs(n)]
+        assert all(a < b for a, b in zip(certs, certs[1:]))
+
+
 def test_enumerate_streams_same_set():
     for n in range(1, 6):
         streamed = {certificate(g) for g in enumerate_connected_graphs(n)}

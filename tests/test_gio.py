@@ -85,6 +85,26 @@ def test_rooted_json_defaults_to_empty_roots():
     assert rg.s_in == frozenset() and rg.s_out == frozenset()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1]",
+        '"C~"',
+        '{"s_in": [0]}',
+        '{"g6": 5}',
+        '{"g6": "C~", "s_in": 5}',
+        '{"g6": "C~", "s_in": [4]}',
+        '{"g6": "C~", "s_out": [-1]}',
+        '{"g6": "C~", "s_out": ["0"]}',
+        '{"g6": "C~", "s_in": [true]}',
+        '{"g6": "C~", "s_in": [0.0]}',
+    ],
+)
+def test_rooted_json_rejects_bad_records(line):
+    with pytest.raises(ValueError):
+        rooted_from_json(line)
+
+
 def test_read_rooted_lines_skips_blanks():
     lines = [rooted_to_json(RootedGraph(path_graph(2))), "", " "]
     got = list(read_rooted_lines(io.StringIO("\n".join(lines))))

@@ -193,3 +193,18 @@ def test_budget_exhaustion_raises():
     g = complete_graph(5)
     with pytest.raises(BudgetExceeded):
         solve_game(g, 4, connected=True, monotone=True, budget=3)
+
+
+def test_expansion_budget_exhaustion_raises():
+    rg = RootedGraph(complete_graph(4))
+    for fn in (cmp_value, mp_value):
+        with pytest.raises(BudgetExceeded):
+            fn(rg, budget=1)
+        # a budget no level reaches leaves the value alone
+        assert fn(rg, budget=10**6).value == fn(rg).value
+
+
+def test_one_budget_exception_for_every_engine():
+    import gso.contractions
+
+    assert gso.contractions.BudgetExceeded is BudgetExceeded
