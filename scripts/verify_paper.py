@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from gso.paperchecks import run_all
+from gso.paperchecks import load_families, run_all
 
 
 def main(argv=None) -> int:
@@ -21,9 +21,16 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true")
     args = ap.parse_args(argv)
 
+    families = None
+    if args.families is not None:
+        try:
+            families = load_families(args.families)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     t0 = time.perf_counter()
     checks = run_all(
-        families_dir=args.families,
+        families=families,
         seed=args.seed,
         quick=args.quick,
         corpus=args.corpus,

@@ -31,7 +31,7 @@ from .obstructions import (
     obr_count,
     obr_set,
 )
-from .paperchecks import run_all
+from .paperchecks import load_families, run_all
 from .simulate import Move
 from .solvers import BudgetExceeded, cmp_value, mp_value, solve_game
 
@@ -155,9 +155,14 @@ def cmd_mine(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    checks = run_all(
-        families_dir=args.families, seed=args.seed, quick=args.quick
-    )
+    families = None
+    if args.families is not None:
+        try:
+            families = load_families(args.families)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    checks = run_all(families=families, seed=args.seed, quick=args.quick)
     report = {
         "command": "verify-paper",
         "version": __version__,

@@ -60,12 +60,10 @@ class Graph:
 
     def neighbors(self, v: int) -> Iterator[int]:
         m = self.adj[v]
-        u = 0
         while m:
-            if m & 1:
-                yield u
-            m >>= 1
-            u += 1
+            low = m & -m
+            yield low.bit_length() - 1
+            m ^= low
 
     def component_mask(self, start: int, allowed: int | None = None) -> int:
         """Bitmask of the component of `start` inside the vertex mask `allowed`."""

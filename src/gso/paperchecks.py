@@ -351,7 +351,12 @@ def check_properties(seed: int = 0, cases: int = 500) -> CheckResult:
     )
 
 
-def _load_families(families_dir: str) -> list[Graph]:
+def load_families(families_dir: str) -> list[Graph]:
+    """The graphs of every .g6/.graph6/.json/.jsonl file in `families_dir`.
+
+    Raises OSError for an unreadable directory or file and ValueError for
+    a malformed record.
+    """
     out: list[Graph] = []
     for name in sorted(os.listdir(families_dir)):
         path = os.path.join(families_dir, name)
@@ -364,13 +369,13 @@ def _load_families(families_dir: str) -> list[Graph]:
     return out
 
 
-def check_d1(families_dir: str | None) -> CheckResult:
-    if families_dir is None:
+def check_d1(members: list[Graph] | None) -> CheckResult:
+    """Check 10 on the graphs from `load_families`; skipped without them."""
+    if members is None:
         return CheckResult(
             "10 full 177-graph family verification", True, skipped=True,
             detail="skipped: external data required",
         )
-    members = _load_families(families_dir)
     fails = []
     if len(members) != 177:
         fails.append(f"count {len(members)} != 177")
@@ -396,7 +401,7 @@ def check_minor_k1() -> CheckResult:
 
 
 def run_all(
-    families_dir: str | None = None,
+    families: list[Graph] | None = None,
     seed: int = 0,
     quick: bool = False,
     corpus: str | None = None,
@@ -414,7 +419,7 @@ def run_all(
         check_obr(),
         check_recognizer(n_rec, corpus=corpus),
         check_properties(seed, cases=cases),
-        check_d1(families_dir),
+        check_d1(families),
         check_minor_k1(),
     ]
     return checks

@@ -14,7 +14,7 @@ N_CHECKS = 11
 
 @pytest.fixture(scope="session")
 def checklist():
-    return run_all(families_dir=None, seed=0, quick=False)
+    return run_all(families=None, seed=0, quick=False)
 
 
 @pytest.mark.parametrize("index", range(N_CHECKS))

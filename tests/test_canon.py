@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 
 import networkx as nx
+import pytest
 
 from gso.canon import (
     canonical_graph,
@@ -11,7 +13,15 @@ from gso.canon import (
     unique,
 )
 from gso.gen import connected_graphs
-from gso.graphs import Graph, RootedGraph, cycle_graph, path_graph, star_graph
+from gso.graphs import (
+    Graph,
+    RootedGraph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 
 from conftest import random_connected
 from test_graphs import to_nx
@@ -99,3 +109,75 @@ def test_rooted_in_out_asymmetry():
     a = RootedGraph(g, frozenset({0}), frozenset())
     b = RootedGraph(g, frozenset(), frozenset({0}))
     assert rooted_certificate(a) != rooted_certificate(b)
+
+
+def test_golden_certificates():
+    # digests of the certificate bytes that mining output and every
+    # certificate-ordered list depend on; a change here reorders them
+    plain = b"\n".join(
+        certificate(g) for n in range(1, 8) for g in connected_graphs(n)
+    )
+    assert hashlib.sha256(plain).hexdigest() == (
+        "04c1d2fb7afc929a4d43a1879b69206657dadf8b88d0641201a53a3826a2455e"
+    )
+    rooted = [
+        rooted_certificate(RootedGraph(g, frozenset({a}), frozenset({b})))
+        for n in range(1, 6)
+        for g in connected_graphs(n)
+        for a in range(n)
+        for b in range(n)
+    ]
+    assert len(rooted) == 644
+    assert hashlib.sha256(b"\n".join(rooted)).hexdigest() == (
+        "3514df7fa26ea755f87123d24fb57c5d6edd45f20af34b59dc12585ed5634987"
+    )
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def cube_graph() -> Graph:
+    return Graph.from_edges(
+        8, [(v, v ^ 1 << b) for v in range(8) for b in range(3) if v < v ^ 1 << b]
+    )
+
+
+SYMMETRIC = {
+    "K8": complete_graph(8),
+    "K4,4": complete_bipartite(4, 4),
+    "Petersen": petersen_graph(),
+    "Q3": cube_graph(),
+    "C12": cycle_graph(12),
+    "K1,6": star_graph(6),  # centre 0, so the rooted case below roots it
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_symmetric_graph_has_one_canonical_form(rng, name):
+    g = SYMMETRIC[name]
+    perms = [rng.sample(range(g.n), g.n) for _ in range(20)]
+    copies = [g.relabel(p) for p in perms]
+    assert len({certificate(c) for c in copies}) == 1
+    assert len({canonical_graph(c) for c in copies}) == 1
+    assert len(unique(copies)) == 1
+    # s_in = {image of 0}, s_out = {image of 1}
+    rooted = {
+        rooted_certificate(RootedGraph(c, frozenset({p[0]}), frozenset({p[1]})))
+        for c, p in zip(copies, perms)
+    }
+    assert len(rooted) == 1
+
+
+def test_regular_pairs_that_refinement_cannot_split():
+    prism = Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
+    assert not is_isomorphic(complete_bipartite(3, 3), prism)
+    two_c4 = Graph.from_edges(
+        8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+    )
+    assert not is_isomorphic(cycle_graph(8), two_c4)

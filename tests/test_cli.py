@@ -176,3 +176,28 @@ def test_verify_paper_quick(capsys):
     assert code == 0
     assert rep["ok"] is True
     assert len(rep["checks"]) == 11
+
+
+@pytest.fixture
+def no_checks(monkeypatch):
+    def fail(**kwargs):
+        raise AssertionError("a check ran before the input was validated")
+
+    monkeypatch.setattr("gso.cli.run_all", fail)
+
+
+def test_verify_paper_malformed_family_record_is_exit_2(tmp_path, capsys, no_checks):
+    fam = tmp_path / "families"
+    fam.mkdir()
+    write_inputs(fam / "bad.jsonl", ['{"g6":"C~","s_in":5}'])
+    code = main(["verify-paper", "--families", str(fam)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_paper_missing_families_dir_is_exit_2(tmp_path, capsys, no_checks):
+    code = main(["verify-paper", "--families", str(tmp_path / "absent")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1

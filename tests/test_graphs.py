@@ -44,6 +44,16 @@ def test_degree_and_neighbors():
     assert g.degree(2) == 1
 
 
+def test_neighbors_are_the_set_bits_in_ascending_order(rng):
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        )
+        for v in range(n):
+            assert list(g.neighbors(v)) == [u for u in range(n) if g.adj[v] >> u & 1]
+
+
 def test_loops_rejected():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(1, 1)])
