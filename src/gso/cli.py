@@ -2,7 +2,8 @@
 
 Subcommands: solve, mine, verify-paper, branches, glue.  Reports go to
 stdout as JSON; graph artifacts go to --out.  Exit codes: 0 success,
-1 failed verification, 2 input/parse error, 3 budget exhaustion.
+1 failed verification, 2 input/parse error or unreadable/unwritable
+file, 3 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 
 from . import __version__
@@ -135,10 +137,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _open_out(path: str | None):
+    """`--out`, opened before a long computation so that a bad path fails first."""
+    return open(path, "w") if path else nullcontext()
+
+
 def cmd_mine(args) -> int:
-    mined = mine_obstructions(args.max_n, args.param, args.k, args.relation)
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        mined = mine_obstructions(args.max_n, args.param, args.k, args.relation)
+        if fh is not None:
             write_graph6_lines(mined, fh)
     report = {
         "command": "mine",
@@ -159,7 +166,7 @@ def cmd_verify_paper(args) -> int:
     if args.families is not None:
         try:
             families = load_families(args.families)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     checks = run_all(families=families, seed=args.seed, quick=args.quick)
@@ -189,17 +196,17 @@ def cmd_branches(args) -> int:
         "obr_count": obr_count(args.k, args.base_size),
     }
     if not args.count_only:
-        try:
-            base = _load_base(args.base)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        branches = branch_set(args.k, base)
-        report["materialized_branches"] = len(branches)
-        obr = sorted(obr_set(args.k, base), key=graph6_encode)
-        report["materialized_obr"] = len(obr)
-        if args.out:
-            with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
+            try:
+                base = _load_base(args.base)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            branches = branch_set(args.k, base)
+            report["materialized_branches"] = len(branches)
+            obr = sorted(obr_set(args.k, base), key=graph6_encode)
+            report["materialized_obr"] = len(obr)
+            if fh is not None:
                 write_graph6_lines(obr, fh)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
@@ -274,7 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -80,44 +80,65 @@ def _match(
     q_colors: list[int],
     h: Graph,
     h_colors: list[int],
+    h_degs: list[int],
     exact: bool,
 ) -> tuple[int, ...] | None:
     """Bijection psi: quotient class -> V(h); exact adjacency for the
-    contraction relation, h-edges-only containment for the minor relation."""
+    contraction relation, h-edges-only containment for the minor relation.
+
+    A class can only map to a vertex of its colour whose degree equals
+    (minor: is at most) the class's quotient degree, so other vertices
+    are never tried; they belong to no bijection, so the first one found
+    is the one a search over all vertices finds.
+    """
     parts = len(q_adj)
     if parts != h.n:
         return None
+    q_degs = [a.bit_count() for a in q_adj]
+    if exact and sorted(zip(q_colors, q_degs)) != sorted(zip(h_colors, h_degs)):
+        return None
+    cands = [
+        [
+            w
+            for w in range(h.n)
+            if h_colors[w] == q_colors[c]
+            and (h_degs[w] == q_degs[c] if exact else h_degs[w] <= q_degs[c])
+        ]
+        for c in range(parts)
+    ]
     psi = [-1] * parts
-    taken = [False] * h.n
+    return tuple(psi) if _extend(0, psi, 0, cands, q_adj, h.adj, exact) else None
 
-    def rec(c: int) -> bool:
-        if c == parts:
-            return True
-        for w in range(h.n):
-            if taken[w] or q_colors[c] != h_colors[w]:
-                continue
-            ok = True
-            for c2 in range(c):
-                q_edge = bool(q_adj[c] >> c2 & 1)
-                h_edge = h.has_edge(psi[c2], w)
-                if exact:
-                    if q_edge != h_edge:
-                        ok = False
-                        break
-                else:
-                    if h_edge and not q_edge:
-                        ok = False
-                        break
-            if ok:
-                taken[w] = True
-                psi[c] = w
-                if rec(c + 1):
-                    return True
-                taken[w] = False
-                psi[c] = -1
-        return False
 
-    return tuple(psi) if rec(0) else None
+def _extend(
+    c: int,
+    psi: list[int],
+    taken: int,
+    cands: list[list[int]],
+    q_adj: list[int],
+    h_adj: tuple[int, ...],
+    exact: bool,
+) -> bool:
+    """Extend psi[:c] to all classes; `taken` is the bitmask of its image."""
+    if c == len(psi):
+        return True
+    qa = q_adj[c]
+    for w in cands[c]:
+        if taken >> w & 1:
+            continue
+        hw = h_adj[w]
+        ok = True
+        for c2 in range(c):
+            q_edge = qa >> c2 & 1
+            h_edge = hw >> psi[c2] & 1
+            if (q_edge != h_edge) if exact else (h_edge > q_edge):
+                ok = False
+                break
+        if ok:
+            psi[c] = w
+            if _extend(c + 1, psi, taken | 1 << w, cands, q_adj, h_adj, exact):
+                return True
+    return False
 
 
 def _decide(h: RootedGraph, g: RootedGraph, exact: bool, budget: int | None) -> ContractionWitness | None:
@@ -127,6 +148,7 @@ def _decide(h: RootedGraph, g: RootedGraph, exact: bool, budget: int | None) -> 
     h_colors = [
         (1 if v in h.s_in else 0) | (2 if v in h.s_out else 0) for v in range(hg.n)
     ]
+    h_degs = [hg.degree(v) for v in range(hg.n)]
     bud = [budget] if budget is not None else None
     for assign in _partitions(gg, hg.n, bud):
         q_adj = _quotient_adj(gg, assign, hg.n)
@@ -135,7 +157,7 @@ def _decide(h: RootedGraph, g: RootedGraph, exact: bool, budget: int | None) -> 
             q_colors[assign[v]] |= 1
         for v in g.s_out:
             q_colors[assign[v]] |= 2
-        psi = _match(q_adj, q_colors, hg, h_colors, exact)
+        psi = _match(q_adj, q_colors, hg, h_colors, h_degs, exact)
         if psi is not None:
             return ContractionWitness(tuple(psi[assign[v]] for v in range(gg.n)))
     return None

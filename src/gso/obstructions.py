@@ -3,9 +3,14 @@
 An obstruction for (param, k) is a connected graph whose parameter
 exceeds k while every proper contraction stays at or below k; for the
 minor relation the minimality check also covers single-edge deletions.
-Mining enumerates connected graphs by size and prunes anything that
-already contains a found obstruction, which is sound because all the
-parameters here are monotone under the respective relation.
+Mining enumerates connected graphs by size and keeps one set: the
+certificates of the graphs seen so far that contain or equal a found
+obstruction.  The order is generated by single steps (an edge
+contraction, and for minors the components of an edge deletion), so a
+graph contains a found obstruction other than itself exactly when one
+of its one-step children is in the set, and the children were all seen
+before it.  A graph none of whose children is in the set is evaluated
+once; it is an obstruction exactly when its parameter exceeds k.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .canon import certificate, rooted_certificate, unique
-from .contractions import contains_any, is_outerplanar
+from .contractions import is_outerplanar
 from .gen import connected_graphs
 from .graphs import (
     Edge,
@@ -46,14 +51,18 @@ def _param_fn(param) -> Callable[[Graph], int]:
     return PARAMS[param]
 
 
-def _component_max(g: Graph, fn: Callable[[Graph], int]) -> int:
+def _components(g: Graph) -> list[Graph]:
     if g.is_connected():
-        return fn(g)
-    best = 0
-    for mask in g.components():
-        sub, _ = g.induced([v for v in range(g.n) if mask >> v & 1])
-        best = max(best, fn(sub))
-    return best
+        return [g]
+    return [
+        g.induced([v for v in range(g.n) if mask >> v & 1])[0]
+        for mask in g.components()
+    ]
+
+
+def _deletions(g: Graph) -> Iterator[Graph]:
+    for e in g.edges:
+        yield Graph.from_edges(g.n, [f for f in g.edges if f != e])
 
 
 def is_obstruction(g: Graph, param, k: int, relation: str = "contraction") -> bool:
@@ -72,26 +81,59 @@ def is_obstruction(g: Graph, param, k: int, relation: str = "contraction") -> bo
         if fn(c) > k:
             return False
     if relation == "minor":
-        for e in g.edges:
-            d = Graph.from_edges(g.n, [f for f in g.edges if f != e])
-            if _component_max(d, fn) > k:
+        for d in _deletions(g):
+            if any(fn(c) > k for c in _components(d)):
                 return False
     return True
+
+
+def _children(g: Graph, relation: str) -> Iterator[Graph]:
+    """The graphs one step below g: its single-edge contractions and, for
+    the minor relation, the components of its single-edge deletions."""
+    for e in g.edges:
+        yield contract_edge(g, e)
+    if relation == "minor":
+        for d in _deletions(g):
+            yield from _components(d)
 
 
 def mine_obstructions(
     n_max: int, param, k: int, relation: str = "contraction"
 ) -> list[Graph]:
-    """Minimal obstructions up to n_max vertices, in certificate order."""
+    """Minimal obstructions up to n_max vertices, in certificate order.
+
+    These are the connected graphs whose parameter exceeds k while every
+    proper contraction (for minors: every proper connected minor) stays
+    at or below k.  Graphs are visited by size and, within a size, by
+    edge count, so every child of a graph (`_children`) is visited
+    before it.  By induction on that order, a visited graph lands in
+    `bad` exactly when it contains or equals an obstruction:
+    - containment is transitive, so a graph with a child in `bad`
+      contains an obstruction;
+    - a graph that contains an obstruction other than itself has a
+      child that contains or equals it: contract an edge inside a class
+      of two or more vertices, or (minors) delete an edge the minor
+      leaves out;
+    - so no proper contraction (minor) of a graph with no child in `bad`
+      contains an obstruction.  Every graph above k contains one, so they
+      all stay at or below k, and the graph is an obstruction exactly
+      when its own parameter, evaluated once, exceeds k.
+    No monotonicity of the parameter is assumed.
+    """
+    fn = _param_fn(param)
+    bad: set[bytes] = set()
     found: list[Graph] = []
     for n in range(1, n_max + 1):
-        fresh = []
-        for g in connected_graphs(n):
-            if found and contains_any(g, found, relation):
-                continue
-            if is_obstruction(g, param, k, relation):
-                fresh.append(g)
-        found.extend(fresh)  # connected_graphs(n) is in certificate order
+        fresh: list[tuple[bytes, Graph]] = []
+        # stable: certificate order within an edge count
+        for g in sorted(connected_graphs(n), key=lambda g: g.m):
+            if any(certificate(c) in bad for c in _children(g, relation)):
+                bad.add(certificate(g))
+            elif fn(g) > k:
+                cert = certificate(g)
+                bad.add(cert)
+                fresh.append((cert, g))
+        found.extend(g for _, g in sorted(fresh, key=lambda p: p[0]))
     return found
 
 

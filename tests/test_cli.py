@@ -126,6 +126,29 @@ def test_mine_minor_relation(capsys):
     assert rep["relation"] == "minor" and rep["count"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{absent}"],
+        ["glue", "--family", "{absent}", "-m", "2"],
+        ["mine", "--max-n", "5", "-k", "1", "--out", "{absent}/x.g6"],
+        ["branches", "-k", "2", "--out", "{absent}/x"],
+    ],
+    ids=["solve", "glue", "mine", "branches"],
+)
+def test_missing_file_is_exit_2(tmp_path, capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before --out was opened")
+
+    monkeypatch.setattr("gso.cli.mine_obstructions", fail)
+    monkeypatch.setattr("gso.cli.mine_branch_base", fail)
+    absent = str(tmp_path / "absent")
+    code = main([a.replace("{absent}", absent) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_branches_count_only(capsys):
     code, rep = run(capsys, "branches", "-k", "3", "--count-only")
     assert code == 0

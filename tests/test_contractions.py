@@ -94,6 +94,25 @@ def test_contains_any_relations():
     assert contains_any(path_graph(6), [path_graph(3)], relation="minor")
 
 
+def test_contraction_order_is_generated_by_single_edge_contractions():
+    # the fact obstruction mining rests on: h is a contraction of a
+    # connected g exactly when single-edge contractions lead from g to h
+    below: dict[bytes, set[bytes]] = {}  # g -> g and all it contracts to
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            cert = certificate(g)
+            below[cert] = {cert}.union(
+                *(below[certificate(c)] for c in proper_contractions(g))
+            )
+    small = [h for n in range(1, 6) for h in connected_graphs(n)]
+    hosts = [(g, small) for g in small]
+    hosts += [(g, [h for h in small if h.n <= 4]) for g in connected_graphs(6)]
+    for g, patterns in hosts:
+        closure = below[certificate(g)]
+        for h in patterns:
+            assert (is_contraction(h, g) is not None) == (certificate(h) in closure)
+
+
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceeded):
         is_contraction(complete_graph(3), complete_graph(7), budget=5)

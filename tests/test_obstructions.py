@@ -3,6 +3,8 @@ from math import comb
 import pytest
 
 from gso.canon import certificate, is_isomorphic
+from gso.contractions import contains_any
+from gso.gen import connected_graphs
 from gso.gio import graph6_encode
 from gso.graphs import (
     RootedGraph,
@@ -46,6 +48,55 @@ def test_mine_cmp_1_obstructions():
 def test_mine_mp_1_minor_obstructions():
     got = mine_obstructions(5, "mp", 1, relation="minor")
     assert len(got) == 2
+
+
+def _mine_by_partition_search(n_max, param, k, relation):
+    """Reference: prune each candidate with a partition search against every
+    smaller found obstruction, then test the survivors with is_obstruction."""
+    found = []
+    for n in range(1, n_max + 1):
+        # a list, not a generator: size n is tested against smaller sizes only
+        found.extend(
+            [
+                g
+                for g in connected_graphs(n)
+                if not contains_any(g, found, relation)
+                and is_obstruction(g, param, k, relation)
+            ]
+        )
+    return found
+
+
+@pytest.mark.parametrize(
+    "param,k,relation",
+    [
+        ("cmp", 1, "contraction"),
+        ("cmp", 2, "contraction"),
+        ("mp", 1, "minor"),
+        ("mp", 2, "minor"),
+        ("cmp", 2, "minor"),
+    ],
+)
+def test_mining_matches_partition_search_reference(param, k, relation):
+    got = mine_obstructions(6, param, k, relation)
+    want = _mine_by_partition_search(6, param, k, relation)
+    assert [graph6_encode(g) for g in got] == [graph6_encode(g) for g in want]
+
+
+def _five_with_a_cycle(g):
+    """Above 0 only on 5-vertex graphs with a cycle, so larger graphs drop
+    back to 0: not monotone under either relation."""
+    return int(g.n == 5 and g.m >= 5)
+
+
+@pytest.mark.parametrize("relation", ["contraction", "minor"])
+def test_mining_needs_no_monotone_parameter(relation):
+    got = mine_obstructions(6, _five_with_a_cycle, 0, relation)
+    want = [g for g in connected_graphs(5) if g.m >= 5]
+    if relation == "minor":
+        # a graph with a cycle has a spanning subgraph with exactly one
+        want = [g for g in want if g.m == 5]
+    assert got == want
 
 
 def test_level_two_obstruction_values():
