@@ -3,7 +3,14 @@
 Subcommands: solve, mine, verify-paper, branches, glue.  Reports go to
 stdout as JSON; graph artifacts go to --out.  Exit codes: 0 success,
 1 failed verification, 2 input/parse error or unreadable/unwritable
-file, 3 budget exhaustion.
+file, 3 budget exhaustion.  `main` is the one error boundary: a
+ValueError or OSError out of any subcommand exits 2 and a BudgetExceeded
+exits 3, each with one `error:` line on stderr.  Inputs (`--families`,
+`--corpus`, `--base`) are read and `--out` is opened before any long
+computation starts.
+
+Run it from a checkout without installing:
+    PYTHONPATH=src python -m gso.cli verify-paper --quick
 """
 
 from __future__ import annotations
@@ -26,11 +33,13 @@ from .gio import (
 from .graphs import RootedGraph, enhance
 from .obstructions import (
     branch_count,
+    branch_count_lower_bound_holds,
     branch_set,
     glue_family_at_root,
     mine_branch_base,
     mine_obstructions,
     obr_count,
+    obr_count_lower_bound_holds,
     obr_set,
 )
 from .paperchecks import load_families, run_all
@@ -103,22 +112,10 @@ def _solve_one(rg: RootedGraph, param: str, k: int | None, budget: int | None, w
 
 
 def cmd_solve(args) -> int:
-    try:
-        inputs = _read_inputs(args.input)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        results = [
-            _solve_one(rg, args.param, args.k, args.budget, args.emit_witness)
-            for rg in inputs
-        ]
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = [
+        _solve_one(rg, args.param, args.k, args.budget, args.emit_witness)
+        for rg in _read_inputs(args.input)
+    ]
     if args.emit_witness and args.out:
         many = len(results) > 1
         for i, (_, moves) in enumerate(results):
@@ -162,14 +159,13 @@ def cmd_mine(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    families = None
-    if args.families is not None:
-        try:
-            families = load_families(args.families)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    checks = run_all(families=families, seed=args.seed, quick=args.quick)
+    families = None if args.families is None else load_families(args.families)
+    corpus = None
+    if args.corpus is not None:
+        corpus = [rg.graph for rg in _read_inputs(args.corpus)]
+    checks = run_all(
+        families=families, seed=args.seed, quick=args.quick, corpus=corpus
+    )
     report = {
         "command": "verify-paper",
         "version": __version__,
@@ -188,37 +184,33 @@ def _load_base(path: str | None):
 
 
 def cmd_branches(args) -> int:
-    report = {
-        "command": "branches",
-        "version": __version__,
-        "k": args.k,
-        "branch_count": branch_count(args.k, args.base_size),
-        "obr_count": obr_count(args.k, args.base_size),
-    }
+    """Counts and bounds for the base that is built, or for `--base-size`
+    members under `--count-only`."""
+    report = {"command": "branches", "version": __version__, "k": args.k}
+    size = args.base_size
     if not args.count_only:
         with _open_out(args.out) as fh:
-            try:
-                base = _load_base(args.base)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            branches = branch_set(args.k, base)
-            report["materialized_branches"] = len(branches)
+            base = _load_base(args.base)
+            size = len(base)
+            report["materialized_branches"] = len(branch_set(args.k, base))
             obr = sorted(obr_set(args.k, base), key=graph6_encode)
             report["materialized_obr"] = len(obr)
             if fh is not None:
                 write_graph6_lines(obr, fh)
+    report.update(
+        base_size=size,
+        branch_count=branch_count(args.k, size),
+        obr_count=obr_count(args.k, size),
+        branch_bound_holds=branch_count_lower_bound_holds(args.k, size),
+        obr_bound_holds=obr_count_lower_bound_holds(args.k, size),
+    )
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 
 def cmd_glue(args) -> int:
-    try:
-        fam = _read_inputs(args.family)
-        glued = sorted(glue_family_at_root(fam, args.m), key=graph6_encode)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fam = _read_inputs(args.family)
+    glued = sorted(glue_family_at_root(fam, args.m), key=graph6_encode)
     if args.out:
         with open(args.out, "w") as fh:
             write_graph6_lines(glued, fh)
@@ -259,6 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the reproducibility checklist")
     p.add_argument("--families", default=None, metavar="DIR")
+    p.add_argument(
+        "--corpus", default=None, metavar="FILE",
+        help="graph6 or rooted JSONL graphs the recognizer check also decides",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true")
     p.set_defaults(fn=cmd_verify_paper)
@@ -266,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branches", help="lower-bound branch families")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--base", default=None, metavar="FILE")
-    p.add_argument("--base-size", type=int, default=5)
+    p.add_argument(
+        "--base-size", type=int, default=5,
+        help="base members assumed by --count-only",
+    )
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(fn=cmd_branches)
@@ -283,7 +282,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OSError as exc:
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -179,8 +179,12 @@ def fan_check_solver(g: Graph, v: int) -> bool:
 def fan_check_structural(g: Graph, v: int) -> bool:
     if not g.is_connected():
         raise ValueError("fan check requires a connected graph")
-    if not is_outerplanar(g):
-        return False
+    return is_outerplanar(g) and _fan_shape(g, v)
+
+
+def _fan_shape(g: Graph, v: int) -> bool:
+    """Every component of g - v is a vertex or a path with an end adjacent
+    to v.  With outerplanarity this is `fan_check_structural`."""
     allowed = ((1 << g.n) - 1) & ~(1 << v)
     rest = allowed
     while rest:
@@ -201,15 +205,14 @@ def fan_check_structural(g: Graph, v: int) -> bool:
     return True
 
 
-def mine_fan_base(n_max: int = 7) -> list[RootedGraph]:
-    """Doubly-rooted outerplanar non-fans all of whose rooted single-edge
-    contractions are fans; the minimal seeds for the branch construction.
-
-    Uses the structural fan test.  The solver test (width 2 with the
-    root guarded) accepts strictly more rooted graphs, so mining against
-    it yields a larger family; the structural test reproduces the base
-    family of five.
-    """
+def _minimal_rejects(
+    n_max: int, accepts: Callable[[RootedGraph], bool]
+) -> list[RootedGraph]:
+    """Doubly-rooted connected outerplanar graphs with n <= n_max that
+    `accepts` rejects while it accepts every rooted single-edge
+    contraction, one per rooted isomorphism class, in rooted-certificate
+    order.  `accepts` sees only connected outerplanar graphs, since
+    outerplanarity is closed under contraction."""
     out: dict[bytes, RootedGraph] = {}
     for n in range(1, n_max + 1):
         for g in connected_graphs(n):
@@ -222,18 +225,23 @@ def mine_fan_base(n_max: int = 7) -> list[RootedGraph]:
                 if rc in reps:
                     continue
                 reps.add(rc)
-                if fan_check_structural(g, v):
+                if accepts(rg):
                     continue
-                if all(
-                    _is_rooted_fan(contract_edge_rooted(rg, e)) for e in g.edges
-                ):
+                if all(accepts(contract_edge_rooted(rg, e)) for e in g.edges):
                     out.setdefault(rc, rg)
     return [out[c] for c in sorted(out)]
 
 
-def _is_rooted_fan(rg: RootedGraph) -> bool:
-    (v,) = rg.s_in
-    return fan_check_structural(rg.graph, v)
+def mine_fan_base(n_max: int = 7) -> list[RootedGraph]:
+    """Doubly-rooted outerplanar non-fans all of whose rooted single-edge
+    contractions are fans; the minimal seeds for the branch construction.
+
+    Uses the structural fan test.  The solver test (width 2 with the
+    root guarded) accepts strictly more rooted graphs, so mining against
+    it yields a larger family; the structural test reproduces the base
+    family of five.
+    """
+    return _minimal_rejects(n_max, lambda rg: _fan_shape(rg.graph, min(rg.s_in)))
 
 
 def mine_branch_base(n_max: int = 7) -> list[RootedGraph]:
@@ -247,25 +255,7 @@ def mine_branch_base(n_max: int = 7) -> list[RootedGraph]:
     at a leaf) are excluded here, and larger graphs become minimal in
     their place.
     """
-    out: dict[bytes, RootedGraph] = {}
-    for n in range(1, n_max + 1):
-        for g in connected_graphs(n):
-            if not is_outerplanar(g):
-                continue
-            reps: set[bytes] = set()
-            for v in range(g.n):
-                rg = doubly_rooted(g, v)
-                rc = rooted_certificate(rg)
-                if rc in reps:
-                    continue
-                reps.add(rc)
-                if cmp_decide(rg, 2):
-                    continue
-                if all(
-                    cmp_decide(contract_edge_rooted(rg, e), 2) for e in g.edges
-                ):
-                    out.setdefault(rc, rg)
-    return [out[c] for c in sorted(out)]
+    return _minimal_rejects(n_max, lambda rg: cmp_decide(rg, 2))
 
 
 # ---------------------------------------------------------------------------

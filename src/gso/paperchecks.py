@@ -206,24 +206,16 @@ def check_obr(base: list[RootedGraph] | None = None) -> CheckResult:
     )
 
 
-def check_recognizer(n_max: int = 7, corpus: str | None = None) -> CheckResult:
-    bad = 0
-    total = 0
-    for n in range(1, n_max + 1):
-        for g in connected_graphs(n):
-            total += 1
-            if decide_cmms_le_2(g)[0] != cmp_decide(RootedGraph(g), 2):
-                bad += 1
-    if corpus is not None:
-        with open(corpus) as fh:
-            for g in read_graph6_lines(fh):
-                if not g.is_connected():
-                    continue
-                total += 1
-                if decide_cmms_le_2(g)[0] != cmp_decide(RootedGraph(g), 2):
-                    bad += 1
+def check_recognizer(n_max: int = 7, corpus: list[Graph] | None = None) -> CheckResult:
+    """Check 8 on every connected graph with n <= n_max and on the
+    connected graphs of `corpus`."""
+    graphs = [g for n in range(1, n_max + 1) for g in connected_graphs(n)]
+    graphs += [g for g in corpus or () if g.is_connected()]
+    bad = sum(
+        1 for g in graphs if decide_cmms_le_2(g)[0] != cmp_decide(RootedGraph(g), 2)
+    )
     return CheckResult(
-        f"8 recognizer agrees with solver on {total} graphs", bad == 0,
+        f"8 recognizer agrees with solver on {len(graphs)} graphs", bad == 0,
         detail=f"{bad} disagreements",
     )
 
@@ -404,7 +396,7 @@ def run_all(
     families: list[Graph] | None = None,
     seed: int = 0,
     quick: bool = False,
-    corpus: str | None = None,
+    corpus: list[Graph] | None = None,
 ) -> list[CheckResult]:
     per_size = 20 if quick else 100
     cases = 100 if quick else 500

@@ -8,6 +8,13 @@ which case the per-piece witnesses splice into one glued expansion.
 Any structural precondition that fails, any inconsistent label, or any
 certificate that does not validate sends the decision to the exact
 solver, which is always the authority.
+
+Each root component is decided once.  `_root_fans` gives a vertex its
+row: the root components at that vertex, each with its width-2 witness
+or None when it is not a fan.  `decide_cmms_le_2` builds the rows while
+it tries each vertex as a fan cover (a row without None, whose
+witnesses splice); when no vertex is a cover, the spine reads its
+degrees, extremal parts, fans and hanging hairs from the same rows.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .graphs import (
     norm_edge,
     rev,
 )
-from .obstructions import fan_check_solver
 from .solvers import cmp_decide
 
 
@@ -68,12 +74,24 @@ def root_components(g: Graph, v: int) -> list[tuple[RootedGraph, tuple[int, ...]
     return out
 
 
+# one row per vertex: its root components, each with its width-2 witness
+# or None when the component is not a fan
+_Row = list[tuple[RootedGraph, tuple[int, ...], Expansion | None]]
+
+
+def _root_fans(g: Graph, v: int) -> _Row:
+    return [
+        (rg, vs, cmp_decide(rg, 2, witness=True)[1])
+        for rg, vs in root_components(g, v)
+    ]
+
+
+def _nonfans(row: _Row) -> list[tuple[int, ...]]:
+    return [vs for _, vs, wit in row if wit is None]
+
+
 def spine_degree(g: Graph, v: int) -> int:
-    return sum(
-        1
-        for rg, _ in root_components(g, v)
-        if not fan_check_solver(rg.graph, next(iter(rg.s_in)))
-    )
+    return len(_nonfans(_root_fans(g, v)))
 
 
 def label_block(b_star: RootedGraph) -> str:
@@ -105,10 +123,16 @@ def spine_structure(g: Graph) -> SpineStructure | None:
     """Ordered spine decomposition, or None when a precondition fails."""
     if not g.is_connected() or g.m == 0:
         return None
-    degrees = {v: spine_degree(g, v) for v in range(g.n)}
-    if any(d > 2 for d in degrees.values()):
+    return _spine(g, [_root_fans(g, v) for v in range(g.n)])
+
+
+def _spine(g: Graph, rows: Sequence[_Row]) -> SpineStructure | None:
+    """`spine_structure` of a connected graph with edges, read from the
+    rows of every vertex."""
+    degrees = [len(_nonfans(row)) for row in rows]
+    if any(d > 2 for d in degrees):
         return None
-    central = sorted(v for v, d in degrees.items() if d == 2)
+    central = [v for v, d in enumerate(degrees) if d == 2]
     if not central:
         return None
     dec = blocks_and_cuts(g)
@@ -147,36 +171,16 @@ def spine_structure(g: Graph) -> SpineStructure | None:
     r = len(border)
     c_first, c_last = order[0], order[-1]
 
-    def extremal_at(c: int, away_from: int | None) -> tuple[int, ...] | None:
-        nonfan = [
-            (rg, vs)
-            for rg, vs in root_components(g, c)
-            if not fan_check_solver(rg.graph, next(iter(rg.s_in)))
-        ]
-        if len(nonfan) != 2:
-            return None
-        if away_from is None:
-            picks = sorted(vs for _, vs in nonfan)
-            return picks[0]
-        picks = [vs for _, vs in nonfan if away_from not in vs]
-        if len(picks) != 1:
-            return None
-        return picks[0]
-
+    # a central cut has exactly two non-fan components; an end of the
+    # spine keeps the one that does not reach its central neighbour
     if r == 0:
-        nonfan = [
-            vs
-            for rg, vs in root_components(g, c_first)
-            if not fan_check_solver(rg.graph, next(iter(rg.s_in)))
-        ]
-        if len(nonfan) != 2:
-            return None
-        left_vs, right_vs = sorted(nonfan)
+        left_vs, right_vs = sorted(_nonfans(rows[c_first]))
     else:
-        left_vs = extremal_at(c_first, order[1])
-        right_vs = extremal_at(c_last, order[-2])
-        if left_vs is None or right_vs is None:
+        lefts = [vs for vs in _nonfans(rows[c_first]) if order[1] not in vs]
+        rights = [vs for vs in _nonfans(rows[c_last]) if order[-2] not in vs]
+        if len(lefts) != 1 or len(rights) != 1:
             return None
+        left_vs, right_vs = lefts[0], rights[0]
 
     # extended central blocks: absorb the single hair at the one
     # non-central cut vertex, when present
@@ -193,7 +197,7 @@ def spine_structure(g: Graph) -> SpineStructure | None:
                 return None
             hangs = [
                 (rg, vs)
-                for rg, vs in root_components(g, w)
+                for rg, vs, _ in rows[w]
                 if not set(vs) & (b.vertices - {w})
             ]
             if len(hangs) != 1:
@@ -212,8 +216,8 @@ def spine_structure(g: Graph) -> SpineStructure | None:
     fans: list[tuple[int, ...]] = []
     for c in order:
         fvs: set[int] = {c}
-        for rg, vs in root_components(g, c):
-            if fan_check_solver(rg.graph, next(iter(rg.s_in))):
+        for _, vs, wit in rows[c]:
+            if wit is not None:
                 fvs |= set(vs)
         fans.append(tuple(sorted(fvs)))
 
@@ -323,30 +327,21 @@ def _expansion_json(ex: Expansion) -> list[list[list[int]]]:
     return [sorted([list(e) for e in a]) for a in ex.sets]
 
 
-def _fan_cover(g: Graph) -> tuple[Expansion, int] | None:
-    for v in range(g.n):
-        comps = root_components(g, v)
-        wits = []
-        for rg, vs in comps:
-            ok, wit = cmp_decide(rg, 2, witness=True)
-            if not ok:
-                wits = None
-                break
-            wits.append((rg, vs, wit))
-        if wits is None:
-            continue
-        glued = doubly_rooted(g, v)
-        try:
-            ex = _splice(glued, wits)
-            enh = enhance(glued)
-            if not _validated(ex, enh.e_in, enh.e_out):
-                continue
-            shrunk = _shrink_to_unrooted(g, ex, enh.e_in)
-            if _validated(shrunk):
-                return shrunk, v
-        except InvalidExpansion:
-            continue
-    return None
+def _fan_cover(g: Graph, v: int, row: _Row) -> Expansion | None:
+    """The spliced expansion out of v when every root component at v is
+    a fan and the splice validates."""
+    if _nonfans(row):
+        return None
+    glued = doubly_rooted(g, v)
+    try:
+        ex = _splice(glued, row)
+        enh = enhance(glued)
+        if not _validated(ex, enh.e_in, enh.e_out):
+            return None
+        shrunk = _shrink_to_unrooted(g, ex, enh.e_in)
+        return shrunk if _validated(shrunk) else None
+    except InvalidExpansion:
+        return None
 
 
 def _spine_certificate(g: Graph, st: SpineStructure) -> Expansion | None:
@@ -377,16 +372,18 @@ def decide_cmms_le_2(g: Graph) -> tuple[bool, dict]:
         raise ValueError("recognizer requires a connected graph")
     if g.m == 0:
         return True, {"method": "trivial", "value_le_2": True}
-    fc = _fan_cover(g)
-    if fc is not None:
-        ex, v = fc
-        return True, {
-            "method": "fan-cover",
-            "anchor": v,
-            "value_le_2": True,
-            "expansion": _expansion_json(ex),
-        }
-    st = spine_structure(g)
+    rows = []
+    for v in range(g.n):
+        rows.append(_root_fans(g, v))
+        ex = _fan_cover(g, v, rows[-1])
+        if ex is not None:
+            return True, {
+                "method": "fan-cover",
+                "anchor": v,
+                "value_le_2": True,
+                "expansion": _expansion_json(ex),
+            }
+    st = _spine(g, rows)
     if st is not None:
         ex = _spine_certificate(g, st)
         if ex is not None:

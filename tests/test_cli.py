@@ -6,6 +6,7 @@ from gso.cli import main
 from gso.gio import graph6_encode, rooted_to_json
 from gso.graphs import RootedGraph, complete_graph, doubly_rooted, path_graph
 from gso.simulate import Move, simulate, width
+from gso.solvers import BudgetExceeded
 
 
 def run(capsys, *argv):
@@ -173,6 +174,29 @@ def test_branches_materialize_from_base(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 4
 
 
+def test_branches_counts_follow_the_loaded_base(tmp_path, capsys):
+    base = [
+        rooted_to_json(doubly_rooted(path_graph(3), 0)),
+        rooted_to_json(doubly_rooted(path_graph(4), 0)),
+    ]
+    inp = write_inputs(tmp_path / "base.jsonl", base)
+    code, rep = run(capsys, "branches", "-k", "1", "--base", inp)
+    assert code == 0
+    assert rep["base_size"] == 2
+    assert rep["branch_count"] == rep["materialized_branches"] == 2
+    assert rep["obr_count"] == rep["materialized_obr"] == 4
+    assert rep["branch_bound_holds"] is False
+    assert rep["obr_bound_holds"] is False
+
+
+def test_branches_count_only_reports_bounds(capsys):
+    code, rep = run(capsys, "branches", "-k", "2", "--count-only")
+    assert code == 0
+    assert rep["base_size"] == 5
+    assert rep["branch_bound_holds"] is True and rep["obr_bound_holds"] is True
+    assert "materialized_obr" not in rep
+
+
 def test_glue_roundtrip(tmp_path, capsys):
     fam = [rooted_to_json(doubly_rooted(path_graph(2), 0))]
     inp = write_inputs(tmp_path / "fam.jsonl", fam)
@@ -224,3 +248,48 @@ def test_verify_paper_missing_families_dir_is_exit_2(tmp_path, capsys, no_checks
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_paper_malformed_corpus_is_exit_2(tmp_path, capsys, no_checks):
+    inp = write_inputs(tmp_path / "corpus.g6", ["\x01garbage"])
+    code = main(["verify-paper", "--corpus", inp])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_paper_passes_the_loaded_corpus(tmp_path, capsys, monkeypatch):
+    seen = {}
+
+    def fake_run_all(**kwargs):
+        seen.update(kwargs)
+        return []
+
+    monkeypatch.setattr("gso.cli.run_all", fake_run_all)
+    lines = [graph6_encode(path_graph(3)), graph6_encode(complete_graph(4))]
+    inp = write_inputs(tmp_path / "corpus.g6", lines)
+    code, rep = run(capsys, "verify-paper", "--corpus", inp)
+    assert code == 0 and rep["ok"] is True
+    assert [graph6_encode(g) for g in seen["corpus"]] == lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "--max-n", "5", "-k", "1"],
+        ["branches", "-k", "1"],
+        ["verify-paper", "--quick"],
+    ],
+    ids=["mine", "branches", "verify-paper"],
+)
+def test_budget_exhaustion_is_exit_3_for_every_command(capsys, monkeypatch, argv):
+    def exhausted(*args, **kwargs):
+        raise BudgetExceeded("state budget exhausted")
+
+    monkeypatch.setattr("gso.cli.mine_obstructions", exhausted)
+    monkeypatch.setattr("gso.cli.mine_branch_base", exhausted)
+    monkeypatch.setattr("gso.cli.run_all", exhausted)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: state budget exhausted\n"

@@ -188,6 +188,24 @@ def test_fan_base_is_frozen():
     ]
 
 
+def test_fan_base_tests_outerplanarity_once_per_graph(monkeypatch):
+    import gso.obstructions as obstructions
+    from gso.gen import connected_graphs
+
+    calls = []
+    real = obstructions.is_outerplanar
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(obstructions, "is_outerplanar", counted)
+    mine_fan_base(6)
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    assert len(graphs) == 143
+    assert len(calls) == len(graphs)
+
+
 def test_branch_base_is_frozen():
     base = mine_branch_base(7)
     assert sorted(b.graph.n for b in base) == [4, 4, 5, 5, 5, 5, 5, 6]

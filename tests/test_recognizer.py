@@ -102,3 +102,21 @@ def test_spine_structure_consistency(rng):
             for u, v in pt.rooted.graph.edges:
                 seen.append(norm_edge(pt.gids[u], pt.gids[v]))
         assert sorted(seen) == sorted(g.edges)
+
+
+def test_root_components_computed_once_per_vertex(monkeypatch):
+    import gso.recognizer as recognizer
+
+    calls = []
+    real = recognizer.root_components
+
+    def counted(g, v):
+        calls.append(v)
+        return real(g, v)
+
+    monkeypatch.setattr(recognizer, "root_components", counted)
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            calls.clear()
+            decide_cmms_le_2(g)
+            assert len(calls) <= g.n
