@@ -5,17 +5,27 @@ Block classes: hair (trivial block with a degree-1 endpoint), bridge
 (non-trivial with a chord).  A cut vertex is light when it is the cut
 vertex of exactly one hair block, heavy otherwise.
 
-For 2-connected outerplanar blocks the embedding is unique, so the
-bounded faces can be read off the Hamiltonian outer cycle plus the
-non-crossing chord intervals; a face is haploid when at most one of
-its edges is a chord.
+This module is where outerplanarity is decided.  A graph is
+outerplanar when each of its blocks is.  A 2-connected outerplanar
+block has exactly one Hamiltonian cycle, its outer face, and no two of
+its chords cross on that cycle; conversely a Hamiltonian cycle whose
+chords do not cross draws the block with every vertex on the outer
+face.  So the first Hamiltonian cycle found decides the block: it is
+the outer cycle when its chords do not cross, and the block is not
+outerplanar when they do.
+
+The embedding of a 2-connected outerplanar block is unique, so its
+bounded faces can be read off the outer cycle plus the non-crossing
+chord intervals; a face is haploid when at most one of its edges is a
+chord.  Chords and faces are computed only when read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
+from functools import cached_property
 
-from .contractions import is_outerplanar
 from .graphs import Edge, Graph, norm_edge
 
 
@@ -30,9 +40,21 @@ class Block:
     vertices: frozenset[int]
     edges: frozenset[Edge]
     kind: str  # hair | bridge | cycle | essential
-    outer_cycle: tuple[int, ...] | None = None
-    chords: frozenset[Edge] | None = None
-    faces: tuple[Face, ...] | None = None
+    outer_cycle: tuple[int, ...] | None = None  # None unless 2-connected outerplanar
+
+    @cached_property
+    def chords(self) -> frozenset[Edge] | None:
+        if self.outer_cycle is None:
+            return None
+        cyc = self.outer_cycle
+        sides = {norm_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc))}
+        return self.edges - sides
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...] | None:
+        if self.outer_cycle is None:
+            return None
+        return _faces(self.outer_cycle, self.edges)
 
 
 @dataclass(frozen=True)
@@ -113,15 +135,7 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
             blocks.append(Block(vs, es, kind))
             continue
         kind = "cycle" if len(es) == len(vs) else "essential"
-        outer = chords = faces = None
-        sub, idx = g.induced(sorted(vs))
-        if is_outerplanar(sub):
-            back = {i: v for v, i in idx.items()}
-            cyc = _hamiltonian_cycle(sub)
-            if cyc is not None:
-                outer = tuple(back[i] for i in cyc)
-                chords, faces = _faces(sub, cyc, back)
-        blocks.append(Block(vs, es, kind, outer, chords, faces))
+        blocks.append(Block(vs, es, kind, _outer_cycle(g, vs)))
     cuts = frozenset(v for v, c in seen.items() if c >= 2)
     weights = {}
     for c in cuts:
@@ -130,19 +144,49 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(tuple(blocks), cuts, weights)
 
 
-def _hamiltonian_cycle(g: Graph) -> list[int] | None:
-    n = g.n
-    if n < 3:
+def is_outerplanar(g: Graph) -> bool:
+    """Every non-trivial block of every component has an outer cycle."""
+    return all(
+        len(group) == 1 or _outer_cycle(g, {v for e in group for v in e}) is not None
+        for group in _biconnected_edge_groups(g)
+    )
+
+
+def _outer_cycle(g: Graph, vertices: Collection[int]) -> tuple[int, ...] | None:
+    """Outer cycle of the 2-connected block of g on `vertices`, or None
+    when the block is not outerplanar: its first Hamiltonian cycle, kept
+    when no two chords cross on it."""
+    cyc = _hamiltonian_cycle(g, vertices)
+    if cyc is None:
         return None
-    path = [0]
-    used = 1
+    pos = {v: i for i, v in enumerate(cyc)}
+    last = len(cyc) - 1
+    chords = []
+    for u, i in pos.items():
+        for w in g.neighbors(u):
+            j = pos.get(w, -1)
+            if j > i + 1 and (i, j) != (0, last):
+                chords.append((i, j))
+    if any(a < c < b < d for a, b in chords for c, d in chords):
+        return None
+    return tuple(cyc)
+
+
+def _hamiltonian_cycle(g: Graph, vertices: Collection[int]) -> list[int] | None:
+    """Hamiltonian cycle of the subgraph induced by `vertices`, from its
+    least vertex, neighbours tried in increasing order."""
+    n = len(vertices)
+    start = min(vertices)
+    allowed = sum(1 << v for v in vertices)
+    path = [start]
+    used = 1 << start
 
     def rec() -> bool:
         nonlocal used
         if len(path) == n:
-            return g.has_edge(path[-1], 0)
+            return g.has_edge(path[-1], start)
         for w in g.neighbors(path[-1]):
-            if not used >> w & 1:
+            if allowed >> w & 1 and not used >> w & 1:
                 path.append(w)
                 used |= 1 << w
                 if rec():
@@ -154,47 +198,26 @@ def _hamiltonian_cycle(g: Graph) -> list[int] | None:
     return path if rec() else None
 
 
-def _faces(g: Graph, cyc: list[int], back: dict[int, int]):
+def _faces(cyc: tuple[int, ...], edges: frozenset[Edge]) -> tuple[Face, ...]:
     """Bounded faces of a 2-connected outerplanar block.
 
-    Edges become intervals over cycle positions; the chords are
-    non-crossing, and each interval spanning more than one step bounds
-    the face formed with its maximal sub-intervals.
+    Edges become intervals over positions on the outer cycle `cyc`; they
+    do not cross, so each interval spanning more than one step bounds
+    one face, together with its maximal proper sub-intervals.
     """
-    m = len(cyc)
     pos = {v: i for i, v in enumerate(cyc)}
-    intervals = []
-    for u, v in g.edges:
-        i, j = sorted((pos[u], pos[v]))
-        intervals.append((i, j))
-    iset = set(intervals)
-    cycle_edges = {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)}
-    chords = frozenset(
-        norm_edge(back[cyc[i]], back[cyc[j]]) for (i, j) in iset - cycle_edges
-    )
+    last = len(cyc) - 1
+    intervals = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in edges)
     faces = []
-    for (i, j) in sorted(iset):
+    for i, j in intervals:
         if j - i < 2:
             continue
-        # walk the maximal sub-intervals from i to j
-        children = []
+        sides = [(i, j)]
         a = i
-        ok = True
         while a < j:
-            best = None
-            for (x, y) in iset:
-                if x == a and y <= j and (x, y) != (i, j):
-                    if best is None or y > best:
-                        best = y
-            if best is None:
-                ok = False
-                break
-            children.append((a, best))
-            a = best
-        if not ok:
-            continue
-        edge_ivals = [(i, j)] + children
-        edges = frozenset(norm_edge(back[cyc[x]], back[cyc[y]]) for x, y in edge_ivals)
-        n_chords = sum(1 for iv in edge_ivals if iv not in cycle_edges)
-        faces.append(Face(edges, n_chords <= 1))
-    return chords, tuple(faces)
+            a_end = max(y for x, y in intervals if x == a and y <= j and (x, y) != (i, j))
+            sides.append((a, a_end))
+            a = a_end
+        n_chords = sum(1 for x, y in sides if y - x > 1 and (x, y) != (0, last))
+        faces.append(Face(frozenset(norm_edge(cyc[x], cyc[y]) for x, y in sides), n_chords <= 1))
+    return tuple(faces)

@@ -44,7 +44,7 @@ from .obstructions import (
 )
 from .paperchecks import load_families, run_all
 from .simulate import Move
-from .solvers import BudgetExceeded, cmp_value, mp_value, solve_game
+from .solvers import BudgetExceeded, cmms_value, cmp_value, cms_value, mp_value, ms_value
 
 
 def _read_inputs(path: str) -> list[RootedGraph]:
@@ -78,30 +78,23 @@ def _witness_path(out: str, index: int, many: bool) -> str:
     return f"{root}.{index}{ext or '.jsonl'}"
 
 
+_VALUE = {
+    "cmp": cmp_value,
+    "mp": mp_value,
+    "ms": ms_value,
+    "cms": cms_value,
+    "cmms": cmms_value,
+}
+
+
 def _solve_one(rg: RootedGraph, param: str, k: int | None, budget: int | None, wit: bool):
-    if param in ("cmp", "mp"):
-        fn = cmp_value if param == "cmp" else mp_value
-        res = fn(rg, witness=wit, budget=budget)
-        moves = None
-        if wit and res.witness is not None:
-            moves = expansion_to_strategy(enhance(rg), res.witness)
-        value = res.value
-    else:
-        if rg.s_in or rg.s_out:
-            raise ValueError(f"param {param} takes plain graphs, not rooted ones")
-        flags = {
-            "ms": dict(monotone=True),
-            "cms": dict(connected=True),
-            "cmms": dict(connected=True, monotone=True),
-        }[param]
-        g = rg.graph
-        value = None
-        moves = None
-        for kk in range(g.n + 1):
-            ok, w, _ = solve_game(g, kk, witness=wit, budget=budget, **flags)
-            if ok:
-                value, moves = kk, w
-                break
+    expansion = param in ("cmp", "mp")
+    if not expansion and (rg.s_in or rg.s_out):
+        raise ValueError(f"param {param} takes plain graphs, not rooted ones")
+    res = _VALUE[param](rg if expansion else rg.graph, witness=wit, budget=budget)
+    value, moves = res.value, res.witness
+    if expansion and moves is not None:
+        moves = expansion_to_strategy(enhance(rg), moves)
     entry = {"g6": graph6_encode(rg.graph), "param": param, "value": value}
     if rg.s_in or rg.s_out:
         entry["s_in"] = sorted(rg.s_in)

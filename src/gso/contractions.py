@@ -4,6 +4,7 @@ Both relations are decided by enumerating partitions of the host's
 vertices into connected classes and matching the quotient against the
 pattern.  Exponential, but the toolkit only ever runs it on small
 graphs; a node budget turns runaway searches into a distinct error.
+`is_outerplanar` lives in `gso.blocks` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .blocks import is_outerplanar  # noqa: F401
 from .canon import unique
-from .graphs import Graph, RootedGraph, complete_bipartite, complete_graph, contract_edge
+from .graphs import Graph, RootedGraph, contract_edge
 from .solvers import BudgetExceeded
 
 
@@ -183,23 +185,3 @@ def proper_contractions(g: Graph) -> list[Graph]:
     certificate order."""
     return unique(contract_edge(g, e) for e in g.edges)
 
-
-_K4 = complete_graph(4)
-_K23 = complete_bipartite(2, 3)
-
-
-def is_outerplanar(g: Graph) -> bool:
-    if g.n < 4:
-        return True
-    comps = g.components()
-    if len(comps) > 1:
-        # the minor search assumes a connected host; split first
-        return all(
-            is_outerplanar(g.induced([v for v in range(g.n) if m >> v & 1])[0])
-            for m in comps
-        )
-    if is_minor(_K4, g) is not None:
-        return False
-    if g.n >= 5 and is_minor(_K23, g) is not None:
-        return False
-    return True

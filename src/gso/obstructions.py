@@ -20,8 +20,8 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Iterator, Sequence
 
+from .blocks import is_outerplanar
 from .canon import certificate, rooted_certificate, unique
-from .contractions import is_outerplanar
 from .gen import connected_graphs
 from .graphs import (
     Edge,

@@ -426,16 +426,16 @@ def _game_value(host: Graph, connected: bool, monotone: bool, witness: bool, **k
     raise AssertionError("unsolvable game below the trivial bound")
 
 
-def ms_value(g: Graph, witness: bool = False) -> SolveResult:
-    return _game_value(g, False, True, witness)
+def ms_value(g: Graph, witness: bool = False, budget: int | None = None) -> SolveResult:
+    return _game_value(g, False, True, witness, budget=budget)
 
 
-def cms_value(g: Graph, witness: bool = False) -> SolveResult:
-    return _game_value(g, True, False, witness)
+def cms_value(g: Graph, witness: bool = False, budget: int | None = None) -> SolveResult:
+    return _game_value(g, True, False, witness, budget=budget)
 
 
-def cmms_value(g: Graph, witness: bool = False) -> SolveResult:
-    return _game_value(g, True, True, witness)
+def cmms_value(g: Graph, witness: bool = False, budget: int | None = None) -> SolveResult:
+    return _game_value(g, True, True, witness, budget=budget)
 
 
 def ms_decide(g: Graph, k: int) -> bool:

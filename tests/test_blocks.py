@@ -2,9 +2,11 @@ import networkx as nx
 import pytest
 
 from gso.blocks import blocks_and_cuts
+from gso.gen import connected_graphs
 from gso.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 
 from conftest import random_connected
+from test_contractions import nx_outerplanar
 from test_graphs import to_nx
 
 
@@ -90,3 +92,55 @@ def test_nonouterplanar_block_has_no_face_data():
     dec = blocks_and_cuts(complete_graph(4))
     (b,) = dec.blocks
     assert b.outer_cycle is None and b.faces is None
+
+
+def two_connected_outerplanar(n_max: int):
+    """(graph, its single block) for every 2-connected outerplanar graph
+    with n <= n_max, checked against networkx."""
+    out = []
+    for n in range(3, n_max + 1):
+        for g in connected_graphs(n):
+            dec = blocks_and_cuts(g)
+            ours = len(dec.blocks) == 1 and dec.blocks[0].outer_cycle is not None
+            assert ours == (nx.is_biconnected(to_nx(g)) and nx_outerplanar(g))
+            if ours:
+                out.append((g, dec.blocks[0]))
+    return out
+
+
+def test_outerplanar_face_invariants():
+    found = two_connected_outerplanar(7)
+    assert [sum(g.n == n for g, _ in found) for n in range(3, 8)] == [1, 2, 3, 9, 20]
+    for g, b in found:
+        cyc = b.outer_cycle
+        sides = {tuple(sorted((cyc[i - 1], cyc[i]))) for i in range(g.n)}
+        assert sorted(cyc) == list(range(g.n)) and sides <= set(g.edges)
+        assert b.chords == frozenset(g.edges) - sides
+        assert len(b.faces) == g.m - g.n + 1
+        for e in sides:
+            assert sum(e in f.edges for f in b.faces) == 1
+        for e in b.chords:
+            assert sum(e in f.edges for f in b.faces) == 2
+        for f in b.faces:
+            assert f.haploid == (len(f.edges & b.chords) <= 1)
+
+
+def test_faces_built_only_when_read(monkeypatch):
+    import gso.blocks as blocks
+
+    calls = []
+    real = blocks._faces
+
+    def counted(cyc, edges):
+        calls.append(cyc)
+        return real(cyc, edges)
+
+    monkeypatch.setattr(blocks, "_faces", counted)
+    decs = [blocks_and_cuts(g) for n in range(2, 7) for g in connected_graphs(n)]
+    assert calls == []
+    outer = [b for dec in decs for b in dec.blocks if b.outer_cycle is not None]
+    assert outer
+    for b in outer:
+        assert b.faces is b.faces
+    assert all(b.faces is None for dec in decs for b in dec.blocks if b.outer_cycle is None)
+    assert len(calls) == len(outer)  # each block builds its faces once

@@ -1,5 +1,10 @@
+import random
+
 import networkx as nx
 import pytest
+
+import gso.blocks
+import gso.contractions
 
 from gso.contractions import (
     BudgetExceeded,
@@ -154,7 +159,35 @@ def test_outerplanar_known_cases():
     assert not is_outerplanar(complete_bipartite(2, 3))
 
 
-def test_outerplanar_matches_planarity_oracle():
-    for n in range(1, 7):
-        for g in connected_graphs(n):
-            assert is_outerplanar(g) == nx_outerplanar(g)
+def minor_outerplanar(g: Graph) -> bool:
+    # outerplanar iff no component has a K4 or K2,3 minor (the minor
+    # search partitions every host vertex, so it needs a connected host)
+    for mask in g.components():
+        comp, _ = g.induced([v for v in range(g.n) if mask >> v & 1])
+        if (
+            is_minor(complete_graph(4), comp) is not None
+            or is_minor(complete_bipartite(2, 3), comp) is not None
+        ):
+            return False
+    return True
+
+
+def test_outerplanar_matches_planarity_oracle(monkeypatch):
+    assert is_outerplanar is gso.blocks.is_outerplanar
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    rng = random.Random(20140)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        p = rng.uniform(0.15, 0.7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(Graph.from_edges(n, edges))
+    assert sum(not g.is_connected() for g in graphs) > 500
+    expected = [nx_outerplanar(g) for g in graphs]
+    assert expected == [minor_outerplanar(g) for g in graphs]
+    assert 0 < sum(expected) < len(graphs)
+
+    def no_minor_search(*args, **kwargs):
+        raise AssertionError("is_outerplanar ran a minor search")
+
+    monkeypatch.setattr(gso.contractions, "is_minor", no_minor_search)
+    assert [is_outerplanar(g) for g in graphs] == expected
