@@ -56,12 +56,9 @@ from .solvers import (
     cmp_value,
     cms_decide,
     cms_value,
-    mp_decide,
     mp_plain,
     mp_value,
-    ms_decide,
     ms_value,
-    rooted_game_decide,
     rooted_game_value,
     solve_game,
 )

@@ -140,21 +140,28 @@ def canonical_graph(g: Graph) -> Graph:
     return g.relabel(_canon(g, (0,) * g.n)[1])
 
 
+def canonical_certificate(c: Graph) -> bytes:
+    """`certificate(c)` for a graph already in canonical form, without a search.
+
+    The canonical relabeling puts the graph at its least leaf, so its own
+    adjacency code in identity order is the code `certificate` reports.
+    """
+    n = c.n
+    # identity-order `_adj_code`, read off the rows so that `c.edges` is
+    # not built and cached on every representative
+    code = sum((row >> (i + 1)) << (i * n + i + 1) for i, row in enumerate(c.adj))
+    return repr((n, code, (0,) * n)).encode()
+
+
 def unique(graphs: Iterable[Graph]) -> list[Graph]:
     """One canonical representative per isomorphism class, in certificate order.
 
-    Each input is searched once: the canonical relabeling puts the graph at
-    its least leaf, so the representative's own adjacency code in identity
-    order is the code `certificate` reports.
+    Each input is searched once, by `canonical_graph`.
     """
     reps: dict[bytes, Graph] = {}
     for g in graphs:
         c = canonical_graph(g)
-        n = c.n
-        # identity-order `_adj_code`, read off the rows so that `c.edges`
-        # is not built and cached on every representative
-        code = sum((row >> (i + 1)) << (i * n + i + 1) for i, row in enumerate(c.adj))
-        reps.setdefault(repr((n, code, (0,) * n)).encode(), c)
+        reps.setdefault(canonical_certificate(c), c)
     return [reps[c] for c in sorted(reps)]
 
 

@@ -54,7 +54,9 @@ def _read_inputs(path: str) -> list[RootedGraph]:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("{"):
+            # graph6 uses only '?'..'~', where '{' opens every 60-vertex
+            # graph; a JSON record always holds a '"'
+            if '"' in line:
                 out.append(rooted_from_json(line))
             else:
                 out.append(RootedGraph(graph6_decode(line)))

@@ -85,25 +85,6 @@ class _Jump:
     cleaned: frozenset[Edge]
 
 
-def _infer_roots(
-    ex: Expansion, enh: Enhancement | None
-) -> tuple[frozenset[Edge], frozenset[Edge], frozenset[int]]:
-    if enh is not None:
-        if enh.host is not ex.host and enh.host != ex.host:
-            raise InvalidExpansion("expansion host differs from the enhancement")
-        return frozenset(enh.e_in), frozenset(enh.e_out), frozenset(enh.base.s_in)
-    e_in = ex.sets[0]
-    e_out = frozenset(ex.host.edges) - ex.sets[-1]
-    if not e_in:
-        return e_in, e_out, frozenset()
-    common = set.intersection(*(set(e) for e in e_in))
-    u_in = min(common) if common else None
-    if u_in is None:
-        raise InvalidExpansion("first set is not a star, pass the enhancement")
-    s_in = frozenset(v for e in e_in for v in e if v != u_in)
-    return e_in, e_out, s_in
-
-
 def _realization(ex: Expansion, enh: Enhancement | None) -> tuple[int, list[_Jump]]:
     """Cheapest strategy realizing the expansion's cleaning order.
 
@@ -115,14 +96,18 @@ def _realization(ex: Expansion, enh: Enhancement | None) -> tuple[int, list[_Jum
     already).
     """
     host = ex.host
-    e_in, e_out, s_in = _infer_roots(ex, enh)
-    internal = frozenset(
-        e for e in host.edges if e[0] in s_in and e[1] in s_in
-    )
+    if enh is None:
+        start, floor = frozenset(), 0
+    elif enh.host != host:
+        raise InvalidExpansion("expansion host differs from the enhancement")
+    else:
+        start, floor = enh.e_start, len(enh.base.s_in)
     all_edges = frozenset(host.edges)
-    pos: list[frozenset[Edge]] = [e_in | internal]
+    # every set of a valid expansion contains E_in, the rest of the start
+    # is the edges inside S_in
+    pos: list[frozenset[Edge]] = [start]
     for a in ex.sets:
-        aa = a | internal
+        aa = a | start
         if aa != pos[-1]:
             pos.append(aa)
     bnd = [frozenset(boundary(host, a)) for a in pos]
@@ -152,7 +137,7 @@ def _realization(ex: Expansion, enh: Enhancement | None) -> tuple[int, list[_Jum
         jumps.append(rec)
         i = j
     jumps.reverse()
-    return max(len(s_in), best[-1]), jumps
+    return max(floor, best[-1]), jumps
 
 
 def _cheapest_jump(
@@ -200,8 +185,14 @@ def _cheapest_jump(
 
 
 def expansion_cost(ex: Expansion, enh: Enhancement | None = None) -> int:
-    """Width of the cheapest strategy cleaning in the expansion's order."""
-    if enh is not None:
+    """Width of the cheapest strategy cleaning in the expansion's order.
+
+    Without an enhancement the expansion is unrooted: E_in and E_out are
+    empty, so a nonempty first set raises InvalidExpansion.
+    """
+    if enh is None:
+        validate_expansion(ex)
+    else:
         validate_expansion(ex, enh.e_in, enh.e_out)
     return _realization(ex, enh)[0]
 

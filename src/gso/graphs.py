@@ -184,7 +184,11 @@ def contract_edge_rooted(rg: RootedGraph, e: tuple[int, int]) -> RootedGraph:
 
 @dataclass(frozen=True)
 class Enhancement:
-    """The rooted graph plus apex vertices u_in/u_out wired to the roots."""
+    """The rooted graph plus apex vertices u_in/u_out wired to the roots.
+
+    e_start is the rooted start both solver engines search from: E_in
+    plus the edges inside S_in, clean before the first move.
+    """
 
     base: RootedGraph
     host: Graph
@@ -192,6 +196,7 @@ class Enhancement:
     u_out: int
     e_in: frozenset[Edge]
     e_out: frozenset[Edge]
+    e_start: frozenset[Edge]
 
 
 def enhance(rg: RootedGraph) -> Enhancement:
@@ -201,7 +206,10 @@ def enhance(rg: RootedGraph) -> Enhancement:
     e_in = frozenset(norm_edge(u_in, v) for v in rg.s_in)
     e_out = frozenset(norm_edge(u_out, v) for v in rg.s_out)
     host = Graph.from_edges(n + 2, edges + sorted(e_in) + sorted(e_out))
-    return Enhancement(rg, host, u_in, u_out, e_in, e_out)
+    e_start = e_in | frozenset(
+        (u, v) for u, v in edges if u in rg.s_in and v in rg.s_in
+    )
+    return Enhancement(rg, host, u_in, u_out, e_in, e_out, e_start)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .blocks import is_outerplanar
-from .canon import certificate, rooted_certificate, unique
+from .canon import canonical_certificate, certificate, rooted_certificate, unique
 from .gen import connected_graphs
 from .graphs import (
     Edge,
@@ -125,12 +125,13 @@ def mine_obstructions(
     found: list[Graph] = []
     for n in range(1, n_max + 1):
         fresh: list[tuple[bytes, Graph]] = []
-        # stable: certificate order within an edge count
+        # stable: certificate order within an edge count; the generated
+        # graphs are canonical, so their own certificates need no search
         for g in sorted(connected_graphs(n), key=lambda g: g.m):
             if any(certificate(c) in bad for c in _children(g, relation)):
-                bad.add(certificate(g))
+                bad.add(canonical_certificate(g))
             elif fn(g) > k:
-                cert = certificate(g)
+                cert = canonical_certificate(g)
                 bad.add(cert)
                 fresh.append((cert, g))
         found.extend(g for _, g in sorted(fresh, key=lambda p: p[0]))
@@ -299,6 +300,7 @@ def _branch_rooted(b: Branch) -> RootedGraph:
 def branch_set(k: int, base: Sequence[RootedGraph]) -> list[Branch]:
     """Br(k): identify the roots of two Br(k-1) branches, then attach a
     fresh trunk edge at the junction; the new endpoint is the root."""
+    _check_level(k)
     level = base_branches(base)
     for lvl in range(2, k + 1):
         seen: dict[bytes, Branch] = {}
@@ -312,7 +314,14 @@ def branch_set(k: int, base: Sequence[RootedGraph]) -> list[Branch]:
     return level
 
 
+def _check_level(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"branch level k must be at least 1, got {k}")
+
+
 def branch_count(k: int, base_size: int = 5) -> int:
+    """|Br(k)|; obr_count and both bound checks raise through it for k < 1."""
+    _check_level(k)
     f = base_size
     for _ in range(2, k + 1):
         f = comb(f + 1, 2)

@@ -208,12 +208,15 @@ def check_obr(base: list[RootedGraph] | None = None) -> CheckResult:
 
 def check_recognizer(n_max: int = 7, corpus: list[Graph] | None = None) -> CheckResult:
     """Check 8 on every connected graph with n <= n_max and on the
-    connected graphs of `corpus`."""
+    connected graphs of `corpus`.  An answer whose method is "solver" is
+    that same `cmp_decide` call, so only the other answers are re-solved."""
     graphs = [g for n in range(1, n_max + 1) for g in connected_graphs(n)]
     graphs += [g for g in corpus or () if g.is_connected()]
-    bad = sum(
-        1 for g in graphs if decide_cmms_le_2(g)[0] != cmp_decide(RootedGraph(g), 2)
-    )
+    bad = 0
+    for g in graphs:
+        ok, cert = decide_cmms_le_2(g)
+        if cert["method"] != "solver" and ok != cmp_decide(RootedGraph(g), 2):
+            bad += 1
     return CheckResult(
         f"8 recognizer agrees with solver on {len(graphs)} graphs", bad == 0,
         detail=f"{bad} disagreements",

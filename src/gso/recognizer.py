@@ -23,14 +23,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .blocks import Block, blocks_and_cuts
-from .expansions import (
-    Expansion,
-    InvalidExpansion,
-    expansion_cost,
-    validate_expansion,
-)
+from .expansions import Expansion, InvalidExpansion, expansion_cost
 from .graphs import (
     Edge,
+    Enhancement,
     Graph,
     RootedGraph,
     doubly_rooted,
@@ -315,12 +311,11 @@ def _shrink_to_unrooted(g: Graph, rooted_ex: Expansion, e_in: frozenset[Edge]) -
     return Expansion(host, tuple(sets))
 
 
-def _validated(ex: Expansion, e_in=frozenset(), e_out=frozenset()) -> bool:
+def _validated(ex: Expansion, enh: Enhancement | None = None) -> bool:
     try:
-        validate_expansion(ex, e_in, e_out)
+        return expansion_cost(ex, enh) <= 2
     except InvalidExpansion:
         return False
-    return expansion_cost(ex) <= 2
 
 
 def _expansion_json(ex: Expansion) -> list[list[list[int]]]:
@@ -336,7 +331,7 @@ def _fan_cover(g: Graph, v: int, row: _Row) -> Expansion | None:
     try:
         ex = _splice(glued, row)
         enh = enhance(glued)
-        if not _validated(ex, enh.e_in, enh.e_out):
+        if not _validated(ex, enh):
             return None
         shrunk = _shrink_to_unrooted(g, ex, enh.e_in)
         return shrunk if _validated(shrunk) else None

@@ -15,9 +15,9 @@ each other:
   and connected variants, optional constraints support the
   trunk-first / trunk-last / guarded-vertex checks.
 
-Rooted instances start mid-game: the root edges E_in and the edges
-inside S_in count as already clean and S_in carries searchers, so the
-width of a rooted solve is never below |S_in|.
+Rooted instances start mid-game from `Enhancement.e_start`: the root
+edges E_in and the edges inside S_in count as already clean and S_in
+carries searchers, so the width of a rooted solve is never below |S_in|.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .expansions import Expansion
-from .graphs import Edge, Graph, RootedGraph, enhance
+from .graphs import Graph, RootedGraph, enhance
 from .simulate import HostCtx, Move
 
 
@@ -57,14 +57,8 @@ class _ExpCtx:
         self.ctx = HostCtx(self.enh.host)
         ctx = self.ctx
         self.e_in = ctx.emask(self.enh.e_in)
-        self.e_out = ctx.emask(self.enh.e_out)
-        self.target = ctx.full & ~self.e_out
-        internal = 0
-        for i, (u, v) in enumerate(ctx.edges):
-            if u in rg.s_in and v in rg.s_in:
-                internal |= 1 << i
-        self.internal = internal
-        self.start = self.e_in | internal
+        self.start = ctx.emask(self.enh.e_start)
+        self.target = ctx.full & ~ctx.emask(self.enh.e_out)
         self.s_in_size = len(rg.s_in)
         self.apex = (1 << self.enh.u_in) | (1 << self.enh.u_out)
 
@@ -82,12 +76,12 @@ class _ExpCtx:
 def _jumps(ec: _ExpCtx, a: int, k: int):
     """One-move transitions from clean set a with at most k searchers.
 
-    Yields (a2, width, landing, slide_source, occupied) for every way a
-    single move can advance the clean set: the move lands a searcher on
-    v, and cleans the sliding edge plus every dirty edge from v into
-    the occupied set.  Occupied = boundary guards plus freely chosen
-    extra dirty neighbors of v; a dirty edge inside the occupied set
-    would have been cleaned earlier, so such sets are inconsistent.
+    Yields the new clean set for every way a single move can advance
+    it: the move lands a searcher on v, and cleans the sliding edge plus
+    every dirty edge from v into the occupied set.  Occupied = boundary
+    guards plus freely chosen extra dirty neighbors of v; a dirty edge
+    inside the occupied set would have been cleaned earlier, so such
+    sets are inconsistent.
     """
     ctx = ec.ctx
     bnd = ec.bmask(a)
@@ -149,7 +143,7 @@ def _jumps(ec: _ExpCtx, a: int, k: int):
                 if ctx.ev[i] & ~vb & occ:
                     cleanable |= 1 << i
             if cleanable and nocc + 1 <= k:
-                yield a | cleanable, nocc + 1, v, None, occ
+                yield a | cleanable
             wm = occ & dn
             while wm:
                 wb = wm & -wm
@@ -168,13 +162,12 @@ def _jumps(ec: _ExpCtx, a: int, k: int):
                 a2 = a | d
                 if ec.bmask(a2) & wb:
                     continue
-                yield a2, nocc, v, w, occ
+                yield a2
 
 
 def _expansion_decide(
-    rg: RootedGraph, k: int, connected: bool, witness: bool, budget: int | None = None
+    ec: _ExpCtx, k: int, connected: bool, witness: bool, budget: int | None = None
 ) -> tuple[bool, Expansion | None, int]:
-    ec = _ExpCtx(rg)
     ctx = ec.ctx
     if ec.s_in_size > k:
         return False, None, 0
@@ -193,7 +186,7 @@ def _expansion_decide(
             if not witness:
                 return True, None, explored
             return True, _reconstruct(ec, parent, a), explored
-        for a2, _w, _v, _src, _occ in _jumps(ec, a, k):
+        for a2 in _jumps(ec, a, k):
             if a2 in parent:
                 continue
             if ec.bmask(a2).bit_count() > k:
@@ -221,7 +214,7 @@ def _reconstruct(ec: _ExpCtx, parent: dict, last: int) -> Expansion:
         cur = prev
     chunks.reverse()
     order: list[int] = []
-    m = ec.internal
+    m = ec.start & ~ec.e_in
     while m:
         i = (m & -m).bit_length() - 1
         m &= m - 1
@@ -254,21 +247,17 @@ def _reconstruct(ec: _ExpCtx, parent: dict, last: int) -> Expansion:
 
 def cmp_decide(rg: RootedGraph, k: int, witness: bool = False):
     _check_s_in(rg)
-    ok, wit, _ = _expansion_decide(rg, k, connected=True, witness=witness)
-    return (ok, wit) if witness else ok
-
-
-def mp_decide(rg: RootedGraph, k: int, witness: bool = False):
-    ok, wit, _ = _expansion_decide(rg, k, connected=False, witness=witness)
+    ok, wit, _ = _expansion_decide(_ExpCtx(rg), k, connected=True, witness=witness)
     return (ok, wit) if witness else ok
 
 
 def _expansion_value(
     rg: RootedGraph, connected: bool, witness: bool, budget: int | None
 ) -> SolveResult:
+    ec = _ExpCtx(rg)
     total = 0
     for k in range(rg.graph.n + 2):
-        ok, wit, explored = _expansion_decide(rg, k, connected, witness, budget)
+        ok, wit, explored = _expansion_decide(ec, k, connected, witness, budget)
         total += explored
         if ok:
             return SolveResult(k, wit, {"states": total})
@@ -313,7 +302,6 @@ def solve_game(
     host: Graph,
     k: int,
     *,
-    goal: int | None = None,
     connected: bool = False,
     monotone: bool = False,
     forbid: int = 0,
@@ -327,23 +315,24 @@ def solve_game(
 ) -> tuple[bool, list[Move] | None, int]:
     """Reachability for the mixed search game with at most k searchers.
 
-    start_clean/start_occupied: mid-game initial state (the rooted
-    start: E_in plus the edges inside S_in clean, searchers on S_in).
-    first_clean: the first nonempty clean set must contain this edge
-    mask.  last_clean: this edge mask must stay dirty until the goal is
-    hit.  guard: this vertex must carry a searcher from the first move
-    on.
+    The goal is every edge clean except the forbidden ones, which must
+    never be cleaned.  start_clean/start_occupied: mid-game initial
+    state (the rooted start: `Enhancement.e_start` clean, searchers on
+    S_in).  first_clean: the first nonempty clean set must contain this
+    edge mask.  last_clean: this edge mask must stay dirty until the
+    goal is hit.  guard: this vertex must carry a searcher from the
+    first move on.
     """
     ctx = HostCtx(host)
-    if goal is None:
-        goal = ctx.full
+    goal = ctx.full & ~forbid
     if start_occupied.bit_count() > k:
         return False, None, 0
     start = (start_clean, start_occupied)
     if start_clean == goal:
         return True, [] if witness else None, 0
     visited = {start}
-    parent: dict[tuple[int, int], tuple[tuple[int, int], Move]] = {}
+    # state -> (previous state, kind, v, u) of the move that reached it
+    parent: dict[tuple[int, int], tuple] = {}
     queue = deque([start])
     explored = 0
     n = host.n
@@ -354,29 +343,28 @@ def solve_game(
         explored += 1
         if budget is not None and explored > budget:
             raise BudgetExceeded("game state budget exhausted")
-        moves: list[tuple[Move, int, int | None]] = []
+        # (kind, v, u, searchers after the move, sliding edge index)
+        moves: list[tuple[str, int, int | None, int, int | None]] = []
         cnt = pmask.bit_count()
         if guard is not None and pmask == 0:
             if k >= 1:
-                moves.append((Move("p", guard), pmask | (1 << guard), None))
+                moves.append(("p", guard, None, pmask | (1 << guard), None))
         else:
             if cnt < k:
                 for v in range(n):
                     if not pmask >> v & 1:
-                        moves.append((Move("p", v), pmask | (1 << v), None))
+                        moves.append(("p", v, None, pmask | (1 << v), None))
             m = pmask
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
                 if guard is not None and v == guard:
                     continue
-                moves.append((Move("r", v), pmask & ~(1 << v), None))
+                moves.append(("r", v, None, pmask & ~(1 << v), None))
                 for u in host.neighbors(v):
                     ei = ctx.eidx[(v, u) if v < u else (u, v)]
-                    moves.append(
-                        (Move("s", v, u), (pmask & ~(1 << v)) | (1 << u), ei)
-                    )
-        for mv, p2, slide in moves:
+                    moves.append(("s", v, u, (pmask & ~(1 << v)) | (1 << u), ei))
+        for kind, v, u, p2, slide in moves:
             newly = ctx.both_occupied(p2)
             if slide is not None:
                 newly |= 1 << slide
@@ -398,16 +386,15 @@ def solve_game(
                 continue
             visited.add(st2)
             if witness:
-                parent[st2] = (state, mv)
+                parent[st2] = (state, kind, v, u)
             if c2 == goal:
                 if not witness:
                     return True, None, explored
-                seq = [mv]
-                cur = state
+                seq = []
+                cur = st2
                 while cur != start:
-                    pst, pmv = parent[cur]
-                    seq.append(pmv)
-                    cur = pst
+                    cur, *mv = parent[cur]
+                    seq.append(Move(*mv))
                 seq.reverse()
                 return True, seq, explored
             queue.append(st2)
@@ -438,10 +425,6 @@ def cmms_value(g: Graph, witness: bool = False, budget: int | None = None) -> So
     return _game_value(g, True, True, witness, budget=budget)
 
 
-def ms_decide(g: Graph, k: int) -> bool:
-    return solve_game(g, k, monotone=True)[0]
-
-
 def cms_decide(g: Graph, k: int) -> bool:
     return solve_game(g, k, connected=True)[0]
 
@@ -450,37 +433,14 @@ def cmms_decide(g: Graph, k: int) -> bool:
     return solve_game(g, k, connected=True, monotone=True)[0]
 
 
-def _rooted_game_args(rg: RootedGraph):
+def rooted_game_value(rg: RootedGraph, witness: bool = False) -> SolveResult:
+    """Monotone connected game on the enhanced host: the game side of cmp."""
+    _check_s_in(rg)
     enh = enhance(rg)
     ctx = HostCtx(enh.host)
-    e_in = ctx.emask(enh.e_in)
-    e_out = ctx.emask(enh.e_out)
-    internal = 0
-    for i, (u, v) in enumerate(ctx.edges):
-        if u in rg.s_in and v in rg.s_in:
-            internal |= 1 << i
-    occupied = 0
-    for v in rg.s_in:
-        occupied |= 1 << v
-    return enh, ctx, {
-        "goal": ctx.full & ~e_out,
-        "forbid": e_out,
-        "start_clean": e_in | internal,
-        "start_occupied": occupied,
-    }
-
-
-def rooted_game_decide(rg: RootedGraph, k: int, witness: bool = False):
-    """Monotone connected game on the enhanced host: the game-side of cmp."""
-    _check_s_in(rg)
-    enh, ctx, kw = _rooted_game_args(rg)
-    ok, wit, _ = solve_game(
-        enh.host, k, connected=True, monotone=True, witness=witness, **kw
+    return _game_value(
+        enh.host, True, True, witness,
+        forbid=ctx.emask(enh.e_out),
+        start_clean=ctx.emask(enh.e_start),
+        start_occupied=sum(1 << v for v in rg.s_in),
     )
-    return (ok, wit) if witness else ok
-
-
-def rooted_game_value(rg: RootedGraph, witness: bool = False) -> SolveResult:
-    _check_s_in(rg)
-    enh, ctx, kw = _rooted_game_args(rg)
-    return _game_value(enh.host, True, True, witness, **kw)

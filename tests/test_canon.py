@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from gso.canon import (
+    canonical_certificate,
     canonical_graph,
     certificate,
     is_isomorphic,
@@ -181,3 +182,10 @@ def test_regular_pairs_that_refinement_cannot_split():
         8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
     )
     assert not is_isomorphic(cycle_graph(8), two_c4)
+
+
+def test_canonical_certificate_of_generated_graphs():
+    # connected_graphs returns canonical representatives
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            assert canonical_certificate(g) == certificate(g)

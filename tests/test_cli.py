@@ -57,6 +57,16 @@ def test_solve_emits_witness_strategy(tmp_path, capsys):
     assert width(t) == 1
 
 
+def test_solve_reads_a_60_vertex_graph6_line(tmp_path, capsys):
+    # '{' = chr(63 + 60) opens the graph6 line of every 60-vertex graph
+    line = graph6_encode(path_graph(60))
+    assert line.startswith("{")
+    inp = write_inputs(tmp_path / "p60.g6", [line])
+    code, rep = run(capsys, "solve", inp, "--param", "mp")
+    assert code == 0
+    assert rep["results"][0]["value"] == 1
+
+
 def test_solve_parse_error_is_exit_2(tmp_path, capsys):
     inp = write_inputs(tmp_path / "bad.g6", ["\x01garbage"])
     code = main(["solve", str(inp)])
@@ -195,6 +205,22 @@ def test_branches_count_only_reports_bounds(capsys):
     assert rep["base_size"] == 5
     assert rep["branch_bound_holds"] is True and rep["obr_bound_holds"] is True
     assert "materialized_obr" not in rep
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+@pytest.mark.parametrize("count_only", [True, False])
+def test_branches_level_below_one_is_exit_2(tmp_path, capsys, k, count_only):
+    argv = ["branches", "-k", k]
+    if count_only:
+        argv.append("--count-only")
+    else:
+        base = [rooted_to_json(doubly_rooted(path_graph(3), 0))]
+        argv += ["--base", write_inputs(tmp_path / "base.jsonl", base)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_glue_roundtrip(tmp_path, capsys):

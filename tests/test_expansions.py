@@ -102,6 +102,24 @@ def test_cost_floor_is_root_count():
     assert expansion_cost(ex, enh) == 2
 
 
+def test_rooted_expansion_needs_its_enhancement():
+    rg = RootedGraph(path_graph(3), frozenset({0, 1}), frozenset())
+    enh = enhance(rg)
+    ex = grow(enh.host, [(0, 1), (1, 2)], start=enh.e_in)
+    assert expansion_cost(ex, enh) == 2
+    # without the enhancement the expansion is read as unrooted
+    with pytest.raises(InvalidExpansion, match="first set"):
+        expansion_cost(ex)
+
+
+def test_cost_rejects_a_host_other_than_the_enhancement():
+    enh = enhance(RootedGraph(path_graph(3)))
+    ex = grow(path_graph(3), [(0, 1), (1, 2)])
+    assert expansion_cost(ex) == 1
+    with pytest.raises(InvalidExpansion, match="host differs"):
+        expansion_cost(ex, enh)
+
+
 def test_unrealizable_order_raises():
     # the pendant edge (0, 3) cannot be cleaned mid-stream: the move
     # into vertex 0 would also have to clean edges listed for later

@@ -149,6 +149,15 @@ def test_enhance_empty_roots():
     rg = RootedGraph(path_graph(2))
     enh = enhance(rg)
     assert enh.e_in == frozenset() and enh.e_out == frozenset()
+    assert enh.e_start == frozenset()
+
+
+def test_enhance_start_is_e_in_plus_edges_inside_s_in():
+    # s_in = {0, 1, 2} on a 4-cycle: (0, 1) and (1, 2) lie inside it
+    rg = RootedGraph(cycle_graph(4), frozenset({0, 1, 2}), frozenset({3}))
+    enh = enhance(rg)
+    assert enh.e_start == enh.e_in | {(0, 1), (1, 2)}
+    assert not enh.e_start & enh.e_out
 
 
 def test_glue_two_paths_at_vertex():

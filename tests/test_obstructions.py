@@ -45,6 +45,23 @@ def test_mine_cmp_1_obstructions():
     assert any(is_isomorphic(g, star_graph(3)) for g in got)
 
 
+def test_mining_certifies_no_generated_graph(monkeypatch):
+    import gso.obstructions
+
+    generated = {id(g) for n in range(1, 7) for g in connected_graphs(n)}
+    searched = []
+
+    def spy(g, *args):
+        searched.append(id(g) in generated)
+        return certificate(g, *args)
+
+    monkeypatch.setattr(gso.obstructions, "certificate", spy)
+    got = mine_obstructions(6, "cmp", 1)
+    assert len(got) == 2
+    # only the contractions are searched: generated graphs are canonical
+    assert searched and not any(searched)
+
+
 def test_mine_mp_1_minor_obstructions():
     got = mine_obstructions(5, "mp", 1, relation="minor")
     assert len(got) == 2
@@ -262,3 +279,18 @@ def test_lower_bounds_hold():
     for k in range(1, 7):
         assert branch_count_lower_bound_holds(k)
         assert obr_count_lower_bound_holds(k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_branch_functions_refuse_levels_below_one(k):
+    base = [doubly_rooted(path_graph(3), 0)]
+    for call in (
+        lambda: branch_set(k, base),
+        lambda: obr_set(k, base),
+        lambda: branch_count(k),
+        lambda: obr_count(k),
+        lambda: branch_count_lower_bound_holds(k),
+        lambda: obr_count_lower_bound_holds(k),
+    ):
+        with pytest.raises(ValueError, match="at least 1"):
+            call()

@@ -18,7 +18,7 @@ from gso.recognizer import (
     spine_degree,
     spine_structure,
 )
-from gso.solvers import cmp_plain
+from gso.solvers import cmp_decide, cmp_plain
 
 from conftest import random_connected
 
@@ -120,3 +120,31 @@ def test_root_components_computed_once_per_vertex(monkeypatch):
             calls.clear()
             decide_cmms_le_2(g)
             assert len(calls) <= g.n
+
+
+def test_check_8_re_solves_only_answers_not_from_the_solver(monkeypatch):
+    import gso.paperchecks
+
+    solved = []
+
+    def spy(rg, k):
+        solved.append(rg.graph)
+        return cmp_decide(rg, k)
+
+    monkeypatch.setattr(gso.paperchecks, "cmp_decide", spy)
+    graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
+    fast = [g for g in graphs if decide_cmms_le_2(g)[1]["method"] != "solver"]
+    res = gso.paperchecks.check_recognizer(n_max=5)
+    assert res.ok and res.name == f"8 recognizer agrees with solver on {len(graphs)} graphs"
+    assert solved == fast and 0 < len(fast) < len(graphs)
+
+
+def test_check_8_catches_a_wrong_fast_path_answer(monkeypatch):
+    import gso.paperchecks
+
+    monkeypatch.setattr(
+        gso.paperchecks, "decide_cmms_le_2", lambda g: (True, {"method": "fan-cover"})
+    )
+    res = gso.paperchecks.check_recognizer(n_max=5)
+    wrong = sum(1 for n in range(1, 6) for g in connected_graphs(n) if cmp_plain(g) > 2)
+    assert not res.ok and res.detail == f"{wrong} disagreements" and wrong > 0

@@ -12,7 +12,7 @@ from gso.graphs import (
     path_graph,
     star_graph,
 )
-from gso.simulate import HostCtx, is_monotone, simulate, width
+from gso.simulate import HostCtx, Move, is_monotone, simulate, width
 from gso.solvers import (
     BudgetExceeded,
     cmms_value,
@@ -208,3 +208,21 @@ def test_one_budget_exception_for_every_engine():
     import gso.contractions
 
     assert gso.contractions.BudgetExceeded is BudgetExceeded
+
+
+def test_solve_game_builds_moves_only_for_a_witness(monkeypatch):
+    import gso.solvers
+
+    built = []
+
+    def counting_move(*args):
+        built.append(args)
+        return Move(*args)
+
+    monkeypatch.setattr(gso.solvers, "Move", counting_move)
+    g = complete_graph(4)
+    ok, moves, _ = solve_game(g, 4, connected=True, monotone=True)
+    assert ok and moves is None and not built
+    ok, moves, _ = solve_game(g, 4, connected=True, monotone=True, witness=True)
+    assert ok and len(built) == len(moves)
+    assert width(simulate(g, moves)) <= 4
