@@ -181,6 +181,8 @@ def _load_base(path: str | None):
 def cmd_branches(args) -> int:
     """Counts and bounds for the base that is built, or for `--base-size`
     members under `--count-only`."""
+    if args.k < 1:
+        raise ValueError(f"branch level k must be at least 1, got {args.k}")
     report = {"command": "branches", "version": __version__, "k": args.k}
     size = args.base_size
     if not args.count_only:

@@ -43,7 +43,26 @@ def s(v: int, u: int) -> Move:
 
 
 class HostCtx:
-    """Precomputed bitmask tables for one host graph."""
+    """Precomputed bitmask tables for one host graph.
+
+    Edges are bits 0..m-1 in `edges` order, vertices bits 0..n-1, and
+    inc[v] is the mask of the edges at v.  The per-move kernels work
+    vertex by vertex through inc, never edge by edge:
+
+    * both_occupied(p) = the edges with both ends in p: an edge is met
+      twice while OR-ing inc over p, so it is the running overlap of
+      the seen mask with each new inc[v], in |p| steps.
+    * closure(q, guard): the contaminated region W is every unguarded
+      vertex at a dirty edge (not in q), grown along adj through
+      unguarded vertices; the edges lost are q & inc(W), the union of
+      inc[v] over v in W.
+    * stable(q, guard) = (closure(q, guard) == q) without the growth:
+      it holds exactly when no unguarded vertex touches both a dirty
+      edge and an edge of q.  If none does, every seed vertex has only
+      dirty edges, so each neighbour it reaches lies on a dirty edge
+      and, when unguarded, is a seed already: W stays the seed set and
+      q & inc(W) is empty.
+    """
 
     def __init__(self, g: Graph):
         self.g = g
@@ -59,6 +78,20 @@ class HostCtx:
         self.inc = tuple(inc)
         self.adj = g.adj
 
+    @cached_property
+    def vinc(self) -> tuple[tuple[int, int], ...]:
+        """(bit of v, inc[v]) for every vertex v: the game kernels' loop."""
+        return tuple((1 << v, iv) for v, iv in enumerate(self.inc))
+
+    @cached_property
+    def slides(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """slides[v]: (u, index of edge vu) for every neighbour u of v, in
+        `Graph.neighbors` order."""
+        return tuple(
+            tuple((u, self.eidx[norm_edge(v, u)]) for u in self.g.neighbors(v))
+            for v in range(self.g.n)
+        )
+
     def emask(self, edges: Iterable[Edge]) -> int:
         m = 0
         for e in edges:
@@ -69,10 +102,15 @@ class HostCtx:
         return frozenset(self.edges[i] for i in range(self.m) if mask >> i & 1)
 
     def both_occupied(self, pmask: int) -> int:
-        out = 0
-        for i in range(self.m):
-            if self.ev[i] & ~pmask == 0:
-                out |= 1 << i
+        """Edges with both endpoints in the vertex mask pmask."""
+        out = seen = 0
+        inc = self.inc
+        while pmask:
+            low = pmask & -pmask
+            pmask ^= low
+            iv = inc[low.bit_length() - 1]
+            out |= seen & iv
+            seen |= iv
         return out
 
     def closure(self, q: int, guard: int) -> int:
@@ -81,27 +119,36 @@ class HostCtx:
         if dirty == 0:
             return q
         w = 0
-        rest = dirty
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            w |= self.ev[i]
-        w &= ~guard
+        for bit, iv in self.vinc:
+            if iv & dirty:
+                w |= bit
+        free = ~guard
+        w &= free
+        adj = self.adj
         frontier = w
         while frontier:
             nxt = 0
-            mm = frontier
-            while mm:
-                v = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                nxt |= self.adj[v]
-            frontier = nxt & ~guard & ~w
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
+            frontier = nxt & free & ~w
             w |= frontier
+        inc = self.inc
         lost = 0
-        for i in range(self.m):
-            if q >> i & 1 and self.ev[i] & w:
-                lost |= 1 << i
+        while w:
+            low = w & -w
+            w ^= low
+            lost |= inc[low.bit_length() - 1]
         return q & ~lost
+
+    def stable(self, q: int, guard: int) -> bool:
+        """closure(q, guard) == q, decided without growing the region."""
+        for bit, iv in self.vinc:
+            x = iv & q  # v's edges in q; x != iv: v has a dirty edge too
+            if x and x != iv and not guard & bit:
+                return False
+        return True
 
     def edges_connected(self, emask: int) -> bool:
         """Do the edges in emask induce a connected subgraph?"""

@@ -298,6 +298,35 @@ def mp_plain(g: Graph) -> int:
 # game solver
 
 
+def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[tuple]:
+    """Every move from searcher set pmask, in search order, as (kind, v,
+    u, searchers after the move, edges the move cleans): the edges with
+    both ends occupied afterwards, plus the sliding edge of a slide."""
+    out: list[tuple[str, int, int | None, int, int]] = []
+    if guard is not None and pmask == 0:
+        if k >= 1:
+            out.append(("p", guard, None, 1 << guard, 0))
+        return out
+    both = ctx.both_occupied
+    if pmask.bit_count() < k:
+        for v in range(ctx.g.n):
+            if not pmask >> v & 1:
+                p2 = pmask | (1 << v)
+                out.append(("p", v, None, p2, both(p2)))
+    m = pmask
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        if v == guard:
+            continue
+        rest = pmask & ~(1 << v)
+        out.append(("r", v, None, rest, both(rest)))
+        for u, ei in ctx.slides[v]:
+            p2 = rest | (1 << u)
+            out.append(("s", v, u, p2, both(p2) | (1 << ei)))
+    return out
+
+
 def solve_game(
     host: Graph,
     k: int,
@@ -322,6 +351,16 @@ def solve_game(
     edge mask.  last_clean: this edge mask must stay dirty until the
     goal is hit.  guard: this vertex must carry a searcher from the
     first move on.
+
+    A move to searcher set p2 makes q = c | both_occupied(p2), plus the
+    sliding edge, clean; the moves out of a searcher set and the edges
+    each one cleans are built once per set.  The clean set after the
+    move is closure(q, p2), the edges of q that no unguarded path joins
+    to a dirty edge: the lost edges are q & inc(W) for the contaminated
+    vertex region W.  A monotone solve needs only whether anything is
+    lost, and `HostCtx.stable` answers that from the vertices at both a
+    dirty edge and an edge of q, without growing W (its docstring has
+    the argument); the move is kept with c2 = q.
     """
     ctx = HostCtx(host)
     goal = ctx.full & ~forbid
@@ -335,7 +374,8 @@ def solve_game(
     parent: dict[tuple[int, int], tuple] = {}
     queue = deque([start])
     explored = 0
-    n = host.n
+    # the moves out of a state depend on its searcher set alone
+    moves_at: dict[int, list] = {}
 
     while queue:
         state = queue.popleft()
@@ -343,35 +383,17 @@ def solve_game(
         explored += 1
         if budget is not None and explored > budget:
             raise BudgetExceeded("game state budget exhausted")
-        # (kind, v, u, searchers after the move, sliding edge index)
-        moves: list[tuple[str, int, int | None, int, int | None]] = []
-        cnt = pmask.bit_count()
-        if guard is not None and pmask == 0:
-            if k >= 1:
-                moves.append(("p", guard, None, pmask | (1 << guard), None))
-        else:
-            if cnt < k:
-                for v in range(n):
-                    if not pmask >> v & 1:
-                        moves.append(("p", v, None, pmask | (1 << v), None))
-            m = pmask
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if guard is not None and v == guard:
+        moves = moves_at.get(pmask)
+        if moves is None:
+            moves = moves_at[pmask] = _moves(ctx, pmask, k, guard)
+        for kind, v, u, p2, cleaned in moves:
+            q = c | cleaned
+            if monotone:
+                if not ctx.stable(q, p2):
                     continue
-                moves.append(("r", v, None, pmask & ~(1 << v), None))
-                for u in host.neighbors(v):
-                    ei = ctx.eidx[(v, u) if v < u else (u, v)]
-                    moves.append(("s", v, u, (pmask & ~(1 << v)) | (1 << u), ei))
-        for kind, v, u, p2, slide in moves:
-            newly = ctx.both_occupied(p2)
-            if slide is not None:
-                newly |= 1 << slide
-            q = c | newly
-            c2 = ctx.closure(q, p2)
-            if monotone and c2 != q:
-                continue
+                c2 = q
+            else:
+                c2 = ctx.closure(q, p2)
             if c2 & forbid:
                 continue
             if first_clean is not None and c == 0 and c2:
@@ -433,8 +455,12 @@ def cmms_decide(g: Graph, k: int) -> bool:
     return solve_game(g, k, connected=True, monotone=True)[0]
 
 
-def rooted_game_value(rg: RootedGraph, witness: bool = False) -> SolveResult:
-    """Monotone connected game on the enhanced host: the game side of cmp."""
+def rooted_game_value(
+    rg: RootedGraph, witness: bool = False, budget: int | None = None
+) -> SolveResult:
+    """Monotone connected game on the enhanced host: the game side of cmp.
+
+    budget: most states one level k may pop before BudgetExceeded."""
     _check_s_in(rg)
     enh = enhance(rg)
     ctx = HostCtx(enh.host)
@@ -443,4 +469,5 @@ def rooted_game_value(rg: RootedGraph, witness: bool = False) -> SolveResult:
         forbid=ctx.emask(enh.e_out),
         start_clean=ctx.emask(enh.e_start),
         start_occupied=sum(1 << v for v in rg.s_in),
+        budget=budget,
     )

@@ -160,6 +160,19 @@ def test_missing_file_is_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_branches_level_below_one_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("mined a base for an invalid level")
+
+    monkeypatch.setattr("gso.cli.mine_branch_base", fail)
+    out = tmp_path / "o.g6"
+    code = main(["branches", "-k", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_branches_count_only(capsys):
     code, rep = run(capsys, "branches", "-k", "3", "--count-only")
     assert code == 0

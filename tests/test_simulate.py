@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from gso.gen import connected_graphs
 from gso.graphs import Graph, complete_graph, path_graph, star_graph
 from gso.simulate import (
     HostCtx,
@@ -122,3 +125,21 @@ def test_closure_matches_brute_force(rng):
         q = rng.getrandbits(ctx.m) if ctx.m else 0
         guard = rng.getrandbits(g.n)
         assert ctx.closure(q, guard) == brute_closure(g, ctx, q, guard)
+
+
+def test_kernels_match_brute_force_on_all_small_graphs():
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            ctx = HostCtx(g)
+            for guard in range(1 << n):
+                both = 0
+                for i, (u, v) in enumerate(ctx.edges):
+                    if guard >> u & 1 and guard >> v & 1:
+                        both |= 1 << i
+                assert ctx.both_occupied(guard) == both
+                qs = {0, ctx.full} | {rng.getrandbits(ctx.m) for _ in range(6)}
+                for q in qs:
+                    got = ctx.closure(q, guard)
+                    assert got == brute_closure(g, ctx, q, guard)
+                    assert ctx.stable(q, guard) == (got == q)

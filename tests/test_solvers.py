@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from gso.gen import connected_graphs
+from gso.gio import graph6_encode
 from gso.graphs import (
     Graph,
     RootedGraph,
@@ -208,6 +212,11 @@ def test_one_budget_exception_for_every_engine():
     import gso.contractions
 
     assert gso.contractions.BudgetExceeded is BudgetExceeded
+    # the game side of cmp is bounded the same way
+    rg = doubly_rooted(complete_graph(4), 0)
+    with pytest.raises(BudgetExceeded):
+        rooted_game_value(rg, budget=1)
+    assert rooted_game_value(rg, budget=10**6).value == rooted_game_value(rg).value
 
 
 def test_solve_game_builds_moves_only_for_a_witness(monkeypatch):
@@ -226,3 +235,75 @@ def test_solve_game_builds_moves_only_for_a_witness(monkeypatch):
     ok, moves, _ = solve_game(g, 4, connected=True, monotone=True, witness=True)
     assert ok and len(built) == len(moves)
     assert width(simulate(g, moves)) <= 4
+
+
+# (graph6, s_in, s_out, cms, cmms, rooted game) with each solve as
+# (value, states explored over all levels), recorded before the game
+# kernels went vertex-parallel.  The state count is the machine-independent
+# cost of a solve; it moves when a kernel or the move order changes which
+# states the search explores.
+GAME_GOLDEN = [
+    ('CF', [], [0], (2, 24), (2, 24), (2, 34)),
+    ('CR', [], [1, 2], (1, 9), (1, 9), (2, 32)),
+    ('Eqlw', [], [], (3, 77), (3, 77), (3, 145)),
+    ('C~', [], [], (3, 29), (3, 29), (3, 53)),
+    ('EB^w', [], [1, 4], (3, 92), (3, 92), (3, 155)),
+    ('ECDg', [0, 3], [], (2, 65), (2, 65), (2, 20)),
+    ('C^', [], [0, 1], (2, 18), (2, 18), (3, 49)),
+    ('EINw', [], [0, 2], (3, 94), (3, 94), (3, 129)),
+    ('Et\\w', [], [0], (4, 134), (4, 134), (4, 276)),
+    ('E`~o', [], [3, 4], (3, 79), (3, 79), (3, 130)),
+    ('C~', [3], [2, 3], (3, 29), (3, 29), (3, 12)),
+    ('CR', [2, 3], [0, 1], (1, 9), (1, 9), (2, 2)),
+    ('EC\\o', [], [0, 2], (3, 105), (3, 105), (3, 136)),
+    ('D`[', [], [], (2, 34), (2, 34), (2, 51)),
+    ('DR[', [1, 3], [], (2, 30), (2, 30), (2, 3)),
+    ('EENg', [1, 5], [], (3, 93), (3, 93), (3, 20)),
+    ('Es\\w', [], [2, 5], (4, 138), (4, 138), (4, 257)),
+    ('E`\\w', [], [4], (3, 94), (3, 94), (3, 166)),
+    ('D?{', [3, 4], [], (2, 50), (2, 50), (2, 11)),
+    ('EhNW', [3, 5], [0], (3, 84), (3, 84), (3, 11)),
+    ('Cr', [], [], (2, 18), (2, 18), (2, 31)),
+    ('E}lw', [1, 2], [3], (4, 130), (4, 130), (4, 30)),
+    ('CN', [2, 3], [3], (2, 20), (2, 20), (2, 3)),
+    ('ER~w', [], [0], (3, 75), (3, 75), (3, 134)),
+    ('E?lw', [], [], (2, 50), (2, 50), (2, 71)),
+    ('CR', [1], [], (1, 9), (1, 9), (1, 3)),
+    ('C^', [], [0, 2], (2, 18), (2, 18), (2, 29)),
+    ('EqKw', [], [4], (3, 89), (3, 89), (3, 152)),
+    ('Es\\w', [4], [2], (4, 138), (4, 138), (4, 100)),
+    ('D`{', [3, 4], [0, 1], (2, 30), (2, 30), (2, 5)),
+    ('E?Bw', [4, 5], [4], (2, 111), (2, 111), (3, 34)),
+    ('DQK', [2, 4], [0, 3], (1, 12), (1, 12), (3, 15)),
+    ('EF~w', [], [], (4, 136), (4, 136), (4, 310)),
+    ('Cr', [2, 3], [0], (2, 18), (2, 18), (2, 2)),
+    ('CF', [2], [3], (2, 24), (2, 24), (2, 15)),
+    ('CF', [0, 3], [], (2, 24), (2, 24), (2, 4)),
+    ('EJ^w', [], [], (4, 158), (4, 158), (4, 356)),
+    ('ET\\w', [], [], (3, 83), (3, 83), (3, 155)),
+    ('E@~w', [2, 4], [1, 2], (3, 86), (3, 86), (4, 28)),
+    ('CN', [1, 3], [1, 2], (2, 20), (2, 20), (3, 3)),
+]
+
+
+def _game_golden_sample() -> list[RootedGraph]:
+    rng = random.Random(20261018)
+    out = []
+    for _ in range(len(GAME_GOLDEN)):
+        g = rng.choice(connected_graphs(rng.randint(4, 6)))
+        s_in = frozenset(rng.sample(range(g.n), rng.randint(0, 2)))
+        if s_in and not g.induced(sorted(s_in))[0].is_connected():
+            s_in = frozenset()
+        s_out = frozenset(rng.sample(range(g.n), rng.randint(0, 2)))
+        out.append(RootedGraph(g, s_in, s_out))
+    return out
+
+
+def test_game_values_and_state_counts_are_golden():
+    got = []
+    for rg in _game_golden_sample():
+        row = [graph6_encode(rg.graph), sorted(rg.s_in), sorted(rg.s_out)]
+        for res in (cms_value(rg.graph), cmms_value(rg.graph), rooted_game_value(rg)):
+            row.append((res.value, res.stats["states"]))
+        got.append(tuple(row))
+    assert got == GAME_GOLDEN
