@@ -62,6 +62,10 @@ class HostCtx:
       dirty edges, so each neighbour it reaches lies on a dirty edge
       and, when unguarded, is a seed already: W stays the seed set and
       q & inc(W) is empty.
+    * joined(vmask(c), new) = edges_connected(c | new) for a connected,
+      nonempty c disjoint from new, in passes over new alone: a search
+      whose sets only grow and stay connected tests just the edges a
+      move adds.
     """
 
     def __init__(self, g: Graph):
@@ -148,6 +152,35 @@ class HostCtx:
             x = iv & q  # v's edges in q; x != iv: v has a dirty edge too
             if x and x != iv and not guard & bit:
                 return False
+        return True
+
+    def vmask(self, emask: int) -> int:
+        """Vertex mask of the edge set emask: the vertices at one of its edges."""
+        out = 0
+        for v, iv in enumerate(self.inc):
+            if iv & emask:
+                out |= 1 << v
+        return out
+
+    def joined(self, verts: int, new: int) -> bool:
+        """Does every edge of new reach the vertex mask verts through
+        edges of new?  For a connected edge set c with vmask(c) == verts
+        and new disjoint from c, this is edges_connected(c | new), in a
+        few passes over new alone."""
+        ev = self.ev
+        while new:
+            left = new
+            m = new
+            while m:
+                low = m & -m
+                m ^= low
+                e = ev[low.bit_length() - 1]
+                if e & verts:
+                    verts |= e
+                    left ^= low
+            if left == new:
+                return False
+            new = left
         return True
 
     def edges_connected(self, emask: int) -> bool:

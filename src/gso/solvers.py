@@ -177,6 +177,10 @@ def _expansion_decide(
     parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
     queue = deque([start])
     explored = 0
+    # a2 contains a, and every set the search holds is connected: the
+    # start e_start is the star from u_in over S_in plus edges among its
+    # leaves.  So only the new edges of a2 are tested (as in
+    # `_solve_game`), except out of the empty start, which has no vertices.
     while queue:
         a = queue.popleft()
         explored += 1
@@ -186,13 +190,21 @@ def _expansion_decide(
             if not witness:
                 return True, None, explored
             return True, _reconstruct(ec, parent, a), explored
+        verts = -1  # vertex mask of a, found on first need
         for a2 in _jumps(ec, a, k):
             if a2 in parent:
                 continue
             if ec.bmask(a2).bit_count() > k:
                 continue
-            if connected and not ctx.edges_connected(a2):
-                continue
+            if connected:
+                if not a:
+                    if not ctx.edges_connected(a2):
+                        continue
+                else:
+                    if verts < 0:
+                        verts = ctx.vmask(a)
+                    if not ctx.joined(verts, a2 & ~a):
+                        continue
             parent[a2] = (a, a2 & ~a)
             queue.append(a2)
     return False, None, explored
@@ -300,19 +312,21 @@ def mp_plain(g: Graph) -> int:
 
 def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[tuple]:
     """Every move from searcher set pmask, in search order, as (kind, v,
-    u, searchers after the move, edges the move cleans): the edges with
-    both ends occupied afterwards, plus the sliding edge of a slide."""
-    out: list[tuple[str, int, int | None, int, int]] = []
+    u, searchers after the move, edges the move cleans, edges at the
+    vacated vertex): the edges cleaned are those with both ends occupied
+    afterwards, plus the sliding edge of a slide; a placement vacates
+    nothing (0), a removal or slide vacates v (inc[v])."""
+    out: list[tuple[str, int, int | None, int, int, int]] = []
     if guard is not None and pmask == 0:
         if k >= 1:
-            out.append(("p", guard, None, 1 << guard, 0))
+            out.append(("p", guard, None, 1 << guard, 0, 0))
         return out
     both = ctx.both_occupied
     if pmask.bit_count() < k:
         for v in range(ctx.g.n):
             if not pmask >> v & 1:
                 p2 = pmask | (1 << v)
-                out.append(("p", v, None, p2, both(p2)))
+                out.append(("p", v, None, p2, both(p2), 0))
     m = pmask
     while m:
         v = (m & -m).bit_length() - 1
@@ -320,10 +334,11 @@ def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[tuple]:
         if v == guard:
             continue
         rest = pmask & ~(1 << v)
-        out.append(("r", v, None, rest, both(rest)))
+        iv = ctx.inc[v]
+        out.append(("r", v, None, rest, both(rest), iv))
         for u, ei in ctx.slides[v]:
             p2 = rest | (1 << u)
-            out.append(("s", v, u, p2, both(p2) | (1 << ei)))
+            out.append(("s", v, u, p2, both(p2) | (1 << ei), iv))
     return out
 
 
@@ -350,19 +365,63 @@ def solve_game(
     S_in).  first_clean: the first nonempty clean set must contain this
     edge mask.  last_clean: this edge mask must stay dirty until the
     goal is hit.  guard: this vertex must carry a searcher from the
-    first move on.
+    first move on.  Returns (decision, witness moves or None, states
+    explored).
 
     A move to searcher set p2 makes q = c | both_occupied(p2), plus the
     sliding edge, clean; the moves out of a searcher set and the edges
     each one cleans are built once per set.  The clean set after the
     move is closure(q, p2), the edges of q that no unguarded path joins
-    to a dirty edge: the lost edges are q & inc(W) for the contaminated
-    vertex region W.  A monotone solve needs only whether anything is
-    lost, and `HostCtx.stable` answers that from the vertices at both a
-    dirty edge and an edge of q, without growing W (its docstring has
-    the argument); the move is kept with c2 = q.
+    to a dirty edge.  A monotone solve keeps the move only if nothing
+    is lost, with c2 = q.
+
+    Every state the search accepts keeps two invariants, and the
+    per-move tests lean on them instead of walking the whole host:
+
+    * Stable (monotone solves): every vertex off the searcher set has
+      all or none of its edges clean.  A move cleans only edges with
+      both ends occupied afterwards, plus the slide edge at the vacated
+      vertex v, so every unoccupied vertex but v keeps its edges as they
+      were.  A placement vacates nothing and is always stable; a removal
+      or slide is stable exactly when inc[v] & q is empty or all of
+      inc[v].
+    * Connected (connected solves): c induces a connected subgraph.
+      When c2 contains a nonempty c (always in a monotone solve), c2 is
+      connected exactly when the new edges c2 & ~c reach the vertices of
+      c through one another (`HostCtx.joined`); the vertices of c are
+      found once per state, on first need.  The full
+      `HostCtx.edges_connected(c2)` remains for c == 0 and for a
+      closure that lost edges.
+
+    A mid-game start need not be stable or connected: when it is not,
+    the moves out of it take the full `HostCtx.stable` and
+    `edges_connected` tests, and every state after it keeps both.
     """
-    ctx = HostCtx(host)
+    return _solve_game(
+        HostCtx(host), k, connected=connected, monotone=monotone, forbid=forbid,
+        start_clean=start_clean, start_occupied=start_occupied, guard=guard,
+        first_clean=first_clean, last_clean=last_clean, witness=witness,
+        budget=budget,
+    )
+
+
+def _solve_game(
+    ctx: HostCtx,
+    k: int,
+    *,
+    connected: bool = False,
+    monotone: bool = False,
+    forbid: int = 0,
+    start_clean: int = 0,
+    start_occupied: int = 0,
+    guard: int | None = None,
+    first_clean: int | None = None,
+    last_clean: int | None = None,
+    witness: bool = False,
+    budget: int | None = None,
+) -> tuple[bool, list[Move] | None, int]:
+    """`solve_game` on the host tables ctx, which a value search builds
+    once for all levels k."""
     goal = ctx.full & ~forbid
     if start_occupied.bit_count() > k:
         return False, None, 0
@@ -376,6 +435,10 @@ def solve_game(
     explored = 0
     # the moves out of a state depend on its searcher set alone
     moves_at: dict[int, list] = {}
+    # full per-move tests while popping a start without the invariants
+    exact = (monotone and not ctx.stable(start_clean, start_occupied)) or (
+        connected and not ctx.edges_connected(start_clean)
+    )
 
     while queue:
         state = queue.popleft()
@@ -386,11 +449,17 @@ def solve_game(
         moves = moves_at.get(pmask)
         if moves is None:
             moves = moves_at[pmask] = _moves(ctx, pmask, k, guard)
-        for kind, v, u, p2, cleaned in moves:
+        verts = -1  # vertex mask of c, found on first need
+        for kind, v, u, p2, cleaned, vac in moves:
             q = c | cleaned
             if monotone:
-                if not ctx.stable(q, p2):
-                    continue
+                if exact:
+                    if not ctx.stable(q, p2):
+                        continue
+                else:
+                    x = vac & q
+                    if x and x != vac:
+                        continue
                 c2 = q
             else:
                 c2 = ctx.closure(q, p2)
@@ -401,8 +470,15 @@ def solve_game(
                     continue
             if last_clean is not None and c2 != goal and c2 & last_clean:
                 continue
-            if connected and not ctx.edges_connected(c2):
-                continue
+            if connected:
+                if exact or not c or c2 & c != c:
+                    if not ctx.edges_connected(c2):
+                        continue
+                elif c2 != c:
+                    if verts < 0:
+                        verts = ctx.vmask(c)
+                    if not ctx.joined(verts, c2 & ~c):
+                        continue
             st2 = (c2, p2)
             if st2 in visited:
                 continue
@@ -420,14 +496,17 @@ def solve_game(
                 seq.reverse()
                 return True, seq, explored
             queue.append(st2)
+        exact = False
     return False, None, explored
 
 
-def _game_value(host: Graph, connected: bool, monotone: bool, witness: bool, **kw) -> SolveResult:
+def _game_value(
+    ctx: HostCtx, connected: bool, monotone: bool, witness: bool, **kw
+) -> SolveResult:
     total = 0
-    for k in range(host.n + 1):
-        ok, wit, explored = solve_game(
-            host, k, connected=connected, monotone=monotone, witness=witness, **kw
+    for k in range(ctx.g.n + 1):
+        ok, wit, explored = _solve_game(
+            ctx, k, connected=connected, monotone=monotone, witness=witness, **kw
         )
         total += explored
         if ok:
@@ -436,15 +515,15 @@ def _game_value(host: Graph, connected: bool, monotone: bool, witness: bool, **k
 
 
 def ms_value(g: Graph, witness: bool = False, budget: int | None = None) -> SolveResult:
-    return _game_value(g, False, True, witness, budget=budget)
+    return _game_value(HostCtx(g), False, True, witness, budget=budget)
 
 
 def cms_value(g: Graph, witness: bool = False, budget: int | None = None) -> SolveResult:
-    return _game_value(g, True, False, witness, budget=budget)
+    return _game_value(HostCtx(g), True, False, witness, budget=budget)
 
 
 def cmms_value(g: Graph, witness: bool = False, budget: int | None = None) -> SolveResult:
-    return _game_value(g, True, True, witness, budget=budget)
+    return _game_value(HostCtx(g), True, True, witness, budget=budget)
 
 
 def cms_decide(g: Graph, k: int) -> bool:
@@ -465,7 +544,7 @@ def rooted_game_value(
     enh = enhance(rg)
     ctx = HostCtx(enh.host)
     return _game_value(
-        enh.host, True, True, witness,
+        ctx, True, True, witness,
         forbid=ctx.emask(enh.e_out),
         start_clean=ctx.emask(enh.e_start),
         start_occupied=sum(1 << v for v in rg.s_in),

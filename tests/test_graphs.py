@@ -158,6 +158,10 @@ def test_enhance_start_is_e_in_plus_edges_inside_s_in():
     enh = enhance(rg)
     assert enh.e_start == enh.e_in | {(0, 1), (1, 2)}
     assert not enh.e_start & enh.e_out
+    # E_in is a star at u_in over S_in, so the start is connected even
+    # when S_in is not; the expansion search tests only new edges on it
+    rg = RootedGraph(path_graph(4), frozenset({0, 2}), frozenset())
+    assert nx.is_connected(nx.Graph(list(enhance(rg).e_start)))
 
 
 def test_glue_two_paths_at_vertex():

@@ -118,6 +118,24 @@ def brute_closure(g: Graph, ctx: HostCtx, q: int, guard: int) -> int:
     return out
 
 
+def brute_edges_connected(ctx: HostCtx, emask: int) -> bool:
+    """Union-find over the edges of emask: one component, or none."""
+    root = list(range(ctx.g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    verts = set()
+    for i in range(ctx.m):
+        if emask >> i & 1:
+            u, v = ctx.edges[i]
+            verts |= {u, v}
+            root[find(u)] = find(v)
+    return len({find(v) for v in verts}) <= 1
+
+
 def test_closure_matches_brute_force(rng):
     for _ in range(300):
         g = random_connected(rng, 6)
@@ -143,3 +161,12 @@ def test_kernels_match_brute_force_on_all_small_graphs():
                     got = ctx.closure(q, guard)
                     assert got == brute_closure(g, ctx, q, guard)
                     assert ctx.stable(q, guard) == (got == q)
+                    verts = {v for i in range(ctx.m) if q >> i & 1 for v in ctx.edges[i]}
+                    assert ctx.vmask(q) == sum(1 << v for v in verts)
+                    assert ctx.edges_connected(q) == brute_edges_connected(ctx, q)
+                    # a connected q grown by edges disjoint from it
+                    if q and ctx.edges_connected(q):
+                        new = rng.getrandbits(ctx.m) & ~q
+                        assert ctx.joined(ctx.vmask(q), new) == brute_edges_connected(
+                            ctx, q | new
+                        )

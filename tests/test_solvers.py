@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gso.gen import connected_graphs
-from gso.gio import graph6_encode
+from gso.gio import graph6_decode, graph6_encode
 from gso.graphs import (
     Graph,
     RootedGraph,
@@ -16,6 +16,7 @@ from gso.graphs import (
     path_graph,
     star_graph,
 )
+from gso.obstructions import base_branches
 from gso.simulate import HostCtx, Move, is_monotone, simulate, width
 from gso.solvers import (
     BudgetExceeded,
@@ -237,52 +238,69 @@ def test_solve_game_builds_moves_only_for_a_witness(monkeypatch):
     assert width(simulate(g, moves)) <= 4
 
 
-# (graph6, s_in, s_out, cms, cmms, rooted game) with each solve as
+def test_value_search_builds_host_tables_once(monkeypatch):
+    built = []
+    real = HostCtx.__init__
+
+    def counting(self, g):
+        built.append(g)
+        real(self, g)
+
+    monkeypatch.setattr(HostCtx, "__init__", counting)
+    assert cmms_value(complete_graph(6)).value == 5
+    assert len(built) == 1
+    built.clear()
+    rooted_game_value(doubly_rooted(complete_graph(4), 0))
+    assert len(built) == 1
+
+
+# (graph6, s_in, s_out, ms, cms, cmms, rooted game) with each solve as
 # (value, states explored over all levels), recorded before the game
-# kernels went vertex-parallel.  The state count is the machine-independent
+# kernels went vertex-parallel (the ms column before the per-move tests
+# went incremental).  The state count is the machine-independent
 # cost of a solve; it moves when a kernel or the move order changes which
 # states the search explores.
 GAME_GOLDEN = [
-    ('CF', [], [0], (2, 24), (2, 24), (2, 34)),
-    ('CR', [], [1, 2], (1, 9), (1, 9), (2, 32)),
-    ('Eqlw', [], [], (3, 77), (3, 77), (3, 145)),
-    ('C~', [], [], (3, 29), (3, 29), (3, 53)),
-    ('EB^w', [], [1, 4], (3, 92), (3, 92), (3, 155)),
-    ('ECDg', [0, 3], [], (2, 65), (2, 65), (2, 20)),
-    ('C^', [], [0, 1], (2, 18), (2, 18), (3, 49)),
-    ('EINw', [], [0, 2], (3, 94), (3, 94), (3, 129)),
-    ('Et\\w', [], [0], (4, 134), (4, 134), (4, 276)),
-    ('E`~o', [], [3, 4], (3, 79), (3, 79), (3, 130)),
-    ('C~', [3], [2, 3], (3, 29), (3, 29), (3, 12)),
-    ('CR', [2, 3], [0, 1], (1, 9), (1, 9), (2, 2)),
-    ('EC\\o', [], [0, 2], (3, 105), (3, 105), (3, 136)),
-    ('D`[', [], [], (2, 34), (2, 34), (2, 51)),
-    ('DR[', [1, 3], [], (2, 30), (2, 30), (2, 3)),
-    ('EENg', [1, 5], [], (3, 93), (3, 93), (3, 20)),
-    ('Es\\w', [], [2, 5], (4, 138), (4, 138), (4, 257)),
-    ('E`\\w', [], [4], (3, 94), (3, 94), (3, 166)),
-    ('D?{', [3, 4], [], (2, 50), (2, 50), (2, 11)),
-    ('EhNW', [3, 5], [0], (3, 84), (3, 84), (3, 11)),
-    ('Cr', [], [], (2, 18), (2, 18), (2, 31)),
-    ('E}lw', [1, 2], [3], (4, 130), (4, 130), (4, 30)),
-    ('CN', [2, 3], [3], (2, 20), (2, 20), (2, 3)),
-    ('ER~w', [], [0], (3, 75), (3, 75), (3, 134)),
-    ('E?lw', [], [], (2, 50), (2, 50), (2, 71)),
-    ('CR', [1], [], (1, 9), (1, 9), (1, 3)),
-    ('C^', [], [0, 2], (2, 18), (2, 18), (2, 29)),
-    ('EqKw', [], [4], (3, 89), (3, 89), (3, 152)),
-    ('Es\\w', [4], [2], (4, 138), (4, 138), (4, 100)),
-    ('D`{', [3, 4], [0, 1], (2, 30), (2, 30), (2, 5)),
-    ('E?Bw', [4, 5], [4], (2, 111), (2, 111), (3, 34)),
-    ('DQK', [2, 4], [0, 3], (1, 12), (1, 12), (3, 15)),
-    ('EF~w', [], [], (4, 136), (4, 136), (4, 310)),
-    ('Cr', [2, 3], [0], (2, 18), (2, 18), (2, 2)),
-    ('CF', [2], [3], (2, 24), (2, 24), (2, 15)),
-    ('CF', [0, 3], [], (2, 24), (2, 24), (2, 4)),
-    ('EJ^w', [], [], (4, 158), (4, 158), (4, 356)),
-    ('ET\\w', [], [], (3, 83), (3, 83), (3, 155)),
-    ('E@~w', [2, 4], [1, 2], (3, 86), (3, 86), (4, 28)),
-    ('CN', [1, 3], [1, 2], (2, 20), (2, 20), (3, 3)),
+    ('CF', [], [0], (2, 24), (2, 24), (2, 24), (2, 34)),
+    ('CR', [], [1, 2], (1, 9), (1, 9), (1, 9), (2, 32)),
+    ('Eqlw', [], [], (3, 77), (3, 77), (3, 77), (3, 145)),
+    ('C~', [], [], (3, 29), (3, 29), (3, 29), (3, 53)),
+    ('EB^w', [], [1, 4], (3, 92), (3, 92), (3, 92), (3, 155)),
+    ('ECDg', [0, 3], [], (2, 67), (2, 65), (2, 65), (2, 20)),
+    ('C^', [], [0, 1], (2, 18), (2, 18), (2, 18), (3, 49)),
+    ('EINw', [], [0, 2], (3, 94), (3, 94), (3, 94), (3, 129)),
+    ('Et\\w', [], [0], (4, 134), (4, 134), (4, 134), (4, 276)),
+    ('E`~o', [], [3, 4], (3, 79), (3, 79), (3, 79), (3, 130)),
+    ('C~', [3], [2, 3], (3, 29), (3, 29), (3, 29), (3, 12)),
+    ('CR', [2, 3], [0, 1], (1, 9), (1, 9), (1, 9), (2, 2)),
+    ('EC\\o', [], [0, 2], (3, 105), (3, 105), (3, 105), (3, 136)),
+    ('D`[', [], [], (2, 34), (2, 34), (2, 34), (2, 51)),
+    ('DR[', [1, 3], [], (2, 30), (2, 30), (2, 30), (2, 3)),
+    ('EENg', [1, 5], [], (3, 93), (3, 93), (3, 93), (3, 20)),
+    ('Es\\w', [], [2, 5], (4, 138), (4, 138), (4, 138), (4, 257)),
+    ('E`\\w', [], [4], (3, 95), (3, 94), (3, 94), (3, 166)),
+    ('D?{', [3, 4], [], (2, 50), (2, 50), (2, 50), (2, 11)),
+    ('EhNW', [3, 5], [0], (3, 84), (3, 84), (3, 84), (3, 11)),
+    ('Cr', [], [], (2, 18), (2, 18), (2, 18), (2, 31)),
+    ('E}lw', [1, 2], [3], (4, 130), (4, 130), (4, 130), (4, 30)),
+    ('CN', [2, 3], [3], (2, 20), (2, 20), (2, 20), (2, 3)),
+    ('ER~w', [], [0], (3, 75), (3, 75), (3, 75), (3, 134)),
+    ('E?lw', [], [], (2, 50), (2, 50), (2, 50), (2, 71)),
+    ('CR', [1], [], (1, 9), (1, 9), (1, 9), (1, 3)),
+    ('C^', [], [0, 2], (2, 18), (2, 18), (2, 18), (2, 29)),
+    ('EqKw', [], [4], (3, 89), (3, 89), (3, 89), (3, 152)),
+    ('Es\\w', [4], [2], (4, 138), (4, 138), (4, 138), (4, 100)),
+    ('D`{', [3, 4], [0, 1], (2, 30), (2, 30), (2, 30), (2, 5)),
+    ('E?Bw', [4, 5], [4], (2, 111), (2, 111), (2, 111), (3, 34)),
+    ('DQK', [2, 4], [0, 3], (1, 12), (1, 12), (1, 12), (3, 15)),
+    ('EF~w', [], [], (4, 136), (4, 136), (4, 136), (4, 310)),
+    ('Cr', [2, 3], [0], (2, 18), (2, 18), (2, 18), (2, 2)),
+    ('CF', [2], [3], (2, 24), (2, 24), (2, 24), (2, 15)),
+    ('CF', [0, 3], [], (2, 24), (2, 24), (2, 24), (2, 4)),
+    ('EJ^w', [], [], (4, 158), (4, 158), (4, 158), (4, 356)),
+    ('ET\\w', [], [], (3, 83), (3, 83), (3, 83), (3, 155)),
+    ('E@~w', [2, 4], [1, 2], (3, 86), (3, 86), (3, 86), (4, 28)),
+    ('CN', [1, 3], [1, 2], (2, 20), (2, 20), (2, 20), (3, 3)),
 ]
 
 
@@ -303,7 +321,196 @@ def test_game_values_and_state_counts_are_golden():
     got = []
     for rg in _game_golden_sample():
         row = [graph6_encode(rg.graph), sorted(rg.s_in), sorted(rg.s_out)]
-        for res in (cms_value(rg.graph), cmms_value(rg.graph), rooted_game_value(rg)):
+        for res in (
+            ms_value(rg.graph),
+            cms_value(rg.graph),
+            cmms_value(rg.graph),
+            rooted_game_value(rg),
+        ):
             row.append((res.value, res.stats["states"]))
         got.append(tuple(row))
     assert got == GAME_GOLDEN
+
+
+# cmp (value, states explored over all levels) of each rooted graph of
+# `_game_golden_sample`, in order, recorded before the expansion search's
+# connectivity test went incremental.
+CMP_GOLDEN = [
+    (2, 12), (2, 10), (3, 49), (3, 21), (3, 53), (2, 6), (3, 19), (3, 41),
+    (4, 95), (3, 45), (3, 13), (2, 4), (3, 38), (2, 15), (2, 4), (3, 16),
+    (4, 96), (3, 46), (2, 8), (3, 10), (2, 12), (4, 22), (2, 3), (3, 49),
+    (2, 28), (1, 4), (2, 10), (3, 48), (4, 52), (2, 5), (3, 17), (3, 10),
+    (4, 101), (2, 4), (2, 7), (2, 4), (4, 94), (3, 47), (4, 23), (3, 5),
+]
+
+
+def test_cmp_values_and_state_counts_are_golden():
+    got = []
+    for rg in _game_golden_sample():
+        res = cmp_value(rg)
+        got.append((res.value, res.stats["states"]))
+    assert got == CMP_GOLDEN
+
+
+# (graph6, root) of the default level-1 branch base (`mine_branch_base(7)`)
+# with (decision, states explored) of the four constrained solves that
+# `verify_obr(1, ...)` makes on each branch, in its order: trunk first at
+# width 1, root guarded at width 3, trunk first and trunk last at width 2.
+# Recorded before the per-move tests went incremental.
+CONSTRAINED_GOLDEN = [
+    ('CN', 0, [(False, 6), (True, 6), (True, 10), (True, 11)]),
+    ('C^', 0, [(False, 5), (True, 6), (True, 8), (True, 11)]),
+    ('DC[', 0, [(False, 8), (True, 16), (True, 20), (True, 25)]),
+    ('D?{', 0, [(False, 7), (True, 16), (True, 24), (True, 28)]),
+    ('DIk', 1, [(False, 6), (True, 16), (True, 15), (True, 21)]),
+    ('DB{', 3, [(False, 6), (True, 16), (True, 13), (True, 21)]),
+    ('D@{', 2, [(False, 6), (True, 16), (True, 16), (True, 25)]),
+    ('ECOw', 2, [(False, 8), (True, 31), (True, 30), (True, 40)]),
+]
+
+
+def test_constrained_solves_and_state_counts_are_golden():
+    got = []
+    for g6, root, _ in CONSTRAINED_GOLDEN:
+        (b,) = base_branches([doubly_rooted(graph6_decode(g6), root)])
+        trunk = HostCtx(b.graph).emask([b.trunk])
+        row = []
+        for width, kw in (
+            (1, dict(first_clean=trunk)),
+            (3, dict(guard=b.root)),
+            (2, dict(first_clean=trunk)),
+            (2, dict(last_clean=trunk)),
+        ):
+            ok, _, states = solve_game(b.graph, width, connected=True, monotone=True, **kw)
+            row.append((ok, states))
+        got.append((g6, root, row))
+    assert got == CONSTRAINED_GOLDEN
+
+
+def _full_test_game(host, k, connected, monotone, forbid, start_clean,
+                    start_occupied, guard, first_clean, last_clean):
+    """The game search with a full stability and connectivity test on
+    every move: the solver before its per-move tests went incremental.
+    Returns (decision, witness as (kind, v, u) tuples, states explored)."""
+    from collections import deque
+
+    ctx = HostCtx(host)
+    goal = ctx.full & ~forbid
+    if start_occupied.bit_count() > k:
+        return False, None, 0
+    start = (start_clean, start_occupied)
+    if start_clean == goal:
+        return True, [], 0
+
+    def moves(pmask):
+        out = []
+        if guard is not None and pmask == 0:
+            if k >= 1:
+                out.append(("p", guard, None, 1 << guard, 0))
+            return out
+        both = ctx.both_occupied
+        if pmask.bit_count() < k:
+            for v in range(host.n):
+                if not pmask >> v & 1:
+                    p2 = pmask | (1 << v)
+                    out.append(("p", v, None, p2, both(p2)))
+        for v in range(host.n):
+            if not pmask >> v & 1 or v == guard:
+                continue
+            rest = pmask & ~(1 << v)
+            out.append(("r", v, None, rest, both(rest)))
+            for u, ei in ctx.slides[v]:
+                p2 = rest | (1 << u)
+                out.append(("s", v, u, p2, both(p2) | (1 << ei)))
+        return out
+
+    parent = {start: None}
+    queue = deque([start])
+    explored = 0
+    while queue:
+        state = queue.popleft()
+        c, pmask = state
+        explored += 1
+        for kind, v, u, p2, cleaned in moves(pmask):
+            q = c | cleaned
+            if monotone:
+                if ctx.closure(q, p2) != q:
+                    continue
+                c2 = q
+            else:
+                c2 = ctx.closure(q, p2)
+            if c2 & forbid:
+                continue
+            if first_clean is not None and c == 0 and c2:
+                if c2 & first_clean != first_clean:
+                    continue
+            if last_clean is not None and c2 != goal and c2 & last_clean:
+                continue
+            if connected and not ctx.edges_connected(c2):
+                continue
+            st2 = (c2, p2)
+            if st2 in parent:
+                continue
+            parent[st2] = (state, (kind, v, u))
+            if c2 == goal:
+                seq = []
+                cur = st2
+                while cur != start:
+                    cur, mv = parent[cur]
+                    seq.append(mv)
+                return True, seq[::-1], explored
+            queue.append(st2)
+    return False, None, explored
+
+
+def _random_start(rng: random.Random, ctx: HostCtx) -> tuple[int, int]:
+    """A mid-game (clean, occupied) start: a random one, mostly unstable;
+    a stabilised one (closure of a random set plus the edges between
+    searchers); or searchers on the ends of two random edges with the
+    edges between them clean, often disconnected."""
+    occ = rng.getrandbits(ctx.g.n)
+    clean = sum(1 << i for i in range(ctx.m) if rng.random() < 0.3)
+    flavor = rng.randrange(3)
+    if flavor == 1:
+        clean = ctx.closure(clean | ctx.both_occupied(occ), occ)
+    elif flavor == 2:
+        occ = ctx.ev[rng.randrange(ctx.m)] | ctx.ev[rng.randrange(ctx.m)]
+        clean = ctx.both_occupied(occ)
+    return clean, occ
+
+
+@pytest.mark.parametrize("connected", [False, True])
+@pytest.mark.parametrize("monotone", [False, True])
+def test_solve_game_matches_full_test_search(connected, monotone):
+    # the moves out of an unstable or disconnected start take the full
+    # tests; a fixed stable, disconnected start with a spare searcher
+    # comes first (a placement there cleans nothing and must still fail)
+    path = path_graph(6)
+    plain = dict(forbid=0, guard=None, first_clean=None, last_clean=None)
+    cases = [(path, 3, HostCtx(path).emask([(0, 1), (4, 5)]), 0b10010, plain)]
+    rng = random.Random(4242 + 2 * connected + monotone)
+    for _ in range(400):
+        pool = connected_graphs(rng.randint(2, 6))
+        if rng.random() < 0.5:
+            pool = [h for h in pool if h.m <= h.n]
+        g = rng.choice(pool)
+        ctx = HostCtx(g)
+        clean, occ = _random_start(rng, ctx)
+        k = max(1, occ.bit_count() + rng.randint(0, 1))
+        kw = dict(
+            forbid=rng.getrandbits(ctx.m) & ~clean if rng.random() < 0.2 else 0,
+            guard=rng.randrange(g.n) if rng.random() < 0.2 else None,
+            first_clean=1 << rng.randrange(ctx.m) if rng.random() < 0.2 else None,
+            last_clean=1 << rng.randrange(ctx.m) if rng.random() < 0.2 else None,
+        )
+        cases.append((g, k, clean, occ, kw))
+    for g, k, clean, occ, kw in cases:
+        want = _full_test_game(
+            g, k, connected, monotone, start_clean=clean, start_occupied=occ, **kw
+        )
+        ok, moves, states = solve_game(
+            g, k, connected=connected, monotone=monotone, start_clean=clean,
+            start_occupied=occ, witness=True, **kw,
+        )
+        wit = None if moves is None else [(m.kind, m.v, m.u) for m in moves]
+        assert (ok, wit, states) == want, (graph6_encode(g), k, clean, occ, kw)
