@@ -5,7 +5,8 @@ stdout as JSON; graph artifacts go to --out.  Exit codes: 0 success,
 1 failed verification, 2 input/parse error or unreadable/unwritable
 file, 3 budget exhaustion.  `main` is the one error boundary: a
 ValueError or OSError out of any subcommand exits 2 and a BudgetExceeded
-exits 3, each with one `error:` line on stderr.  Inputs (`--families`,
+exits 3, each with one `error:` line on stderr.  Numeric options
+(`--budget`, `--max-n`, `-k`) are checked, inputs (`--families`,
 `--corpus`, `--base`) are read and `--out` is opened before any long
 computation starts.
 
@@ -107,6 +108,8 @@ def _solve_one(rg: RootedGraph, param: str, k: int | None, budget: int | None, w
 
 
 def cmd_solve(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be at least 0, got {args.budget}")
     results = [
         _solve_one(rg, args.param, args.k, args.budget, args.emit_witness)
         for rg in _read_inputs(args.input)
@@ -135,6 +138,10 @@ def _open_out(path: str | None):
 
 
 def cmd_mine(args) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+    if args.k < 0:
+        raise ValueError(f"level k must be at least 0, got {args.k}")
     with _open_out(args.out) as fh:
         mined = mine_obstructions(args.max_n, args.param, args.k, args.relation)
         if fh is not None:

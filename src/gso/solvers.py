@@ -60,7 +60,8 @@ class _ExpCtx:
         self.start = ctx.emask(self.enh.e_start)
         self.target = ctx.full & ~ctx.emask(self.enh.e_out)
         self.s_in_size = len(rg.s_in)
-        self.apex = (1 << self.enh.u_in) | (1 << self.enh.u_out)
+        self.ends = tuple((u, w, 1 << u, 1 << w) for u, w in ctx.edges)
+        self.start_bnd = self.bmask(self.start)
 
     def bmask(self, a: int) -> int:
         """Vertex mask of the boundary of the clean set a."""
@@ -73,116 +74,143 @@ class _ExpCtx:
         return out
 
 
-def _jumps(ec: _ExpCtx, a: int, k: int):
-    """One-move transitions from clean set a with at most k searchers.
+def _jumps(ec: _ExpCtx, a: int, bnd: int, k: int):
+    """One-move transitions from clean set a, whose boundary is bnd, with
+    at most k searchers.
 
-    Yields the new clean set for every way a single move can advance
-    it: the move lands a searcher on v, and cleans the sliding edge plus
-    every dirty edge from v into the occupied set.  Occupied = boundary
-    guards plus freely chosen extra dirty neighbors of v; a dirty edge
-    inside the occupied set would have been cleaned earlier, so such
-    sets are inconsistent.
+    A move lands a searcher on a vertex v off the boundary while the
+    occupied set is the boundary plus a set of extra dirty neighbours of
+    v, and cleans every dirty edge from v into the occupied set.  No
+    dirty edge may lie inside the occupied set (it would have been
+    cleaned earlier), so a dirty edge inside the boundary ends the call,
+    a vertex with a dirty edge into the boundary is never an extra, and
+    the extras are independent in the dirty graph.  They are grown by
+    doubling over v's dirty neighbours in increasing order (colex), and
+    only sets below k - |bnd| members are extended.
+
+    Yields (a2, boundary of a2) once per successor a2, in the order the
+    successors are first met.  A placement and every slide out of the
+    same occupied set clean the same edges (a slide from w to v cleans
+    vw, an edge from v into the occupied set), so a2 is yielded when the
+    placement fits (fewer than k occupied) or some occupied dirty
+    neighbour of v is off the new boundary, where its searcher may slide
+    from.  Two landings reach the same set only when it adds one edge vw
+    with both ends off the boundary, once from each end; the lower end
+    yields it when it can.
+
+    The boundary changes only at v and at the occupied vertices v cleans
+    towards.  Each of them now has a clean edge, so it stays on the
+    boundary exactly when it keeps an edge that is not clean: any edge
+    but xv for an occupied x, found once per landing vertex v, and any
+    edge the move leaves for v.  A yielded boundary lies within the
+    occupied set plus v, and a full occupied set yields only when a
+    searcher leaves the boundary, so it never exceeds k vertices.
+
+    No dirty edge touches an apex: u_in's edges are E_in, clean from the
+    start, and u_out's are E_out, never a target.
     """
-    ctx = ec.ctx
-    bnd = ec.bmask(a)
-    dirty = ec.target & ~a
     nbase = bnd.bit_count()
     if nbase > k:
         return
-    # dirty edges not incident to the landing vertex must not sit inside
-    # the occupied set; collect their vertex masks once
-    dirty_ev = []
+    inc, ends = ec.ctx.inc, ec.ends
+    dirty = ec.target & ~a
+    dadj = [0] * len(inc)  # dirty neighbours of each vertex
+    live = 0  # vertices at a dirty edge
     m = dirty
     while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        dirty_ev.append((i, ctx.ev[i]))
-    for v in range(ec.enh.host.n):
-        vb = 1 << v
-        if vb & (bnd | ec.apex):
-            continue
-        vinc = ctx.inc[v] & dirty
-        if not vinc:
-            continue
-        dn = 0  # dirty neighbors of v
-        m = vinc
+        low = m & -m
+        m ^= low
+        u, w, ub, wb = ends[low.bit_length() - 1]
+        dadj[u] |= wb
+        dadj[w] |= ub
+        live |= ub | wb
+    bad = 0  # vertices with a dirty edge into the boundary
+    m = bnd
+    while m:
+        low = m & -m
+        m ^= low
+        d = dadj[low.bit_length() - 1]
+        if d & bnd:
+            return
+        bad |= d
+    cap = k - nbase
+    na = ~a
+    # with no searcher to spare there are no extras, so a landing
+    # vertex needs a dirty edge into the boundary to clean anything
+    land = (live if cap else bad) & ~bnd
+    while land:
+        vb = land & -land
+        land ^= vb
+        v = vb.bit_length() - 1
+        dn = dadj[v]
+        vinc = inc[v] & dirty
+        vopen = inc[v] & na
+        base = 0  # v's dirty edges into the boundary
+        keep = bnd & ~dn  # boundary vertices on the new boundary
+        m = dn & bnd
         while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            dn |= ctx.ev[i] & ~vb
-        dn &= ~ec.apex
-        pool = dn & ~bnd
-        extras = [0]
-        mm = pool
-        bits = []
-        while mm:
-            b = mm & -mm
-            mm &= mm - 1
-            bits.append(b)
-        for b in bits:
-            extras.extend([e | b for e in extras])
-        for s_extra in extras:
-            occ = bnd | s_extra
-            nocc = occ.bit_count()
-            if nocc > k:
+            low = m & -m
+            m ^= low
+            ix = inc[low.bit_length() - 1]
+            base |= ix & vinc
+            if ix & na & ~vinc:
+                keep |= low
+        leave = dn & bnd & ~keep  # occupied neighbours a slide may come from
+        # (extras, edges from v to them, extras on the new boundary)
+        ext = [(0, 0, 0)]
+        pool = dn & ~bnd & ~bad if cap else 0
+        while pool:
+            b = pool & -pool
+            pool ^= b
+            x = b.bit_length() - 1
+            ix = inc[x]
+            eb = ix & vinc
+            ob = b if ix & na & ~eb else 0
+            dx = dadj[x]
+            ext += [
+                (s | b, e | eb, o | ob)
+                for s, e, o in ext
+                if not s & dx and s.bit_count() < cap
+            ]
+        for s, e, o in ext:
+            clean = base | e
+            if not clean:
                 continue
-            bad = False
-            for i, evm in dirty_ev:
-                if evm & vb:
-                    continue
-                if evm & ~occ == 0:
-                    bad = True
-                    break
-            if bad:
+            bnd2 = keep | o
+            if vopen & ~clean:
+                bnd2 |= vb
+            fits = s.bit_count() < cap
+            if not (fits or leave or s != o):
                 continue
-            cleanable = 0
-            m = vinc
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                if ctx.ev[i] & ~vb & occ:
-                    cleanable |= 1 << i
-            if cleanable and nocc + 1 <= k:
-                yield a | cleanable
-            wm = occ & dn
-            while wm:
-                wb = wm & -wm
-                wm &= wm - 1
-                w = wb.bit_length() - 1
-                slide = ctx.eidx[
-                    (w, v) if w < v else (v, w)
-                ]
-                d = 1 << slide
-                m = vinc
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if ctx.ev[i] & ~vb & occ & ~wb:
-                        d |= 1 << i
-                a2 = a | d
-                if ec.bmask(a2) & wb:
-                    continue
-                yield a2
+            if not base and s < vb and not s & (s - 1) and (fits or not bnd2 & vb):
+                continue  # the landing on the lower end s yielded it
+            yield a | clean, bnd2
 
 
 def _expansion_decide(
     ec: _ExpCtx, k: int, connected: bool, witness: bool, budget: int | None = None
 ) -> tuple[bool, Expansion | None, int]:
+    """Breadth-first search over the clean sets of width at most k.
+
+    The queue carries each set with its boundary: the start's is
+    computed once per context, every other one by `_jumps` from its
+    predecessor's, and none is wider than k.
+    """
     ctx = ec.ctx
     if ec.s_in_size > k:
         return False, None, 0
     start = ec.start
-    if ec.bmask(start).bit_count() > k:
+    if ec.start_bnd.bit_count() > k:
         return False, None, 0
     parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    queue = deque([start])
+    queue = deque([(start, ec.start_bnd)])
     explored = 0
     # a2 contains a, and every set the search holds is connected: the
     # start e_start is the star from u_in over S_in plus edges among its
     # leaves.  So only the new edges of a2 are tested (as in
     # `_solve_game`), except out of the empty start, which has no vertices.
     while queue:
-        a = queue.popleft()
+        a, bnd = queue.popleft()
         explored += 1
         if budget is not None and explored > budget:
             raise BudgetExceeded("expansion state budget exhausted")
@@ -191,10 +219,8 @@ def _expansion_decide(
                 return True, None, explored
             return True, _reconstruct(ec, parent, a), explored
         verts = -1  # vertex mask of a, found on first need
-        for a2 in _jumps(ec, a, k):
+        for a2, bnd2 in _jumps(ec, a, bnd, k):
             if a2 in parent:
-                continue
-            if ec.bmask(a2).bit_count() > k:
                 continue
             if connected:
                 if not a:
@@ -206,7 +232,7 @@ def _expansion_decide(
                     if not ctx.joined(verts, a2 & ~a):
                         continue
             parent[a2] = (a, a2 & ~a)
-            queue.append(a2)
+            queue.append((a2, bnd2))
     return False, None, explored
 
 

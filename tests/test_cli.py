@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gso import cli
 from gso.cli import main
 from gso.gio import graph6_encode, rooted_to_json
 from gso.graphs import RootedGraph, complete_graph, doubly_rooted, path_graph
@@ -115,6 +116,45 @@ def test_solve_expansion_budget_is_exit_3(tmp_path, capsys, param):
     code = main(["solve", inp, "--param", param, "--budget", "1"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_solve_negative_budget_is_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("solved under a negative budget")
+
+    monkeypatch.setitem(cli._VALUE, "cmp", fail)
+    inp = write_inputs(tmp_path / "in.g6", [graph6_encode(complete_graph(4))])
+    code = main(["solve", inp, "--param", "cmp", "--budget", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("param", ["cmp", "cmms"])
+def test_solve_zero_budget_is_still_exit_3(tmp_path, capsys, param):
+    inp = write_inputs(tmp_path / "in.g6", [graph6_encode(complete_graph(4))])
+    code = main(["solve", inp, "--param", param, "--budget", "0"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [["--max-n", "0", "-k", "2"], ["--max-n", "-3", "-k", "2"], ["--max-n", "5", "-k", "-1"]],
+    ids=["max-n-0", "max-n-negative", "k-negative"],
+)
+def test_mine_meaningless_size_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch, sizes):
+    def fail(*args, **kwargs):
+        raise AssertionError("mined for a meaningless size")
+
+    monkeypatch.setattr("gso.cli.mine_obstructions", fail)
+    out = tmp_path / "o.g6"
+    code = main(["mine", *sizes, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_mine_writes_graph6(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from gso.solvers import (
     rooted_game_value,
     solve_game,
 )
+from gso.solvers import _ExpCtx, _jumps
 from gso.expansions import expansion_to_strategy
 
 from conftest import random_connected, random_rooted
@@ -332,24 +334,50 @@ def test_game_values_and_state_counts_are_golden():
     assert got == GAME_GOLDEN
 
 
-# cmp (value, states explored over all levels) of each rooted graph of
-# `_game_golden_sample`, in order, recorded before the expansion search's
-# connectivity test went incremental.
+# cmp and mp (value, states explored over all levels) of each rooted
+# graph of `_game_golden_sample`, in order.  The cmp column was recorded
+# before the expansion search's connectivity test went incremental, the
+# mp column (the unconnected path of the same search) before its moves
+# were enumerated from dirty adjacency.
 CMP_GOLDEN = [
-    (2, 12), (2, 10), (3, 49), (3, 21), (3, 53), (2, 6), (3, 19), (3, 41),
-    (4, 95), (3, 45), (3, 13), (2, 4), (3, 38), (2, 15), (2, 4), (3, 16),
-    (4, 96), (3, 46), (2, 8), (3, 10), (2, 12), (4, 22), (2, 3), (3, 49),
-    (2, 28), (1, 4), (2, 10), (3, 48), (4, 52), (2, 5), (3, 17), (3, 10),
-    (4, 101), (2, 4), (2, 7), (2, 4), (4, 94), (3, 47), (4, 23), (3, 5),
+    ((2, 12), (2, 12)), ((2, 10), (2, 10)), ((3, 49), (3, 49)),
+    ((3, 21), (3, 21)), ((3, 53), (3, 53)), ((2, 6), (2, 8)),
+    ((3, 19), (3, 19)), ((3, 41), (3, 41)), ((4, 95), (4, 95)),
+    ((3, 45), (3, 45)), ((3, 13), (3, 13)), ((2, 4), (2, 4)),
+    ((3, 38), (3, 38)), ((2, 15), (2, 15)), ((2, 4), (2, 4)),
+    ((3, 16), (3, 16)), ((4, 96), (4, 96)), ((3, 46), (3, 47)),
+    ((2, 8), (2, 8)), ((3, 10), (3, 10)), ((2, 12), (2, 12)),
+    ((4, 22), (4, 22)), ((2, 3), (2, 3)), ((3, 49), (3, 49)),
+    ((2, 28), (2, 28)), ((1, 4), (1, 4)), ((2, 10), (2, 10)),
+    ((3, 48), (3, 48)), ((4, 52), (4, 52)), ((2, 5), (2, 5)),
+    ((3, 17), (3, 17)), ((3, 10), (3, 10)), ((4, 101), (4, 101)),
+    ((2, 4), (2, 4)), ((2, 7), (2, 7)), ((2, 4), (2, 4)),
+    ((4, 94), (4, 94)), ((3, 47), (3, 47)), ((4, 23), (4, 23)),
+    ((3, 5), (3, 5)),
 ]
 
 
 def test_cmp_values_and_state_counts_are_golden():
     got = []
     for rg in _game_golden_sample():
-        res = cmp_value(rg)
-        got.append((res.value, res.stats["states"]))
+        row = []
+        for res in (cmp_value(rg), mp_value(rg)):
+            row.append((res.value, res.stats["states"]))
+        got.append(tuple(row))
     assert got == CMP_GOLDEN
+
+
+def test_cmp_witness_sets_are_golden():
+    # one digest over the witness expansion of every sample graph: pins
+    # the order in which the search meets its states, not only the counts
+    h = hashlib.sha256()
+    for rg in _game_golden_sample():
+        for a in cmp_value(rg, witness=True).witness.sets:
+            h.update(repr(sorted(a)).encode() + b"\n")
+        h.update(b"--\n")
+    assert h.hexdigest() == (
+        "11bf52c4081786caed5ff9ec439af4b365e6e981b78524f3fad679209dfcc5b5"
+    )
 
 
 # (graph6, root) of the default level-1 branch base (`mine_branch_base(7)`)
@@ -514,3 +542,118 @@ def test_solve_game_matches_full_test_search(connected, monotone):
         )
         wit = None if moves is None else [(m.kind, m.v, m.u) for m in moves]
         assert (ok, wit, states) == want, (graph6_encode(g), k, clean, occ, kw)
+
+
+def _parent_bmask(ec: _ExpCtx, a: int) -> int:
+    """Vertex mask of the boundary of the clean set a, vertex by vertex."""
+    out = 0
+    for v in range(ec.enh.host.n):
+        inc = ec.ctx.inc[v]
+        if inc & a and inc & ~a:
+            out |= 1 << v
+    return out
+
+
+def _parent_jumps(ec: _ExpCtx, a: int, k: int):
+    """The expansion search's one-move transitions before they were
+    enumerated from dirty adjacency: every subset of v's free dirty
+    neighbours, each tested against every dirty edge, a placement and
+    each slide yielded separately (so one clean set may come repeatedly)."""
+    ctx = ec.ctx
+    apex = (1 << ec.enh.u_in) | (1 << ec.enh.u_out)
+    bnd = _parent_bmask(ec, a)
+    dirty = ec.target & ~a
+    nbase = bnd.bit_count()
+    if nbase > k:
+        return
+    dirty_ev = []
+    m = dirty
+    while m:
+        i = (m & -m).bit_length() - 1
+        m &= m - 1
+        dirty_ev.append((i, ctx.ev[i]))
+    for v in range(ec.enh.host.n):
+        vb = 1 << v
+        if vb & (bnd | apex):
+            continue
+        vinc = ctx.inc[v] & dirty
+        if not vinc:
+            continue
+        dn = 0
+        m = vinc
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            dn |= ctx.ev[i] & ~vb
+        dn &= ~apex
+        pool = dn & ~bnd
+        extras = [0]
+        mm = pool
+        bits = []
+        while mm:
+            b = mm & -mm
+            mm &= mm - 1
+            bits.append(b)
+        for b in bits:
+            extras.extend([e | b for e in extras])
+        for s_extra in extras:
+            occ = bnd | s_extra
+            nocc = occ.bit_count()
+            if nocc > k:
+                continue
+            if any(not evm & vb and not evm & ~occ for _, evm in dirty_ev):
+                continue
+            cleanable = 0
+            m = vinc
+            while m:
+                i = (m & -m).bit_length() - 1
+                m &= m - 1
+                if ctx.ev[i] & ~vb & occ:
+                    cleanable |= 1 << i
+            if cleanable and nocc + 1 <= k:
+                yield a | cleanable
+            wm = occ & dn
+            while wm:
+                wb = wm & -wm
+                wm &= wm - 1
+                w = wb.bit_length() - 1
+                d = 1 << ctx.eidx[(w, v) if w < v else (v, w)]
+                m = vinc
+                while m:
+                    i = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    if ctx.ev[i] & ~vb & occ & ~wb:
+                        d |= 1 << i
+                a2 = a | d
+                if _parent_bmask(ec, a2) & wb:
+                    continue
+                yield a2
+
+
+def test_jumps_yield_each_parent_successor_once_with_its_boundary():
+    # every state the unconnected search reaches at width k (a superset
+    # of the connected search's states), on random rooted graphs; no
+    # yielded boundary is wider than k, so the search needs no width test
+    rng = random.Random(31337)
+    states = repeats = 0
+    for _ in range(80):
+        rg = random_rooted(rng, random_connected(rng, 7))
+        ec = _ExpCtx(rg)
+        for k in range(5):
+            seen = {ec.start}
+            todo = [ec.start]
+            while todo:
+                a = todo.pop()
+                parent = list(_parent_jumps(ec, a, k))
+                want = list(dict.fromkeys(parent))
+                got = list(_jumps(ec, a, _parent_bmask(ec, a), k))
+                assert [a2 for a2, _ in got] == want, (graph6_encode(rg.graph), k, a)
+                for a2, bnd2 in got:
+                    assert bnd2 == _parent_bmask(ec, a2)
+                    assert bnd2.bit_count() <= k
+                    if a2 not in seen:
+                        seen.add(a2)
+                        todo.append(a2)
+                states += 1
+                repeats += len(parent) > len(want)
+    assert states > 2000 and repeats > 500
