@@ -15,10 +15,10 @@ from .graphs import (
     rev,
 )
 from .canon import (
+    automorphisms,
     canonical_graph,
     certificate,
     is_isomorphic,
-    is_rooted_isomorphic,
     rooted_certificate,
     unique,
 )
@@ -62,7 +62,7 @@ from .solvers import (
     rooted_game_value,
     solve_game,
 )
-from .gen import connected_graphs, enumerate_connected_graphs
+from .gen import connected_graphs
 from .obstructions import (
     Branch,
     branch_count,

@@ -3,20 +3,60 @@
 Each n-vertex connected graph is reached by attaching a new vertex to a
 nonempty neighbour subset of some connected (n-1)-vertex graph (every
 connected graph has a non-cut vertex), deduplicated by certificate.
-Results are cached per size since several acceptance checks sweep the
-same ranges.  An external graph6 file can replace local generation.
+Subsets that an automorphism of the parent maps onto each other give
+isomorphic children, so only the first subset of each orbit under the
+automorphisms `canon.automorphisms` finds is attached (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998); `unique`
+keeps one canonical graph per class in certificate order, so the output
+is the one the unpruned loop gives.  Results are cached per size since
+several acceptance checks sweep the same ranges.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator
-
-from .canon import certificate, unique
-from .gio import read_graph6_lines
+from .canon import automorphisms, unique
 from .graphs import Graph
 
 _cache: dict[int, tuple[Graph, ...]] = {}
+
+
+def _subset_orbit_reps(n: int, autos: list[tuple[int, ...]]) -> list[int]:
+    """The least nonempty vertex mask over range(n) in each orbit of the
+    group the permutations `autos` generate, in increasing order."""
+    seen = 0  # bit s: subset s is in an orbit already met
+    reps = []
+    for s in range(1, 1 << n):
+        if seen >> s & 1:
+            continue
+        reps.append(s)
+        seen |= 1 << s
+        todo = [s]
+        while todo:
+            t = todo.pop()
+            for perm in autos:
+                img = 0
+                for v in range(n):
+                    if t >> v & 1:
+                        img |= 1 << perm[v]
+                if not seen >> img & 1:
+                    seen |= 1 << img
+                    todo.append(img)
+    return reps
+
+
+def _children(g: Graph):
+    """g plus a new vertex n-1, once per orbit of its neighbour subset."""
+    n = g.n
+    new = 1 << n
+    for nb in _subset_orbit_reps(n, automorphisms(g)):
+        adj = list(g.adj)
+        m = nb
+        while m:
+            low = m & -m
+            m ^= low
+            adj[low.bit_length() - 1] |= new
+        adj.append(nb)
+        yield Graph(n + 1, tuple(adj))
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:
@@ -27,29 +67,6 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     if n == 1:
         out = (Graph.from_edges(1, []),)
     else:
-        out = tuple(
-            unique(
-                Graph.from_edges(n, list(g.edges) + [(v, n - 1) for v in nb])
-                for g in connected_graphs(n - 1)
-                for size in range(1, n)
-                for nb in combinations(range(n - 1), size)
-            )
-        )
+        out = tuple(unique(c for g in connected_graphs(n - 1) for c in _children(g)))
     _cache[n] = out
     return out
-
-
-def enumerate_connected_graphs(n: int, source: str | None = None) -> Iterator[Graph]:
-    """Stream connected graphs on n vertices; `source` ingests a graph6 file."""
-    if source is not None:
-        seen: set[bytes] = set()
-        with open(source) as fh:
-            for g in read_graph6_lines(fh):
-                if g.n != n or not g.is_connected():
-                    continue
-                c = certificate(g)
-                if c not in seen:
-                    seen.add(c)
-                    yield g
-        return
-    yield from connected_graphs(n)

@@ -21,7 +21,13 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .blocks import is_outerplanar
-from .canon import canonical_certificate, certificate, rooted_certificate, unique
+from .canon import (
+    automorphisms,
+    canonical_certificate,
+    certificate,
+    rooted_certificate,
+    unique,
+)
 from .gen import connected_graphs
 from .graphs import (
     Edge,
@@ -219,18 +225,31 @@ def _minimal_rejects(
         for g in connected_graphs(n):
             if not is_outerplanar(g):
                 continue
-            reps: set[bytes] = set()
-            for v in range(g.n):
+            # doubly_rooted(g, v) and doubly_rooted(g, w) are isomorphic
+            # exactly when an automorphism of g maps v to w; keying the
+            # rejects by certificate keeps one per class even if the
+            # automorphisms found generate only part of the group
+            for v in _orbit_mins(g):
                 rg = doubly_rooted(g, v)
-                rc = rooted_certificate(rg)
-                if rc in reps:
-                    continue
-                reps.add(rc)
                 if accepts(rg):
                     continue
                 if all(accepts(contract_edge_rooted(rg, e)) for e in g.edges):
-                    out.setdefault(rc, rg)
+                    out.setdefault(rooted_certificate(rg), rg)
     return [out[c] for c in sorted(out)]
+
+
+def _orbit_mins(g: Graph) -> list[int]:
+    """The lowest vertex of each orbit of the automorphisms
+    `canon.automorphisms` finds for g, in increasing order."""
+    # the orbits are the components of the pairs (v, perm[v])
+    orbit = list(range(g.n))  # the lowest vertex of v's component so far
+    for perm in automorphisms(g):
+        for v, w in enumerate(perm):
+            a, b = orbit[v], orbit[w]
+            if a != b:
+                low = min(a, b)
+                orbit = [low if x in (a, b) else x for x in orbit]
+    return [v for v in range(g.n) if orbit[v] == v]
 
 
 def mine_fan_base(n_max: int = 7) -> list[RootedGraph]:

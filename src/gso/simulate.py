@@ -4,7 +4,9 @@ Moves are place p(v), remove r(v), slide s(v,u).  After each move the
 newly cleaned edges are those with both endpoints occupied plus the
 sliding edge; the closure then recontaminates every clean edge that
 can reach a contaminated edge along a path whose connecting vertices
-are all unguarded.
+are all unguarded.  `HostCtx` holds a host's bitmask kernels; its
+`flood` is the closure's loss when recontamination can start only at
+the vertex a move vacates, which the game solver relies on.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ class HostCtx:
       dirty edges, so each neighbour it reaches lies on a dirty edge
       and, when unguarded, is a seed already: W stays the seed set and
       q & inc(W) is empty.
+    * flood(v, guard) is what closure loses when v, unguarded, is the
+      only unguarded vertex with both clean and dirty edges: the edges
+      at every vertex that unguarded paths reach from v.  Any other
+      seed vertex has only dirty edges, so the region grown from it
+      stays on dirty edges unless it meets v.
     * joined(vmask(c), new) = edges_connected(c | new) for a connected,
       nonempty c disjoint from new, in passes over new alone: a search
       whose sets only grow and stay connected tests just the edges a
@@ -153,6 +160,26 @@ class HostCtx:
             if x and x != iv and not guard & bit:
                 return False
         return True
+
+    def flood(self, v: int, guard: int) -> int:
+        """The edges at the vertices that unguarded paths reach from the
+        unguarded vertex v: what closure(q, guard) loses when v is the one
+        unguarded vertex with both a clean and a dirty edge in q."""
+        free = ~guard
+        adj, inc = self.adj, self.inc
+        w = frontier = 1 << v
+        out = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                x = low.bit_length() - 1
+                nxt |= adj[x]
+                out |= inc[x]
+            frontier = nxt & free & ~w
+            w |= frontier
+        return out
 
     def vmask(self, emask: int) -> int:
         """Vertex mask of the edge set emask: the vertices at one of its edges."""

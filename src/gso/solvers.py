@@ -13,7 +13,9 @@ each other:
 * the game solver: state space over (clean edge set, searcher set)
   with the simulator's closure semantics; flags select the monotone
   and connected variants, optional constraints support the
-  trunk-first / trunk-last / guarded-vertex checks.
+  trunk-first / trunk-last / guarded-vertex checks.  After the start,
+  only the vertex a move vacates can start recontamination, so each
+  move is tested there alone (see `solve_game`).
 
 Rooted instances start mid-game from `Enhancement.e_start`: the root
 edges E_in and the edges inside S_in count as already clean and S_in
@@ -336,23 +338,25 @@ def mp_plain(g: Graph) -> int:
 # game solver
 
 
-def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[tuple]:
-    """Every move from searcher set pmask, in search order, as (kind, v,
+def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[list]:
+    """Every move from searcher set pmask, in search order, as [kind, v,
     u, searchers after the move, edges the move cleans, edges at the
-    vacated vertex): the edges cleaned are those with both ends occupied
-    afterwards, plus the sliding edge of a slide; a placement vacates
-    nothing (0), a removal or slide vacates v (inc[v])."""
-    out: list[tuple[str, int, int | None, int, int, int]] = []
+    vacated vertex, edges the vacated vertex floods]: the edges cleaned
+    are those with both ends occupied afterwards, plus the sliding edge
+    of a slide; a placement vacates nothing (0), a removal or slide
+    vacates v (inc[v]).  The flood, `HostCtx.flood(v, searchers after
+    the move)`, is -1 until a non-monotone solve first needs it."""
+    out: list[list] = []
     if guard is not None and pmask == 0:
         if k >= 1:
-            out.append(("p", guard, None, 1 << guard, 0, 0))
+            out.append(["p", guard, None, 1 << guard, 0, 0, 0])
         return out
     both = ctx.both_occupied
     if pmask.bit_count() < k:
         for v in range(ctx.g.n):
             if not pmask >> v & 1:
                 p2 = pmask | (1 << v)
-                out.append(("p", v, None, p2, both(p2), 0))
+                out.append(["p", v, None, p2, both(p2), 0, 0])
     m = pmask
     while m:
         v = (m & -m).bit_length() - 1
@@ -361,10 +365,10 @@ def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[tuple]:
             continue
         rest = pmask & ~(1 << v)
         iv = ctx.inc[v]
-        out.append(("r", v, None, rest, both(rest), iv))
+        out.append(["r", v, None, rest, both(rest), iv, -1])
         for u, ei in ctx.slides[v]:
             p2 = rest | (1 << u)
-            out.append(("s", v, u, p2, both(p2) | (1 << ei), iv))
+            out.append(["s", v, u, p2, both(p2) | (1 << ei), iv, -1])
     return out
 
 
@@ -404,13 +408,18 @@ def solve_game(
     Every state the search accepts keeps two invariants, and the
     per-move tests lean on them instead of walking the whole host:
 
-    * Stable (monotone solves): every vertex off the searcher set has
-      all or none of its edges clean.  A move cleans only edges with
-      both ends occupied afterwards, plus the slide edge at the vacated
-      vertex v, so every unoccupied vertex but v keeps its edges as they
-      were.  A placement vacates nothing and is always stable; a removal
-      or slide is stable exactly when inc[v] & q is empty or all of
-      inc[v].
+    * Stable: every vertex off the searcher set has all or none of its
+      edges clean.  A monotone solve keeps only stable states, and a
+      closure result is stable.  A move cleans only edges with both ends
+      occupied afterwards, plus the slide edge at the vacated vertex v,
+      so every unoccupied vertex but v keeps its edges as they were.  A
+      placement vacates nothing and loses nothing; after a removal or
+      slide, v has both clean and dirty edges exactly when inc[v] & q is
+      neither empty nor all of inc[v].  A monotone solve drops such a
+      move.  In a non-monotone one recontamination can start at v alone,
+      and the closure loses the edges at every vertex that unguarded
+      paths reach from v: c2 = q & ~`HostCtx.flood(v, p2)`, computed
+      once per move, on first need.  Otherwise c2 = q.
     * Connected (connected solves): c induces a connected subgraph.
       When c2 contains a nonempty c (always in a monotone solve), c2 is
       connected exactly when the new edges c2 & ~c reach the vertices of
@@ -420,8 +429,9 @@ def solve_game(
       closure that lost edges.
 
     A mid-game start need not be stable or connected: when it is not,
-    the moves out of it take the full `HostCtx.stable` and
-    `edges_connected` tests, and every state after it keeps both.
+    the moves out of it take the full `HostCtx.stable` (monotone) or
+    `HostCtx.closure` (non-monotone) and `edges_connected` tests, and
+    every state after it keeps both invariants.
     """
     return _solve_game(
         HostCtx(host), k, connected=connected, monotone=monotone, forbid=forbid,
@@ -462,7 +472,7 @@ def _solve_game(
     # the moves out of a state depend on its searcher set alone
     moves_at: dict[int, list] = {}
     # full per-move tests while popping a start without the invariants
-    exact = (monotone and not ctx.stable(start_clean, start_occupied)) or (
+    exact = not ctx.stable(start_clean, start_occupied) or (
         connected and not ctx.edges_connected(start_clean)
     )
 
@@ -476,19 +486,26 @@ def _solve_game(
         if moves is None:
             moves = moves_at[pmask] = _moves(ctx, pmask, k, guard)
         verts = -1  # vertex mask of c, found on first need
-        for kind, v, u, p2, cleaned, vac in moves:
+        for move in moves:
+            kind, v, u, p2, cleaned, vac, lost = move
             q = c | cleaned
-            if monotone:
-                if exact:
-                    if not ctx.stable(q, p2):
-                        continue
+            if exact:
+                if not monotone:
+                    c2 = ctx.closure(q, p2)
+                elif ctx.stable(q, p2):
+                    c2 = q
                 else:
-                    x = vac & q
-                    if x and x != vac:
-                        continue
-                c2 = q
+                    continue
             else:
-                c2 = ctx.closure(q, p2)
+                x = vac & q
+                if x and x != vac:  # v has clean and dirty edges
+                    if monotone:
+                        continue
+                    if lost < 0:
+                        lost = move[6] = ctx.flood(v, p2)
+                    c2 = q & ~lost
+                else:
+                    c2 = q
             if c2 & forbid:
                 continue
             if first_clean is not None and c == 0 and c2:

@@ -1,15 +1,16 @@
 import hashlib
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
 from gso.canon import (
+    automorphisms,
     canonical_certificate,
     canonical_graph,
     certificate,
     is_isomorphic,
-    is_rooted_isomorphic,
     rooted_certificate,
     unique,
 )
@@ -25,6 +26,7 @@ from gso.graphs import (
 )
 
 from conftest import random_connected
+from test_gen import unpruned_children
 from test_graphs import to_nx
 
 
@@ -89,7 +91,7 @@ def test_rooted_certificate_distinguishes_roots():
     mid = RootedGraph(g, frozenset({1}), frozenset({1}))
     assert rooted_certificate(end) != rooted_certificate(mid)
     other_end = RootedGraph(g, frozenset({2}), frozenset({2}))
-    assert is_rooted_isomorphic(end, other_end)
+    assert rooted_certificate(end) == rooted_certificate(other_end)
 
 
 def test_rooted_certificate_invariant(rng):
@@ -189,3 +191,137 @@ def test_canonical_certificate_of_generated_graphs():
     for n in range(1, 8):
         for g in connected_graphs(n):
             assert canonical_certificate(g) == certificate(g)
+
+
+# --- parity with the colour-list refinement -------------------------------
+
+
+def _parent_refine(nbrs, colors):
+    """The refinement before it went cell by cell: every vertex's
+    signature (colour, sorted neighbour colours) is ranked in one sort."""
+    cells = len(set(colors))
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted([colors[u] for u in nb])))
+            for v, nb in enumerate(nbrs)
+        ]
+        ranked = sorted(set(sigs))
+        order = {s: i for i, s in enumerate(ranked)}
+        new = tuple(order[s] for s in sigs)
+        if len(ranked) == cells:
+            return new, cells
+        colors, cells = new, len(ranked)
+
+
+def _parent_search(nbrs, edges, colors, path, best, autos):
+    """The individualisation search over colour tuples, on `_parent_refine`."""
+    colors, k = _parent_refine(nbrs, colors)
+    n = len(colors)
+    if k == n:
+        code = 0
+        for u, v in edges:
+            i, j = sorted((colors[u], colors[v]))
+            code |= 1 << (i * n + j)
+        if best is None or code < best[0]:
+            return code, colors
+        if code == best[0]:
+            perm = [0] * n
+            for v, i in enumerate(colors):
+                perm[i] = v
+            autos.append(tuple(perm[i] for i in best[1]))
+        return best
+    first = next(c for c in range(k) if colors.count(c) > 1)
+    target = [v for v, c in enumerate(colors) if c == first]
+    orbit = {v: v for v in target}
+    used = 0
+    explored = []
+    for v in target:
+        for auto in autos[used:]:
+            if all(auto[p] == p for p in path):
+                for x in target:
+                    a, b = orbit[x], orbit[auto[x]]
+                    if a != b:
+                        for y in target:
+                            if orbit[y] == b:
+                                orbit[y] = a
+        used = len(autos)
+        if any(orbit[u] == orbit[v] for u in explored):
+            continue
+        explored.append(v)
+        branched = tuple(c * 2 + (1 if u == v else 0) for u, c in enumerate(colors))
+        path.append(v)
+        best = _parent_search(nbrs, edges, branched, path, best, autos)
+        path.pop()
+    return best
+
+
+def _parent_certificate_and_canonical(g, colors):
+    nbrs = [list(g.neighbors(v)) for v in range(g.n)]
+    order = {c: i for i, c in enumerate(sorted(set(colors)))}
+    code, pos = _parent_search(
+        nbrs, g.edges, tuple(order[c] for c in colors), [], None, []
+    )
+    cols = [0] * g.n
+    for v, i in enumerate(pos):
+        cols[i] = colors[v]
+    plain = _parent_search(nbrs, g.edges, (0,) * g.n, [], None, [])[1]
+    return repr((g.n, code, tuple(cols))).encode(), g.relabel(plain)
+
+
+def test_cellwise_refinement_matches_parent_on_generated_children():
+    for n in range(2, 7):
+        for g in unpruned_children(n):
+            cert, canon = _parent_certificate_and_canonical(g, [0] * n)
+            assert certificate(g) == cert
+            assert canonical_graph(g) == canon
+
+
+def test_cellwise_refinement_matches_parent_on_random_colored_graphs():
+    rng = random.Random(1118)
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        g = Graph.from_edges(
+            n,
+            [e for e in itertools.combinations(range(n), 2) if rng.random() < density],
+        )
+        colors = [rng.choice((0, 1, 2, 5)) for _ in range(n)]
+        cert, canon = _parent_certificate_and_canonical(g, colors)
+        assert certificate(g, colors) == cert
+        assert canonical_graph(g) == canon
+
+
+# --- automorphisms -------------------------------------------------------
+
+
+def _orbits(n, perms):
+    orbit = list(range(n))
+    for perm in perms:
+        for v, w in enumerate(perm):
+            a, b = orbit[v], orbit[w]
+            if a != b:
+                orbit = [min(a, b) if x in (a, b) else x for x in orbit]
+    return orbit
+
+
+def test_automorphisms_give_the_full_groups_orbits():
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            found = automorphisms(g)
+            for perm in found:
+                assert sorted(perm) == list(range(n))
+                assert g.relabel(perm) == g
+            group = [
+                p for p in itertools.permutations(range(n)) if g.relabel(p) == g
+            ]
+            assert _orbits(n, found) == _orbits(n, group), g.edges
+            assert (found == []) == (len(group) == 1), g.edges
+
+
+def test_automorphisms_of_symmetric_graphs():
+    for name, g in SYMMETRIC.items():
+        found = automorphisms(g)
+        assert all(g.relabel(perm) == g for perm in found), name
+        # each of these graphs is vertex-transitive but the star
+        want = [0] + [1] * (g.n - 1) if name == "K1,6" else [0] * g.n
+        assert _orbits(g.n, found) == want, name

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,14 @@ def test_mine_writes_graph6(tmp_path, capsys):
     assert code == 0
     assert rep["count"] == 2
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_mine_output_matches_bench_reference(capsys):
+    # the bench's byte-identity gate for the `mine` workload, read only
+    ref = Path(__file__).resolve().parents[1] / "bench" / "reference" / "mine.json"
+    code = main(["mine", "--param", "cmp", "-k", "2", "--max-n", "7"])
+    assert code == 0
+    assert capsys.readouterr().out == ref.read_text()
 
 
 def test_mine_minor_relation(capsys):

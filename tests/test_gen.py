@@ -1,10 +1,11 @@
-import io
+import itertools
 
 import pytest
 
-from gso.canon import certificate
-from gso.gen import connected_graphs, enumerate_connected_graphs
-from gso.gio import write_graph6_lines
+from gso import canon, gen
+from gso.canon import certificate, unique
+from gso.gen import connected_graphs
+from gso.graphs import Graph
 
 # A001349: connected graphs on n unlabeled vertices
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -30,16 +31,31 @@ def test_connected_graphs_in_strict_certificate_order():
         assert all(a < b for a, b in zip(certs, certs[1:]))
 
 
-def test_enumerate_streams_same_set():
-    for n in range(1, 6):
-        streamed = {certificate(g) for g in enumerate_connected_graphs(n)}
-        assert streamed == {certificate(g) for g in connected_graphs(n)}
+def unpruned_children(n):
+    """Every graph the generator would certify without orbit pruning: each
+    connected (n-1)-vertex graph plus a vertex on each nonempty subset."""
+    return [
+        Graph.from_edges(n, list(g.edges) + [(v, n - 1) for v in nb])
+        for g in connected_graphs(n - 1)
+        for size in range(1, n)
+        for nb in itertools.combinations(range(n - 1), size)
+    ]
 
 
-def test_enumerate_from_file(tmp_path):
-    graphs = connected_graphs(4)
-    path = tmp_path / "four.g6"
-    with open(path, "w") as fh:
-        write_graph6_lines(graphs, fh)
-    got = list(enumerate_connected_graphs(4, source=str(path)))
-    assert {certificate(g) for g in got} == {certificate(g) for g in graphs}
+def test_orbit_pruning_keeps_the_unpruned_output(monkeypatch):
+    # a fresh cache, so that every size is generated (and certified) here
+    monkeypatch.setattr(gen, "_cache", {})
+    calls = []
+    real = canon.canonical_graph
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(canon, "canonical_graph", counted)
+    got = [connected_graphs(n) for n in range(1, 8)]
+    # 7815 children without pruning
+    assert len(calls) == 4159
+    monkeypatch.setattr(canon, "canonical_graph", real)
+    for n in range(2, 8):
+        assert got[n - 1] == tuple(unique(unpruned_children(n)))

@@ -223,6 +223,74 @@ def test_fan_base_tests_outerplanarity_once_per_graph(monkeypatch):
     assert len(calls) == len(graphs)
 
 
+def _parent_minimal_rejects(n_max, accepts):
+    """`_minimal_rejects` before it took one root per automorphism orbit:
+    every root is certified, and the first of each rooted class kept."""
+    from gso.blocks import is_outerplanar
+    from gso.canon import rooted_certificate
+    from gso.graphs import contract_edge_rooted
+
+    out = {}
+    for n in range(1, n_max + 1):
+        for g in connected_graphs(n):
+            if not is_outerplanar(g):
+                continue
+            reps = set()
+            for v in range(g.n):
+                rg = doubly_rooted(g, v)
+                rc = rooted_certificate(rg)
+                if rc in reps:
+                    continue
+                reps.add(rc)
+                if accepts(rg):
+                    continue
+                if all(accepts(contract_edge_rooted(rg, e)) for e in g.edges):
+                    out.setdefault(rc, rg)
+    return [out[c] for c in sorted(out)]
+
+
+def test_orbit_roots_are_the_rooted_classes():
+    from gso.blocks import is_outerplanar
+    from gso.canon import rooted_certificate
+    from gso.obstructions import _orbit_mins
+
+    graphs = [
+        g for n in range(1, 8) for g in connected_graphs(n) if is_outerplanar(g)
+    ]
+    assert len(graphs) == 240
+    for g in graphs:
+        first = {}
+        for v in range(g.n):
+            first.setdefault(rooted_certificate(doubly_rooted(g, v)), v)
+        assert _orbit_mins(g) == sorted(first.values()), graph6_encode(g)
+
+
+def test_base_mining_matches_every_root_loop(monkeypatch):
+    import gso.obstructions as obstructions
+    from gso.obstructions import _fan_shape
+    from gso.solvers import cmp_decide
+
+    certified = []
+    real = obstructions.rooted_certificate
+
+    def counted(rg):
+        certified.append(rg)
+        return real(rg)
+
+    for mine, accepts in (
+        (mine_fan_base, lambda rg: _fan_shape(rg.graph, min(rg.s_in))),
+        (mine_branch_base, lambda rg: cmp_decide(rg, 2)),
+    ):
+        want = _parent_minimal_rejects(7, accepts)
+        certified.clear()
+        monkeypatch.setattr(obstructions, "rooted_certificate", counted)
+        got = mine(7)
+        monkeypatch.setattr(obstructions, "rooted_certificate", real)
+        assert got == want
+        # only the kept rejects are certified
+        assert len(certified) == len(got) and set(certified) == set(got)
+
+
 def test_branch_base_is_frozen():
     base = mine_branch_base(7)
     assert sorted(b.graph.n for b in base) == [4, 4, 5, 5, 5, 5, 5, 6]

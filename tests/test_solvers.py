@@ -32,7 +32,7 @@ from gso.solvers import (
     rooted_game_value,
     solve_game,
 )
-from gso.solvers import _ExpCtx, _jumps
+from gso.solvers import _ExpCtx, _jumps, _moves
 from gso.expansions import expansion_to_strategy
 
 from conftest import random_connected, random_rooted
@@ -416,10 +416,12 @@ def test_constrained_solves_and_state_counts_are_golden():
 
 
 def _full_test_game(host, k, connected, monotone, forbid, start_clean,
-                    start_occupied, guard, first_clean, last_clean):
+                    start_occupied, guard, first_clean, last_clean,
+                    on_state=None):
     """The game search with a full stability and connectivity test on
     every move: the solver before its per-move tests went incremental.
-    Returns (decision, witness as (kind, v, u) tuples, states explored)."""
+    Returns (decision, witness as (kind, v, u) tuples, states explored).
+    on_state(ctx, clean, occupied) sees each state as it is popped."""
     from collections import deque
 
     ctx = HostCtx(host)
@@ -459,6 +461,8 @@ def _full_test_game(host, k, connected, monotone, forbid, start_clean,
         state = queue.popleft()
         c, pmask = state
         explored += 1
+        if on_state is not None:
+            on_state(ctx, c, pmask)
         for kind, v, u, p2, cleaned in moves(pmask):
             q = c | cleaned
             if monotone:
@@ -507,12 +511,12 @@ def _random_start(rng: random.Random, ctx: HostCtx) -> tuple[int, int]:
     return clean, occ
 
 
-@pytest.mark.parametrize("connected", [False, True])
-@pytest.mark.parametrize("monotone", [False, True])
-def test_solve_game_matches_full_test_search(connected, monotone):
-    # the moves out of an unstable or disconnected start take the full
-    # tests; a fixed stable, disconnected start with a spare searcher
-    # comes first (a placement there cleans nothing and must still fail)
+def _full_test_cases(connected, monotone):
+    """(host, k, start clean, start occupied, constraints) of the searches
+    compared against `_full_test_game`.  A fixed stable, disconnected
+    start with a spare searcher comes first (a placement there cleans
+    nothing and must still fail); the random starts are mostly unstable
+    or disconnected, so the moves out of them take the full tests."""
     path = path_graph(6)
     plain = dict(forbid=0, guard=None, first_clean=None, last_clean=None)
     cases = [(path, 3, HostCtx(path).emask([(0, 1), (4, 5)]), 0b10010, plain)]
@@ -532,7 +536,13 @@ def test_solve_game_matches_full_test_search(connected, monotone):
             last_clean=1 << rng.randrange(ctx.m) if rng.random() < 0.2 else None,
         )
         cases.append((g, k, clean, occ, kw))
-    for g, k, clean, occ, kw in cases:
+    return cases
+
+
+@pytest.mark.parametrize("connected", [False, True])
+@pytest.mark.parametrize("monotone", [False, True])
+def test_solve_game_matches_full_test_search(connected, monotone):
+    for g, k, clean, occ, kw in _full_test_cases(connected, monotone):
         want = _full_test_game(
             g, k, connected, monotone, start_clean=clean, start_occupied=occ, **kw
         )
@@ -542,6 +552,43 @@ def test_solve_game_matches_full_test_search(connected, monotone):
         )
         wit = None if moves is None else [(m.kind, m.v, m.u) for m in moves]
         assert (ok, wit, states) == want, (graph6_encode(g), k, clean, occ, kw)
+
+
+def test_vacated_vertex_flood_equals_closure(rng):
+    # every state a cms search in this file pops: the cms_value levels of
+    # test_ms_cms_cmms_ordering and of the golden sample, and the
+    # connected, non-monotone searches compared with `_full_test_game`
+    plain = dict(forbid=0, guard=None, first_clean=None, last_clean=None)
+    searches = []
+    for g in [random_connected(rng, 5) for _ in range(40)] + [
+        rg.graph for rg in _game_golden_sample()
+    ]:
+        searches += [(g, k, 0, 0, plain) for k in range(cms_value(g).value + 1)]
+    searches += _full_test_cases(connected=True, monotone=False)
+    moves_checked = flooded = 0
+    for g, k, clean, occ, kw in searches:
+        guard = kw["guard"]
+
+        def check(ctx, c, pmask):
+            nonlocal moves_checked, flooded
+            if not ctx.stable(c, pmask):
+                # only a mid-game start may be unstable; its moves take
+                # the full closure
+                assert (c, pmask) == (clean, occ)
+                return
+            for kind, v, u, p2, cleaned, vac, _ in _moves(ctx, pmask, k, guard):
+                q = c | cleaned
+                x = vac & q
+                got = q & ~ctx.flood(v, p2) if x and x != vac else q
+                assert got == ctx.closure(q, p2), (graph6_encode(g), c, kind, v, u)
+                moves_checked += 1
+                flooded += got != q
+
+        _full_test_game(
+            g, k, True, False, start_clean=clean, start_occupied=occ,
+            on_state=check, **kw,
+        )
+    assert moves_checked > 40_000 and flooded > 20_000, (moves_checked, flooded)
 
 
 def _parent_bmask(ec: _ExpCtx, a: int) -> int:
