@@ -29,7 +29,7 @@ from .gio import (
     rooted_from_json,
     rooted_to_json,
 )
-from .simulate import Move, Trace, is_complete, is_connected_trace, is_monotone, simulate, width
+from .simulate import Move, Trace, is_complete, is_monotone, simulate, width
 from .expansions import (
     Expansion,
     InvalidExpansion,

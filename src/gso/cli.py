@@ -6,9 +6,11 @@ stdout as JSON; graph artifacts go to --out.  Exit codes: 0 success,
 file, 3 budget exhaustion.  `main` is the one error boundary: a
 ValueError or OSError out of any subcommand exits 2 and a BudgetExceeded
 exits 3, each with one `error:` line on stderr.  Numeric options
-(`--budget`, `--max-n`, `-k`) are checked, inputs (`--families`,
-`--corpus`, `--base`) are read and `--out` is opened before any long
-computation starts.
+(`--budget`, `--max-n`, `-k`) and the pairing of `solve`'s
+`--emit-witness` with `--out` are checked, and inputs (`--families`,
+`--corpus`, `--base`) are read, before any long computation starts.
+`mine` and `branches` open `--out` before computing; `solve` and `glue`
+write theirs after.
 
 Run it from a checkout without installing:
     PYTHONPATH=src python -m gso.cli verify-paper --quick
@@ -108,13 +110,15 @@ def _solve_one(rg: RootedGraph, param: str, k: int | None, budget: int | None, w
 
 
 def cmd_solve(args) -> int:
+    if args.emit_witness != (args.out is not None):
+        raise ValueError("--emit-witness and --out go together: give both or neither")
     if args.budget is not None and args.budget < 0:
         raise ValueError(f"--budget must be at least 0, got {args.budget}")
     results = [
         _solve_one(rg, args.param, args.k, args.budget, args.emit_witness)
         for rg in _read_inputs(args.input)
     ]
-    if args.emit_witness and args.out:
+    if args.out is not None:
         many = len(results) > 1
         for i, (_, moves) in enumerate(results):
             if moves is None:

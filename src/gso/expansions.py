@@ -20,7 +20,6 @@ the cost is never below |S_in|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .graphs import Edge, Enhancement, Graph, boundary, norm_edge, vertex_set
 from .simulate import HostCtx, Move, Trace, p, s
@@ -47,8 +46,6 @@ def validate_expansion(
     ex: Expansion,
     e_in: frozenset[Edge] = frozenset(),
     e_out: frozenset[Edge] = frozenset(),
-    connected: bool = True,
-    monotone: bool = True,
 ) -> None:
     host = ex.host
     sets = ex.sets
@@ -67,14 +64,12 @@ def validate_expansion(
         if len(sets[i + 1] - sets[i]) > 1:
             raise InvalidExpansion(f"condition 2: step {i + 1} adds more than one edge")
     ctx = HostCtx(host)
-    if connected:
-        for i, a in enumerate(sets):
-            if not ctx.edges_connected(ctx.emask(a)):
-                raise InvalidExpansion(f"condition 5: set {i + 1} not connected")
-    if monotone:
-        for i in range(len(sets) - 1):
-            if not sets[i] <= sets[i + 1]:
-                raise InvalidExpansion(f"condition 6: step {i + 1} shrinks the set")
+    for i, a in enumerate(sets):
+        if not ctx.edges_connected(ctx.emask(a)):
+            raise InvalidExpansion(f"condition 5: set {i + 1} not connected")
+    for i in range(len(sets) - 1):
+        if not sets[i] <= sets[i + 1]:
+            raise InvalidExpansion(f"condition 6: step {i + 1} shrinks the set")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ Everything here is immutable and cheap to hash, which the solvers rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 

@@ -350,10 +350,7 @@ def branch_count(k: int, base_size: int = 5) -> int:
 def obr_set(k: int, base: Sequence[RootedGraph]) -> list[Graph]:
     """O_Br(k): three Br(k) branches with their roots identified, one per
     isomorphism class, in certificate order."""
-    return unique(
-        _identify_roots([_branch_rooted(b) for b in combo])[0]
-        for combo in combinations_with_replacement(branch_set(k, base), 3)
-    )
+    return glue_family_at_root([_branch_rooted(b) for b in branch_set(k, base)], 3)
 
 
 def obr_count(k: int, base_size: int = 5) -> int:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .canon import certificate, is_isomorphic
-from .contractions import is_contraction, is_minor
+from .contractions import is_contraction
 from .expansions import expansion_cost, expansion_to_strategy, strategy_to_expansion
 from .gen import connected_graphs
 from .gio import read_graph6_lines, read_rooted_lines
@@ -44,7 +44,7 @@ from .obstructions import (
     verify_obr,
 )
 from .recognizer import decide_cmms_le_2
-from .simulate import HostCtx, is_complete, is_monotone, simulate, width
+from .simulate import HostCtx, is_monotone, simulate, width
 from .solvers import (
     cmms_decide,
     cmms_value,
@@ -64,24 +64,6 @@ class CheckResult:
     ok: bool
     skipped: bool = False
     detail: str = ""
-
-
-_fan_base_cache: list[RootedGraph] | None = None
-_branch_base_cache: list[RootedGraph] | None = None
-
-
-def _fan_base() -> list[RootedGraph]:
-    global _fan_base_cache
-    if _fan_base_cache is None:
-        _fan_base_cache = mine_fan_base(7)
-    return _fan_base_cache
-
-
-def _branch_base() -> list[RootedGraph]:
-    global _branch_base_cache
-    if _branch_base_cache is None:
-        _branch_base_cache = mine_branch_base(7)
-    return _branch_base_cache
 
 
 def check_mined_k1() -> CheckResult:
@@ -189,15 +171,15 @@ def check_counting() -> CheckResult:
 
 
 def check_fan_base() -> CheckResult:
-    base = _fan_base()
+    base = mine_fan_base(7)
     return CheckResult(
         "6 exactly 5 minimal rooted non-fans at n<=7", len(base) == 5,
         detail=f"{len(base)} members, sizes {[rg.graph.n for rg in base]}",
     )
 
 
-def check_obr(base: list[RootedGraph] | None = None) -> CheckResult:
-    report = verify_obr(1, base if base is not None else _branch_base())
+def check_obr() -> CheckResult:
+    report = verify_obr(1, mine_branch_base(7))
     return CheckResult(
         "7 level-1 family: values, contractions, constrained solves",
         report["ok"],

@@ -12,7 +12,7 @@ the vertex a move vacates, which the game solver relies on.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -241,8 +241,6 @@ class HostCtx:
 class Step:
     move: Move
     positions: tuple[int, ...]  # sorted multiset of occupied vertices
-    pre_closure: frozenset[Edge]  # Q_i
-    newly: frozenset[Edge]  # E^(i)
     clean: frozenset[Edge]  # E(S,i)
     sliding: Edge | None
     recontaminated: bool
@@ -297,8 +295,6 @@ def simulate(g: Graph, moves: Sequence[Move]) -> Trace:
             Step(
                 mv,
                 tuple(sorted(v for v in occ.elements())),
-                ctx.eset(q),
-                ctx.eset(newly),
                 ctx.eset(clean),
                 sliding,
                 clean != q,
@@ -317,8 +313,3 @@ def is_complete(t: Trace) -> bool:
 
 def is_monotone(t: Trace) -> bool:
     return not any(st.recontaminated for st in t.steps)
-
-
-def is_connected_trace(t: Trace) -> bool:
-    ctx = HostCtx(t.host)
-    return all(ctx.edges_connected(ctx.emask(st.clean)) for st in t.steps)

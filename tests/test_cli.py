@@ -131,6 +131,25 @@ def test_solve_negative_budget_is_exit_2_before_any_solve(tmp_path, capsys, monk
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags", [["--emit-witness"], ["--out", "{tmp}/wit.jsonl"]], ids=["witness", "out"]
+)
+def test_solve_unpaired_witness_flags_are_exit_2_before_any_solve(
+    tmp_path, capsys, monkeypatch, flags
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("solved with --emit-witness and --out unpaired")
+
+    monkeypatch.setitem(cli._VALUE, "cmp", fail)
+    inp = write_inputs(tmp_path / "in.g6", [graph6_encode(path_graph(4))])
+    argv = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+    code = main(["solve", inp, "--param", "cmp", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "in.g6"]
+
+
 @pytest.mark.parametrize("param", ["cmp", "cmms"])
 def test_solve_zero_budget_is_still_exit_3(tmp_path, capsys, param):
     inp = write_inputs(tmp_path / "in.g6", [graph6_encode(complete_graph(4))])

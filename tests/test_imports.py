@@ -1,0 +1,35 @@
+"""Every module-level import in the library modules is used.
+
+`__init__.py` is skipped: its imports are the package's exports.  An
+import kept on purpose as a re-export carries `# noqa: F401` on its line.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gso"
+
+
+def unused_imports(path: Path) -> list[str]:
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used)
+
+
+def test_every_module_level_import_is_used():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [u for p in modules for u in unused_imports(p)] == []

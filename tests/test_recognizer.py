@@ -1,18 +1,24 @@
+import random
+
 import pytest
 
-from gso.expansions import Expansion, validate_expansion
+import gso.recognizer as recognizer
+from gso.expansions import Expansion, InvalidExpansion, expansion_cost, validate_expansion
 from gso.gen import connected_graphs
 from gso.graphs import (
     Graph,
     RootedGraph,
     complete_graph,
     cycle_graph,
+    doubly_rooted,
     enhance,
     norm_edge,
     path_graph,
+    rev,
     star_graph,
 )
 from gso.recognizer import (
+    SpinePart,
     decide_cmms_le_2,
     root_components,
     spine_degree,
@@ -148,3 +154,152 @@ def test_check_8_catches_a_wrong_fast_path_answer(monkeypatch):
     res = gso.paperchecks.check_recognizer(n_max=5)
     wrong = sum(1 for n in range(1, 6) for g in connected_graphs(n) if cmp_plain(g) > 2)
     assert not res.ok and res.detail == f"{wrong} disagreements" and wrong > 0
+
+
+# --- the fan cover and splice as they were before the fan cover spliced
+# straight into the unrooted graph: a rooted certificate out of the
+# anchor, validated, shrunk to an unrooted one and validated again
+
+
+def _rooted_splice(glued, parts):
+    enh_g = enhance(glued)
+    first_rg, first_gids, _ = parts[0]
+    if frozenset(first_gids[v] for v in first_rg.s_in) != glued.s_in:
+        raise InvalidExpansion("first part must carry the glued in-roots")
+    sets = []
+    base = frozenset()
+    for pi, (rg, gids, ex) in enumerate(parts):
+        enh_p = enhance(rg)
+
+        def gmap(e):
+            out = []
+            for x in e:
+                if x == enh_p.u_in:
+                    if pi != 0:
+                        return None
+                    out.append(enh_g.u_in)
+                elif x == enh_p.u_out:
+                    return None
+                else:
+                    out.append(gids[x])
+            return norm_edge(*out)
+
+        for a in ex.sets:
+            mapped = {ge for e in a if (ge := gmap(e)) is not None}
+            cur = base | mapped
+            if not sets or sets[-1] != cur:
+                sets.append(frozenset(cur))
+        base = sets[-1]
+    return Expansion(enh_g.host, tuple(sets))
+
+
+def _shrink_to_unrooted(g, rooted_ex, e_in):
+    host = enhance(RootedGraph(g)).host
+    sets = [frozenset()]
+    for a in rooted_ex.sets:
+        cur = frozenset(e for e in a if e not in e_in)
+        if sets[-1] != cur:
+            sets.append(cur)
+    return Expansion(host, tuple(sets))
+
+
+def _validated(ex, enh=None):
+    try:
+        return expansion_cost(ex, enh) <= 2
+    except InvalidExpansion:
+        return False
+
+
+def _rooted_fan_cover(g, v, row):
+    if recognizer._nonfans(row):
+        return None
+    glued = doubly_rooted(g, v)
+    try:
+        ex = _rooted_splice(glued, row)
+        enh = enhance(glued)
+        if not _validated(ex, enh):
+            return None
+        shrunk = _shrink_to_unrooted(g, ex, enh.e_in)
+        return shrunk if _validated(shrunk) else None
+    except InvalidExpansion:
+        return None
+
+
+def _rooted_spine_certificate(g, st):
+    if "x" in st.labels or ("->" in st.labels and "<-" in st.labels):
+        return None
+    forward = "<-" not in st.labels
+    seq = st.parts if forward else tuple(
+        SpinePart(pt.kind, rev(pt.rooted), pt.gids) for pt in reversed(st.parts)
+    )
+    wits = []
+    for pt in seq:
+        ok, wit = cmp_decide(pt.rooted, 2, witness=True)
+        if not ok:
+            return None
+        wits.append((pt.rooted, pt.gids, wit))
+    try:
+        ex = _rooted_splice(RootedGraph(g), wits)
+    except InvalidExpansion:
+        return None
+    return ex if _validated(ex) else None
+
+
+def rooted_decide_cmms_le_2(g):
+    if g.m == 0:
+        return True, {"method": "trivial", "value_le_2": True}
+    rows = []
+    for v in range(g.n):
+        rows.append(recognizer._root_fans(g, v))
+        ex = _rooted_fan_cover(g, v, rows[-1])
+        if ex is not None:
+            return True, {
+                "method": "fan-cover",
+                "anchor": v,
+                "value_le_2": True,
+                "expansion": recognizer._expansion_json(ex),
+            }
+    st = recognizer._spine(g, rows)
+    if st is not None:
+        ex = _rooted_spine_certificate(g, st)
+        if ex is not None:
+            return True, {
+                "method": "spine",
+                "central_cuts": list(st.central_cuts),
+                "labels": list(st.labels),
+                "value_le_2": True,
+                "expansion": recognizer._expansion_json(ex),
+            }
+    ok, wit = cmp_decide(RootedGraph(g), 2, witness=True)
+    cert = {"method": "solver", "value_le_2": ok}
+    if ok:
+        cert["expansion"] = recognizer._expansion_json(wit)
+    return ok, cert
+
+
+def random_connected_graph(rng, n):
+    """A random spanning tree on n vertices plus each other pair with
+    probability 1/10, relabelled at random."""
+    edges = {norm_edge(v, rng.randrange(v)) for v in range(1, n)}
+    edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < 0.1}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, sorted(norm_edge(perm[u], perm[v]) for u, v in edges))
+
+
+def parity_graphs():
+    """Every connected graph with n <= 7, then 60 seeded random connected
+    graphs each with n = 8 and n = 9."""
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    rng = random.Random(8)
+    graphs += [random_connected_graph(rng, n) for n in (8, 9) for _ in range(60)]
+    return graphs
+
+
+def test_unrooted_fan_cover_matches_the_rooted_one():
+    methods = set()
+    for g in parity_graphs():
+        got = decide_cmms_le_2(g)
+        assert got == rooted_decide_cmms_le_2(g)
+        methods.add(got[1]["method"])
+    assert methods == {"trivial", "fan-cover", "spine", "solver"}

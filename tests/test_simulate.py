@@ -7,8 +7,8 @@ from gso.graphs import Graph, complete_graph, path_graph, star_graph
 from gso.simulate import (
     HostCtx,
     Move,
+    Trace,
     is_complete,
-    is_connected_trace,
     is_monotone,
     p,
     r,
@@ -18,6 +18,11 @@ from gso.simulate import (
 )
 
 from conftest import random_connected
+
+
+def is_connected_trace(t: Trace) -> bool:
+    ctx = HostCtx(t.host)
+    return all(ctx.edges_connected(ctx.emask(st.clean)) for st in t.steps)
 
 
 def test_move_constructors():
