@@ -141,7 +141,8 @@ def check_monotone_connected(n_max: int = 7) -> CheckResult:
     bad = 0
     for n in range(1, n_max + 1):
         for g in connected_graphs(n):
-            if cms_decide(g, 2) != cmms_decide(g, 2):
+            ctx = HostCtx(g)  # both solves share its move tables
+            if cms_decide(ctx, 2) != cmms_decide(ctx, 2):
                 bad += 1
     return CheckResult(
         f"4 cms<=2 iff cmms<=2 on all connected graphs n<={n_max}", bad == 0,

@@ -103,6 +103,12 @@ class HostCtx:
             for v in range(self.g.n)
         )
 
+    @cached_property
+    def game_moves(self) -> dict:
+        """The game solver's move tables, keyed (searcher mask, guard) and
+        filled by `solvers._moves`: every solve on this host shares them."""
+        return {}
+
     def emask(self, edges: Iterable[Edge]) -> int:
         m = 0
         for e in edges:

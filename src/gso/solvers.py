@@ -24,6 +24,7 @@ carries searchers, so the width of a rooted solve is never below |S_in|.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -43,6 +44,16 @@ class SolveResult:
     value: int
     witness: Any = None
     stats: dict = field(default_factory=dict)
+
+
+def _value_stats(levels: list[int], t0: float) -> dict:
+    """A value search's stats: states over all levels, the states
+    explored at each level k = 0, 1, ..., and seconds since t0."""
+    return {
+        "states": sum(levels),
+        "levels": levels,
+        "seconds": time.perf_counter() - t0,
+    }
 
 
 def _check_s_in(rg: RootedGraph) -> None:
@@ -294,13 +305,14 @@ def cmp_decide(rg: RootedGraph, k: int, witness: bool = False):
 def _expansion_value(
     rg: RootedGraph, connected: bool, witness: bool, budget: int | None
 ) -> SolveResult:
+    t0 = time.perf_counter()
     ec = _ExpCtx(rg)
-    total = 0
+    levels = []
     for k in range(rg.graph.n + 2):
         ok, wit, explored = _expansion_decide(ec, k, connected, witness, budget)
-        total += explored
+        levels.append(explored)
         if ok:
-            return SolveResult(k, wit, {"states": total})
+            return SolveResult(k, wit, _value_stats(levels, t0))
     raise AssertionError("no expansion found below the trivial bound")
 
 
@@ -339,24 +351,69 @@ def mp_plain(g: Graph) -> int:
 
 
 def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[list]:
-    """Every move from searcher set pmask, in search order, as [kind, v,
-    u, searchers after the move, edges the move cleans, edges at the
-    vacated vertex, edges the vacated vertex floods]: the edges cleaned
-    are those with both ends occupied afterwards, plus the sliding edge
-    of a slide; a placement vacates nothing (0), a removal or slide
-    vacates v (inc[v]).  The flood, `HostCtx.flood(v, searchers after
-    the move)`, is -1 until a non-monotone solve first needs it."""
-    out: list[list] = []
+    """Every move from searcher set pmask with at most k searchers, in
+    search order, as [kind, v, u, searchers after the move, edges the
+    move cleans, edges at the vacated vertex, edges the vacated vertex
+    floods, whether the clean set the move makes out of c = 0 is
+    connected]: the edges cleaned are those with both ends occupied
+    afterwards, plus the sliding edge of a slide; a placement vacates
+    nothing (0), a removal or slide vacates v (inc[v]).  The flood,
+    `HostCtx.flood(v, searchers after the move)`, is -1 until a
+    non-monotone solve first needs it, and the connectivity out of
+    c = 0 is None until a connected solve first needs it.
+
+    The table lives on the host (`HostCtx.game_moves`, keyed (pmask,
+    guard)), so every solve on it shares the tables and their memoised
+    fields; it does not depend on k.  The removals and slides are built
+    on the first request for the key, the placements, which lead the
+    list, on the first request with fewer than k searchers in pmask.
+    """
+    key = (pmask, guard)
+    row = ctx.game_moves.get(key)
+    if row is None:
+        row = ctx.game_moves[key] = [_departures(ctx, pmask, guard), None]
+    if pmask.bit_count() >= k:
+        return row[0]
+    if row[1] is None:
+        row[1] = _placements(ctx, pmask, guard) + row[0]
+    return row[1]
+
+
+def _occupied(ctx: HostCtx, pmask: int) -> tuple[int, int]:
+    """(b, U): the edges with both ends in pmask and the edges with an
+    end in pmask.  Every move's cleaned edges follow from them in O(1)."""
+    both = seen = 0
+    inc = ctx.inc
+    while pmask:
+        low = pmask & -pmask
+        pmask ^= low
+        iv = inc[low.bit_length() - 1]
+        both |= seen & iv
+        seen |= iv
+    return both, seen
+
+
+def _placements(ctx: HostCtx, pmask: int, guard: int | None) -> list[list]:
+    """The placements out of pmask: a searcher on v cleans b plus v's
+    edges into pmask, inc[v] & U (see `_occupied`)."""
     if guard is not None and pmask == 0:
-        if k >= 1:
-            out.append(["p", guard, None, 1 << guard, 0, 0, 0])
-        return out
-    both = ctx.both_occupied
-    if pmask.bit_count() < k:
-        for v in range(ctx.g.n):
-            if not pmask >> v & 1:
-                p2 = pmask | (1 << v)
-                out.append(["p", v, None, p2, both(p2), 0, 0])
+        return [["p", guard, None, 1 << guard, 0, 0, 0, None]]
+    b, occ = _occupied(ctx, pmask)
+    inc = ctx.inc
+    return [
+        ["p", v, None, pmask | (1 << v), b | inc[v] & occ, 0, 0, None]
+        for v in range(ctx.g.n)
+        if not pmask >> v & 1
+    ]
+
+
+def _departures(ctx: HostCtx, pmask: int, guard: int | None) -> list[list]:
+    """The removals and slides out of pmask.  Removing v keeps b minus
+    v's edges; a slide from v to an unoccupied u adds u's edges into
+    pmask, inc[u] & U: the sliding edge and u's edges into the rest."""
+    out: list[list] = []
+    b, occ = _occupied(ctx, pmask)
+    inc = ctx.inc
     m = pmask
     while m:
         v = (m & -m).bit_length() - 1
@@ -364,16 +421,20 @@ def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[list]:
         if v == guard:
             continue
         rest = pmask & ~(1 << v)
-        iv = ctx.inc[v]
-        out.append(["r", v, None, rest, both(rest), iv, -1])
+        iv = inc[v]
+        kept = b & ~iv
+        out.append(["r", v, None, rest, kept, iv, -1, None])
         for u, ei in ctx.slides[v]:
-            p2 = rest | (1 << u)
-            out.append(["s", v, u, p2, both(p2) | (1 << ei), iv, -1])
+            if rest >> u & 1:
+                cleaned = kept | (1 << ei)
+            else:
+                cleaned = kept | inc[u] & occ
+            out.append(["s", v, u, rest | (1 << u), cleaned, iv, -1, None])
     return out
 
 
 def solve_game(
-    host: Graph,
+    host: Graph | HostCtx,
     k: int,
     *,
     connected: bool = False,
@@ -389,21 +450,22 @@ def solve_game(
 ) -> tuple[bool, list[Move] | None, int]:
     """Reachability for the mixed search game with at most k searchers.
 
-    The goal is every edge clean except the forbidden ones, which must
-    never be cleaned.  start_clean/start_occupied: mid-game initial
-    state (the rooted start: `Enhancement.e_start` clean, searchers on
-    S_in).  first_clean: the first nonempty clean set must contain this
-    edge mask.  last_clean: this edge mask must stay dirty until the
-    goal is hit.  guard: this vertex must carry a searcher from the
-    first move on.  Returns (decision, witness moves or None, states
-    explored).
+    host is a graph or its `HostCtx`; solves given the same context
+    share its move tables.  The goal is every edge clean except the
+    forbidden ones, which must never be cleaned.  start_clean and
+    start_occupied: mid-game initial state (the rooted start:
+    `Enhancement.e_start` clean, searchers on S_in).  first_clean: the
+    first nonempty clean set must contain this edge mask.  last_clean:
+    this edge mask must stay dirty until the goal is hit.  guard: this
+    vertex must carry a searcher from the first move on.  Returns
+    (decision, witness moves or None, states explored).
 
     A move to searcher set p2 makes q = c | both_occupied(p2), plus the
     sliding edge, clean; the moves out of a searcher set and the edges
-    each one cleans are built once per set.  The clean set after the
-    move is closure(q, p2), the edges of q that no unguarded path joins
-    to a dirty edge.  A monotone solve keeps the move only if nothing
-    is lost, with c2 = q.
+    each one cleans are built once per host (`_moves`).  The clean set
+    after the move is closure(q, p2), the edges of q that no unguarded
+    path joins to a dirty edge.  A monotone solve keeps the move only
+    if nothing is lost, with c2 = q.
 
     Every state the search accepts keeps two invariants, and the
     per-move tests lean on them instead of walking the whole host:
@@ -424,17 +486,19 @@ def solve_game(
       When c2 contains a nonempty c (always in a monotone solve), c2 is
       connected exactly when the new edges c2 & ~c reach the vertices of
       c through one another (`HostCtx.joined`); the vertices of c are
-      found once per state, on first need.  The full
-      `HostCtx.edges_connected(c2)` remains for c == 0 and for a
-      closure that lost edges.
+      found once per state, on first need.  Out of c == 0 the clean set
+      c2 depends on the move alone, so `HostCtx.edges_connected(c2)` is
+      memoised on the move.  The full test remains for a closure that
+      lost edges.
 
     A mid-game start need not be stable or connected: when it is not,
     the moves out of it take the full `HostCtx.stable` (monotone) or
     `HostCtx.closure` (non-monotone) and `edges_connected` tests, and
     every state after it keeps both invariants.
     """
+    ctx = host if isinstance(host, HostCtx) else HostCtx(host)
     return _solve_game(
-        HostCtx(host), k, connected=connected, monotone=monotone, forbid=forbid,
+        ctx, k, connected=connected, monotone=monotone, forbid=forbid,
         start_clean=start_clean, start_occupied=start_occupied, guard=guard,
         first_clean=first_clean, last_clean=last_clean, witness=witness,
         budget=budget,
@@ -456,8 +520,8 @@ def _solve_game(
     witness: bool = False,
     budget: int | None = None,
 ) -> tuple[bool, list[Move] | None, int]:
-    """`solve_game` on the host tables ctx, which a value search builds
-    once for all levels k."""
+    """`solve_game` on the host tables ctx; the value searches call it
+    directly, once per level k."""
     goal = ctx.full & ~forbid
     if start_occupied.bit_count() > k:
         return False, None, 0
@@ -487,7 +551,7 @@ def _solve_game(
             moves = moves_at[pmask] = _moves(ctx, pmask, k, guard)
         verts = -1  # vertex mask of c, found on first need
         for move in moves:
-            kind, v, u, p2, cleaned, vac, lost = move
+            kind, v, u, p2, cleaned, vac, lost, _ = move
             q = c | cleaned
             if exact:
                 if not monotone:
@@ -514,8 +578,14 @@ def _solve_game(
             if last_clean is not None and c2 != goal and c2 & last_clean:
                 continue
             if connected:
-                if exact or not c or c2 & c != c:
+                if exact or c and c2 & c != c:
                     if not ctx.edges_connected(c2):
+                        continue
+                elif not c:
+                    joint = move[7]
+                    if joint is None:
+                        joint = move[7] = ctx.edges_connected(c2)
+                    if not joint:
                         continue
                 elif c2 != c:
                     if verts < 0:
@@ -546,14 +616,15 @@ def _solve_game(
 def _game_value(
     ctx: HostCtx, connected: bool, monotone: bool, witness: bool, **kw
 ) -> SolveResult:
-    total = 0
+    t0 = time.perf_counter()
+    levels = []
     for k in range(ctx.g.n + 1):
         ok, wit, explored = _solve_game(
             ctx, k, connected=connected, monotone=monotone, witness=witness, **kw
         )
-        total += explored
+        levels.append(explored)
         if ok:
-            return SolveResult(k, wit, {"states": total})
+            return SolveResult(k, wit, _value_stats(levels, t0))
     raise AssertionError("unsolvable game below the trivial bound")
 
 
@@ -569,11 +640,13 @@ def cmms_value(g: Graph, witness: bool = False, budget: int | None = None) -> So
     return _game_value(HostCtx(g), True, True, witness, budget=budget)
 
 
-def cms_decide(g: Graph, k: int) -> bool:
+def cms_decide(g: Graph | HostCtx, k: int) -> bool:
+    """cms(g) <= k; g may be a `HostCtx`, whose move tables it shares."""
     return solve_game(g, k, connected=True)[0]
 
 
-def cmms_decide(g: Graph, k: int) -> bool:
+def cmms_decide(g: Graph | HostCtx, k: int) -> bool:
+    """cmms(g) <= k; g may be a `HostCtx`, whose move tables it shares."""
     return solve_game(g, k, connected=True, monotone=True)[0]
 
 

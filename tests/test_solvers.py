@@ -256,6 +256,116 @@ def test_value_search_builds_host_tables_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_value_search_stats_hold_levels_and_seconds():
+    rg = doubly_rooted(complete_graph(4), 0)
+    for res in (
+        ms_value(cycle_graph(5)),
+        cms_value(cycle_graph(5)),
+        cmms_value(complete_graph(4)),
+        rooted_game_value(rg),
+        cmp_value(rg),
+        mp_value(rg),
+    ):
+        levels = res.stats["levels"]
+        assert len(levels) == res.value + 1
+        assert res.stats["states"] == sum(levels)
+        assert res.stats["seconds"] >= 0
+
+
+def test_move_table_entries_clean_both_occupied_edges():
+    # every searcher set with at most 3 members, unguarded and guarded at
+    # each vertex; the table is shared by every k, so it is asked first
+    # with no room for a placement, then with room for one
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            ctx = HostCtx(g)
+            both = ctx.both_occupied
+            for pmask in range(1 << n):
+                size = pmask.bit_count()
+                if size > 3:
+                    continue
+                for guard in [None, *range(n)]:
+                    departures = []
+                    if guard is not None and pmask == 0:
+                        placements = [("p", guard, None, 1 << guard, 0)]
+                    else:
+                        placements = [
+                            ("p", v, None, pmask | 1 << v, both(pmask | 1 << v))
+                            for v in range(n)
+                            if not pmask >> v & 1
+                        ]
+                        for v in range(n):
+                            if not pmask >> v & 1 or v == guard:
+                                continue
+                            rest = pmask & ~(1 << v)
+                            departures.append(("r", v, None, rest, both(rest)))
+                            for u, ei in ctx.slides[v]:
+                                p2 = rest | 1 << u
+                                departures.append(("s", v, u, p2, both(p2) | 1 << ei))
+                    tight = _moves(ctx, pmask, size, guard)
+                    roomy = _moves(ctx, pmask, size + 1, guard)
+                    case = (graph6_encode(g), pmask, guard)
+                    assert [tuple(mv[:5]) for mv in tight] == departures, case
+                    assert [tuple(mv[:5]) for mv in roomy] == placements + departures, case
+                    # the departures are the same entries at every k
+                    assert all(a is b for a, b in zip(roomy[len(placements):], tight))
+                    assert _moves(ctx, pmask, size, guard) is tight
+                    for kind, v, _, _, _, vac, lost, joint in roomy:
+                        assert vac == (0 if kind == "p" else ctx.inc[v])
+                        assert lost == (0 if kind == "p" else -1)
+                        assert joint is None
+
+
+def test_shared_context_solves_match_fresh_ones():
+    from gso.solvers import _game_value, cms_decide, cmms_decide
+
+    for rg in _game_golden_sample():
+        g = rg.graph
+        ctx = HostCtx(g)
+        for connected, monotone in ((True, False), (True, True)):
+            for k in (1, 2):
+                kw = dict(connected=connected, monotone=monotone, witness=True)
+                assert solve_game(ctx, k, **kw) == solve_game(g, k, **kw)
+        assert cms_decide(ctx, 2) == cms_decide(g, 2)
+        assert cmms_decide(ctx, 2) == cmms_decide(g, 2)
+        for connected, monotone, fresh_value in (
+            (False, True, ms_value),
+            (True, False, cms_value),
+            (True, True, cmms_value),
+        ):
+            shared = _game_value(ctx, connected, monotone, True)
+            fresh = fresh_value(g, witness=True)
+            assert (shared.value, shared.witness, shared.stats["levels"]) == (
+                fresh.value, fresh.witness, fresh.stats["levels"],
+            )
+
+
+def test_checks_build_one_context_per_host(monkeypatch):
+    from gso.contractions import proper_contractions
+    from gso.obstructions import branch_set, mine_branch_base, obr_set, verify_obr
+    from gso.paperchecks import check_monotone_connected
+
+    base = mine_branch_base(7)
+    glued = obr_set(1, base)
+    contractions = {c for g in glued for c in proper_contractions(g)}
+    branches = branch_set(1, base)
+    built = []
+    real = HostCtx.__init__
+
+    def counting(self, g):
+        built.append(g)
+        real(self, g)
+
+    monkeypatch.setattr(HostCtx, "__init__", counting)
+    assert check_monotone_connected(6).ok
+    assert built == [g for n in range(1, 7) for g in connected_graphs(n)]
+    built.clear()
+    assert verify_obr(1, base)["ok"]
+    assert len(contractions) < sum(len(proper_contractions(g)) for g in glued)
+    assert len(built) == len(contractions) + len(glued) + len(branches)
+    assert set(built) == contractions | set(glued) | {b.graph for b in branches}
+
+
 # (graph6, s_in, s_out, ms, cms, cmms, rooted game) with each solve as
 # (value, states explored over all levels), recorded before the game
 # kernels went vertex-parallel (the ms column before the per-move tests
@@ -576,7 +686,7 @@ def test_vacated_vertex_flood_equals_closure(rng):
                 # the full closure
                 assert (c, pmask) == (clean, occ)
                 return
-            for kind, v, u, p2, cleaned, vac, _ in _moves(ctx, pmask, k, guard):
+            for kind, v, u, p2, cleaned, vac, _, _ in _moves(ctx, pmask, k, guard):
                 q = c | cleaned
                 x = vac & q
                 got = q & ~ctx.flood(v, p2) if x and x != vac else q
