@@ -110,6 +110,17 @@ class Graph:
         return Graph.from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
 
+def component_graphs(g: Graph) -> list[Graph]:
+    """The induced subgraph of each connected component of g, in
+    `Graph.components` order; [g] itself when g is connected."""
+    if g.is_connected():
+        return [g]
+    return [
+        g.induced([v for v in range(g.n) if mask >> v & 1])[0]
+        for mask in g.components()
+    ]
+
+
 def boundary(g: Graph, f: Iterable[Edge]) -> frozenset[int]:
     """Vertices touched by both f and its complement in E(g)."""
     fset = {norm_edge(*e) for e in f}

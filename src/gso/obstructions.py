@@ -28,19 +28,31 @@ from .canon import (
     rooted_certificate,
     unique,
 )
+from .contractions import proper_contractions
 from .gen import connected_graphs
 from .graphs import (
     Edge,
     Graph,
     Part,
     RootedGraph,
+    component_graphs,
     contract_edge,
     contract_edge_rooted,
     doubly_rooted,
     glue,
     norm_edge,
 )
-from .solvers import cmms_value, cmp_decide, cmp_plain, cms_value, mp_plain, ms_value
+from .simulate import HostCtx
+from .solvers import (
+    cmms_decide,
+    cmms_value,
+    cmp_decide,
+    cmp_plain,
+    cms_value,
+    mp_plain,
+    ms_value,
+    solve_game,
+)
 
 PARAMS: dict[str, Callable[[Graph], int]] = {
     "cmp": cmp_plain,
@@ -57,15 +69,6 @@ def _param_fn(param) -> Callable[[Graph], int]:
     return PARAMS[param]
 
 
-def _components(g: Graph) -> list[Graph]:
-    if g.is_connected():
-        return [g]
-    return [
-        g.induced([v for v in range(g.n) if mask >> v & 1])[0]
-        for mask in g.components()
-    ]
-
-
 def _deletions(g: Graph) -> Iterator[Graph]:
     for e in g.edges:
         yield Graph.from_edges(g.n, [f for f in g.edges if f != e])
@@ -77,19 +80,15 @@ def is_obstruction(g: Graph, param, k: int, relation: str = "contraction") -> bo
     fn = _param_fn(param)
     if fn(g) <= k:
         return False
+    # the parameter is an isomorphism invariant: one evaluation per class
     seen: set[bytes] = set()
-    for e in g.edges:
-        c = contract_edge(g, e)
-        cc = certificate(c)
-        if cc in seen:
+    for c in _children(g, relation):
+        cert = certificate(c)
+        if cert in seen:
             continue
-        seen.add(cc)
+        seen.add(cert)
         if fn(c) > k:
             return False
-    if relation == "minor":
-        for d in _deletions(g):
-            if any(fn(c) > k for c in _components(d)):
-                return False
     return True
 
 
@@ -100,7 +99,7 @@ def _children(g: Graph, relation: str) -> Iterator[Graph]:
         yield contract_edge(g, e)
     if relation == "minor":
         for d in _deletions(g):
-            yield from _components(d)
+            yield from component_graphs(d)
 
 
 def mine_obstructions(
@@ -384,10 +383,6 @@ def verify_obr(k: int, base: Sequence[RootedGraph]) -> dict:
     is one graph, and a contraction shared by several glued graphs
     reuses its verdict (still reported once for each of them).
     """
-    from .contractions import proper_contractions
-    from .simulate import HostCtx
-    from .solvers import cmms_decide, solve_game
-
     report: dict = {"k": k, "violations": [], "graphs": 0, "branches": 0}
     # canonical contraction -> whether it breaks the claim
     broken: dict[Graph, bool] = {}

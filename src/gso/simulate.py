@@ -4,9 +4,11 @@ Moves are place p(v), remove r(v), slide s(v,u).  After each move the
 newly cleaned edges are those with both endpoints occupied plus the
 sliding edge; the closure then recontaminates every clean edge that
 can reach a contaminated edge along a path whose connecting vertices
-are all unguarded.  `HostCtx` holds a host's bitmask kernels; its
-`flood` is the closure's loss when recontamination can start only at
-the vertex a move vacates, which the game solver relies on.
+are all unguarded.  `HostCtx` holds a host's bitmask kernels:
+`occupied` gives the edges a searcher set cleans and touches, `closure`
+the clean set that survives, and `flood` the closure's loss when
+recontamination can start only at the vertex a move vacates, which is
+all a game state reachable from a stable start can lose.
 """
 
 from __future__ import annotations
@@ -51,19 +53,14 @@ class HostCtx:
     inc[v] is the mask of the edges at v.  The per-move kernels work
     vertex by vertex through inc, never edge by edge:
 
-    * both_occupied(p) = the edges with both ends in p: an edge is met
-      twice while OR-ing inc over p, so it is the running overlap of
-      the seen mask with each new inc[v], in |p| steps.
+    * occupied(p) = (the edges with both ends in p, the edges with an
+      end in p): OR-ing inc over p gives the second, and an edge is met
+      twice on the way, so the first is the running overlap of the seen
+      mask with each new inc[v], in |p| steps.
     * closure(q, guard): the contaminated region W is every unguarded
       vertex at a dirty edge (not in q), grown along adj through
       unguarded vertices; the edges lost are q & inc(W), the union of
       inc[v] over v in W.
-    * stable(q, guard) = (closure(q, guard) == q) without the growth:
-      it holds exactly when no unguarded vertex touches both a dirty
-      edge and an edge of q.  If none does, every seed vertex has only
-      dirty edges, so each neighbour it reaches lies on a dirty edge
-      and, when unguarded, is a seed already: W stays the seed set and
-      q & inc(W) is empty.
     * flood(v, guard) is what closure loses when v, unguarded, is the
       only unguarded vertex with both clean and dirty edges: the edges
       at every vertex that unguarded paths reach from v.  Any other
@@ -91,7 +88,7 @@ class HostCtx:
 
     @cached_property
     def vinc(self) -> tuple[tuple[int, int], ...]:
-        """(bit of v, inc[v]) for every vertex v: the game kernels' loop."""
+        """(bit of v, inc[v]) for every vertex v: the loop that seeds `closure`."""
         return tuple((1 << v, iv) for v, iv in enumerate(self.inc))
 
     @cached_property
@@ -118,17 +115,18 @@ class HostCtx:
     def eset(self, mask: int) -> frozenset[Edge]:
         return frozenset(self.edges[i] for i in range(self.m) if mask >> i & 1)
 
-    def both_occupied(self, pmask: int) -> int:
-        """Edges with both endpoints in the vertex mask pmask."""
-        out = seen = 0
+    def occupied(self, pmask: int) -> tuple[int, int]:
+        """(edges with both ends in the vertex mask pmask, edges with an
+        end in pmask)."""
+        both = seen = 0
         inc = self.inc
         while pmask:
             low = pmask & -pmask
             pmask ^= low
             iv = inc[low.bit_length() - 1]
-            out |= seen & iv
+            both |= seen & iv
             seen |= iv
-        return out
+        return both, seen
 
     def closure(self, q: int, guard: int) -> int:
         """Clean set surviving recontamination from E(host) minus q."""
@@ -158,14 +156,6 @@ class HostCtx:
             w ^= low
             lost |= inc[low.bit_length() - 1]
         return q & ~lost
-
-    def stable(self, q: int, guard: int) -> bool:
-        """closure(q, guard) == q, decided without growing the region."""
-        for bit, iv in self.vinc:
-            x = iv & q  # v's edges in q; x != iv: v has a dirty edge too
-            if x and x != iv and not guard & bit:
-                return False
-        return True
 
     def flood(self, v: int, guard: int) -> int:
         """The edges at the vertices that unguarded paths reach from the
@@ -292,7 +282,7 @@ def simulate(g: Graph, moves: Sequence[Move]) -> Trace:
         for v, c in occ.items():
             if c > 0:
                 pmask |= 1 << v
-        newly = ctx.both_occupied(pmask)
+        newly = ctx.occupied(pmask)[0]
         if sliding is not None:
             newly |= 1 << ctx.eidx[sliding]
         q = clean | newly

@@ -13,9 +13,10 @@ each other:
 * the game solver: state space over (clean edge set, searcher set)
   with the simulator's closure semantics; flags select the monotone
   and connected variants, optional constraints support the
-  trunk-first / trunk-last / guarded-vertex checks.  After the start,
-  only the vertex a move vacates can start recontamination, so each
-  move is tested there alone (see `solve_game`).
+  trunk-first / trunk-last / guarded-vertex checks.  It searches only
+  from a start the game can reach, so only the vertex a move vacates
+  can start recontamination, and each move is tested there alone (see
+  `solve_game`).
 
 Rooted instances start mid-game from `Enhancement.e_start`: the root
 edges E_in and the edges inside S_in count as already clean and S_in
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .expansions import Expansion
-from .graphs import Graph, RootedGraph, enhance
+from .graphs import Graph, RootedGraph, component_graphs, enhance
 from .simulate import HostCtx, Move
 
 
@@ -221,7 +222,7 @@ def _expansion_decide(
     # a2 contains a, and every set the search holds is connected: the
     # start e_start is the star from u_in over S_in plus edges among its
     # leaves.  So only the new edges of a2 are tested (as in
-    # `_solve_game`), except out of the empty start, which has no vertices.
+    # `solve_game`), except out of the empty start, which has no vertices.
     while queue:
         a, bnd = queue.popleft()
         explored += 1
@@ -336,14 +337,10 @@ def cmp_plain(g: Graph) -> int:
 
 def mp_plain(g: Graph) -> int:
     """mp of a not necessarily connected graph (components solve separately)."""
-    if g.is_connected():
-        return mp_value(RootedGraph(g)).value
-    best = 0
-    for mask in g.components():
-        sub, _ = g.induced([v for v in range(g.n) if mask >> v & 1])
-        if sub.m:
-            best = max(best, mp_value(RootedGraph(sub)).value)
-    return best
+    return max(
+        (mp_value(RootedGraph(sub)).value for sub in component_graphs(g) if sub.m),
+        default=0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +376,12 @@ def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[list]:
     return row[1]
 
 
-def _occupied(ctx: HostCtx, pmask: int) -> tuple[int, int]:
-    """(b, U): the edges with both ends in pmask and the edges with an
-    end in pmask.  Every move's cleaned edges follow from them in O(1)."""
-    both = seen = 0
-    inc = ctx.inc
-    while pmask:
-        low = pmask & -pmask
-        pmask ^= low
-        iv = inc[low.bit_length() - 1]
-        both |= seen & iv
-        seen |= iv
-    return both, seen
-
-
 def _placements(ctx: HostCtx, pmask: int, guard: int | None) -> list[list]:
-    """The placements out of pmask: a searcher on v cleans b plus v's
-    edges into pmask, inc[v] & U (see `_occupied`)."""
+    """The placements out of pmask: with (b, U) = `HostCtx.occupied(pmask)`,
+    a searcher on v cleans b plus v's edges into pmask, inc[v] & U."""
     if guard is not None and pmask == 0:
         return [["p", guard, None, 1 << guard, 0, 0, 0, None]]
-    b, occ = _occupied(ctx, pmask)
+    b, occ = ctx.occupied(pmask)
     inc = ctx.inc
     return [
         ["p", v, None, pmask | (1 << v), b | inc[v] & occ, 0, 0, None]
@@ -412,7 +395,7 @@ def _departures(ctx: HostCtx, pmask: int, guard: int | None) -> list[list]:
     v's edges; a slide from v to an unoccupied u adds u's edges into
     pmask, inc[u] & U: the sliding edge and u's edges into the rest."""
     out: list[list] = []
-    b, occ = _occupied(ctx, pmask)
+    b, occ = ctx.occupied(pmask)
     inc = ctx.inc
     m = pmask
     while m:
@@ -460,15 +443,18 @@ def solve_game(
     vertex must carry a searcher from the first move on.  Returns
     (decision, witness moves or None, states explored).
 
-    A move to searcher set p2 makes q = c | both_occupied(p2), plus the
-    sliding edge, clean; the moves out of a searcher set and the edges
-    each one cleans are built once per host (`_moves`).  The clean set
-    after the move is closure(q, p2), the edges of q that no unguarded
-    path joins to a dirty edge.  A monotone solve keeps the move only
-    if nothing is lost, with c2 = q.
+    A move to searcher set p2 makes q = c plus the edges with both ends
+    in p2, plus the sliding edge, clean; the moves out of a searcher set
+    and the edges each one cleans are built once per host (`_moves`).
+    The clean set after the move is closure(q, p2), the edges of q that
+    no unguarded path joins to a dirty edge.  A monotone solve keeps the
+    move only if nothing is lost, with c2 = q.
 
-    Every state the search accepts keeps two invariants, and the
-    per-move tests lean on them instead of walking the whole host:
+    The start must be a state the game can reach, or the call raises
+    ValueError: closure(start_clean, start_occupied) == start_clean
+    and, in a connected solve, start_clean is connected.  Every state
+    the search accepts then keeps both properties, and the per-move
+    tests lean on them instead of walking the whole host:
 
     * Stable: every vertex off the searcher set has all or none of its
       edges clean.  A monotone solve keeps only stable states, and a
@@ -490,44 +476,19 @@ def solve_game(
       c2 depends on the move alone, so `HostCtx.edges_connected(c2)` is
       memoised on the move.  The full test remains for a closure that
       lost edges.
-
-    A mid-game start need not be stable or connected: when it is not,
-    the moves out of it take the full `HostCtx.stable` (monotone) or
-    `HostCtx.closure` (non-monotone) and `edges_connected` tests, and
-    every state after it keeps both invariants.
     """
     ctx = host if isinstance(host, HostCtx) else HostCtx(host)
-    return _solve_game(
-        ctx, k, connected=connected, monotone=monotone, forbid=forbid,
-        start_clean=start_clean, start_occupied=start_occupied, guard=guard,
-        first_clean=first_clean, last_clean=last_clean, witness=witness,
-        budget=budget,
-    )
-
-
-def _solve_game(
-    ctx: HostCtx,
-    k: int,
-    *,
-    connected: bool = False,
-    monotone: bool = False,
-    forbid: int = 0,
-    start_clean: int = 0,
-    start_occupied: int = 0,
-    guard: int | None = None,
-    first_clean: int | None = None,
-    last_clean: int | None = None,
-    witness: bool = False,
-    budget: int | None = None,
-) -> tuple[bool, list[Move] | None, int]:
-    """`solve_game` on the host tables ctx; the value searches call it
-    directly, once per level k."""
     goal = ctx.full & ~forbid
     if start_occupied.bit_count() > k:
         return False, None, 0
     start = (start_clean, start_occupied)
     if start_clean == goal:
         return True, [] if witness else None, 0
+    if start_clean and (
+        ctx.closure(start_clean, start_occupied) != start_clean
+        or connected and not ctx.edges_connected(start_clean)
+    ):
+        raise ValueError("start state is not reachable in the game")
     visited = {start}
     # state -> (previous state, kind, v, u) of the move that reached it
     parent: dict[tuple[int, int], tuple] = {}
@@ -535,10 +496,6 @@ def _solve_game(
     explored = 0
     # the moves out of a state depend on its searcher set alone
     moves_at: dict[int, list] = {}
-    # full per-move tests while popping a start without the invariants
-    exact = not ctx.stable(start_clean, start_occupied) or (
-        connected and not ctx.edges_connected(start_clean)
-    )
 
     while queue:
         state = queue.popleft()
@@ -553,23 +510,15 @@ def _solve_game(
         for move in moves:
             kind, v, u, p2, cleaned, vac, lost, _ = move
             q = c | cleaned
-            if exact:
-                if not monotone:
-                    c2 = ctx.closure(q, p2)
-                elif ctx.stable(q, p2):
-                    c2 = q
-                else:
+            x = vac & q
+            if x and x != vac:  # v has clean and dirty edges
+                if monotone:
                     continue
+                if lost < 0:
+                    lost = move[6] = ctx.flood(v, p2)
+                c2 = q & ~lost
             else:
-                x = vac & q
-                if x and x != vac:  # v has clean and dirty edges
-                    if monotone:
-                        continue
-                    if lost < 0:
-                        lost = move[6] = ctx.flood(v, p2)
-                    c2 = q & ~lost
-                else:
-                    c2 = q
+                c2 = q
             if c2 & forbid:
                 continue
             if first_clean is not None and c == 0 and c2:
@@ -578,7 +527,7 @@ def _solve_game(
             if last_clean is not None and c2 != goal and c2 & last_clean:
                 continue
             if connected:
-                if exact or c and c2 & c != c:
+                if c and c2 & c != c:
                     if not ctx.edges_connected(c2):
                         continue
                 elif not c:
@@ -609,7 +558,6 @@ def _solve_game(
                 seq.reverse()
                 return True, seq, explored
             queue.append(st2)
-        exact = False
     return False, None, explored
 
 
@@ -619,7 +567,7 @@ def _game_value(
     t0 = time.perf_counter()
     levels = []
     for k in range(ctx.g.n + 1):
-        ok, wit, explored = _solve_game(
+        ok, wit, explored = solve_game(
             ctx, k, connected=connected, monotone=monotone, witness=witness, **kw
         )
         levels.append(explored)

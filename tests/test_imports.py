@@ -1,7 +1,8 @@
-"""Every module-level import in the library modules is used.
+"""Every import in the library modules is at module level and used.
 
-`__init__.py` is skipped: its imports are the package's exports.  An
-import kept on purpose as a re-export carries `# noqa: F401` on its line.
+`__init__.py` is skipped by the unused-import check: its imports are the
+package's exports.  An import kept on purpose as a re-export carries
+`# noqa: F401` on its line.
 """
 
 import ast
@@ -33,3 +34,20 @@ def test_every_module_level_import_is_used():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def function_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    return sorted(
+        f"{path.name}:{node.lineno} in {fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_no_import_inside_a_function():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [f for p in modules for f in function_imports(p)] == []

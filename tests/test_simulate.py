@@ -156,16 +156,17 @@ def test_kernels_match_brute_force_on_all_small_graphs():
         for g in connected_graphs(n):
             ctx = HostCtx(g)
             for guard in range(1 << n):
-                both = 0
+                both = touched = 0
                 for i, (u, v) in enumerate(ctx.edges):
                     if guard >> u & 1 and guard >> v & 1:
                         both |= 1 << i
-                assert ctx.both_occupied(guard) == both
+                    if guard >> u & 1 or guard >> v & 1:
+                        touched |= 1 << i
+                assert ctx.occupied(guard) == (both, touched)
                 qs = {0, ctx.full} | {rng.getrandbits(ctx.m) for _ in range(6)}
                 for q in qs:
                     got = ctx.closure(q, guard)
                     assert got == brute_closure(g, ctx, q, guard)
-                    assert ctx.stable(q, guard) == (got == q)
                     verts = {v for i in range(ctx.m) if q >> i & 1 for v in ctx.edges[i]}
                     assert ctx.vmask(q) == sum(1 << v for v in verts)
                     assert ctx.edges_connected(q) == brute_edges_connected(ctx, q)

@@ -196,6 +196,45 @@ def test_solve_game_guard_constraint():
                 assert 2 in st.positions
 
 
+def test_rooted_start_is_reachable():
+    # the start `rooted_game_value` searches from: e_start clean and
+    # searchers on S_in, for every connected S_in (the empty one too)
+    rng = random.Random(14)
+    solved = 0
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            for mask in range(1 << n):
+                s_in = [v for v in range(n) if mask >> v & 1]
+                if s_in and not g.induced(s_in)[0].is_connected():
+                    continue
+                for s_out in ([], rng.sample(range(n), rng.randint(1, n))):
+                    rg = RootedGraph(g, frozenset(s_in), frozenset(s_out))
+                    enh = enhance(rg)
+                    ctx = HostCtx(enh.host)
+                    clean, occ = ctx.emask(enh.e_start), sum(1 << v for v in s_in)
+                    assert ctx.closure(clean, occ) == clean
+                    assert ctx.edges_connected(clean)
+                    rooted_game_value(rg)
+                    solved += 1
+    assert solved > 1000
+    # any other start is refused; unstable: vertex 1 is unguarded
+    # between clean 01 and dirty 12
+    path3 = path_graph(3)
+    for connected in (False, True):
+        for monotone in (False, True):
+            with pytest.raises(ValueError):
+                solve_game(
+                    path3, 2, connected=connected, monotone=monotone,
+                    start_clean=HostCtx(path3).emask([(0, 1)]),
+                )
+    # stable but disconnected: searchers on 1 and 4 guard both clean edges
+    path6 = path_graph(6)
+    clean = HostCtx(path6).emask([(0, 1), (4, 5)])
+    with pytest.raises(ValueError):
+        solve_game(path6, 3, connected=True, start_clean=clean, start_occupied=0b10010)
+    assert solve_game(path6, 3, start_clean=clean, start_occupied=0b10010)[0]
+
+
 def test_budget_exhaustion_raises():
     g = complete_graph(5)
     with pytest.raises(BudgetExceeded):
@@ -279,7 +318,7 @@ def test_move_table_entries_clean_both_occupied_edges():
     for n in range(1, 7):
         for g in connected_graphs(n):
             ctx = HostCtx(g)
-            both = ctx.both_occupied
+            both = lambda p: ctx.occupied(p)[0]  # noqa: E731
             for pmask in range(1 << n):
                 size = pmask.bit_count()
                 if size > 3:
@@ -548,7 +587,7 @@ def _full_test_game(host, k, connected, monotone, forbid, start_clean,
             if k >= 1:
                 out.append(("p", guard, None, 1 << guard, 0))
             return out
-        both = ctx.both_occupied
+        both = lambda p: ctx.occupied(p)[0]  # noqa: E731
         if pmask.bit_count() < k:
             for v in range(host.n):
                 if not pmask >> v & 1:
@@ -606,27 +645,28 @@ def _full_test_game(host, k, connected, monotone, forbid, start_clean,
 
 
 def _random_start(rng: random.Random, ctx: HostCtx) -> tuple[int, int]:
-    """A mid-game (clean, occupied) start: a random one, mostly unstable;
-    a stabilised one (closure of a random set plus the edges between
-    searchers); or searchers on the ends of two random edges with the
-    edges between them clean, often disconnected."""
+    """A mid-game (clean, occupied) start: a random one, most often
+    unstable; a stabilised one (closure of a random set plus the edges
+    between searchers); or searchers on the ends of two random edges with
+    the edges between them clean, sometimes disconnected."""
     occ = rng.getrandbits(ctx.g.n)
     clean = sum(1 << i for i in range(ctx.m) if rng.random() < 0.3)
     flavor = rng.randrange(3)
     if flavor == 1:
-        clean = ctx.closure(clean | ctx.both_occupied(occ), occ)
+        clean = ctx.closure(clean | ctx.occupied(occ)[0], occ)
     elif flavor == 2:
         occ = ctx.ev[rng.randrange(ctx.m)] | ctx.ev[rng.randrange(ctx.m)]
-        clean = ctx.both_occupied(occ)
+        clean = ctx.occupied(occ)[0]
     return clean, occ
 
 
 def _full_test_cases(connected, monotone):
     """(host, k, start clean, start occupied, constraints) of the searches
     compared against `_full_test_game`.  A fixed stable, disconnected
-    start with a spare searcher comes first (a placement there cleans
-    nothing and must still fail); the random starts are mostly unstable
-    or disconnected, so the moves out of them take the full tests."""
+    start with a spare searcher comes first.  Of the 400 random starts,
+    50-61 per variant are unstable and up to 5 more are disconnected;
+    `solve_game` refuses those unless it returns before searching (too
+    many searchers, or the start is the goal)."""
     path = path_graph(6)
     plain = dict(forbid=0, guard=None, first_clean=None, last_clean=None)
     cases = [(path, 3, HostCtx(path).emask([(0, 1), (4, 5)]), 0b10010, plain)]
@@ -652,16 +692,30 @@ def _full_test_cases(connected, monotone):
 @pytest.mark.parametrize("connected", [False, True])
 @pytest.mark.parametrize("monotone", [False, True])
 def test_solve_game_matches_full_test_search(connected, monotone):
+    # every reachable start matches the reference search; every other
+    # start that reaches the search (not over k, not at the goal) raises
+    compared = refused = 0
     for g, k, clean, occ, kw in _full_test_cases(connected, monotone):
+        ctx = HostCtx(g)
+        searched = occ.bit_count() <= k and clean != ctx.full & ~kw["forbid"]
+        unreachable = ctx.closure(clean, occ) != clean or (
+            connected and not ctx.edges_connected(clean)
+        )
+        args = dict(connected=connected, monotone=monotone, start_clean=clean,
+                    start_occupied=occ, witness=True, **kw)
+        if searched and unreachable:
+            with pytest.raises(ValueError):
+                solve_game(g, k, **args)
+            refused += 1
+            continue
         want = _full_test_game(
             g, k, connected, monotone, start_clean=clean, start_occupied=occ, **kw
         )
-        ok, moves, states = solve_game(
-            g, k, connected=connected, monotone=monotone, start_clean=clean,
-            start_occupied=occ, witness=True, **kw,
-        )
+        ok, moves, states = solve_game(g, k, **args)
         wit = None if moves is None else [(m.kind, m.v, m.u) for m in moves]
         assert (ok, wit, states) == want, (graph6_encode(g), k, clean, occ, kw)
+        compared += 1
+    assert compared + refused == 401 and compared > 300 and refused > 40
 
 
 def test_vacated_vertex_flood_equals_closure(rng):
@@ -681,7 +735,7 @@ def test_vacated_vertex_flood_equals_closure(rng):
 
         def check(ctx, c, pmask):
             nonlocal moves_checked, flooded
-            if not ctx.stable(c, pmask):
+            if ctx.closure(c, pmask) != c:
                 # only a mid-game start may be unstable; its moves take
                 # the full closure
                 assert (c, pmask) == (clean, occ)
