@@ -7,8 +7,11 @@ file, 3 budget exhaustion.  `main` is the one error boundary: a
 ValueError or OSError out of any subcommand exits 2 and a BudgetExceeded
 exits 3, each with one `error:` line on stderr.  Numeric options
 (`--budget`, `--max-n`, `-k`) and the pairing of `solve`'s
-`--emit-witness` with `--out` are checked, and inputs (`--families`,
-`--corpus`, `--base`) are read, before any long computation starts.
+`--emit-witness` with `--out` are checked, and inputs are read, before
+any long computation starts.  Every graph file (`solve`'s input,
+`--families`, `--corpus`, `--base`, `--family`) goes through
+`gio.read_graphs`, so a malformed line or a disconnected graph exits 2
+before any work.
 `mine` and `branches` open `--out` before computing; `solve` and `glue`
 write theirs after.
 
@@ -27,12 +30,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .expansions import expansion_to_strategy
-from .gio import (
-    graph6_decode,
-    graph6_encode,
-    rooted_from_json,
-    write_graph6_lines,
-)
+from .gio import graph6_encode, read_graphs, write_graph6_lines
 from .graphs import RootedGraph, enhance
 from .obstructions import (
     branch_count,
@@ -48,22 +46,6 @@ from .obstructions import (
 from .paperchecks import load_families, run_all
 from .simulate import Move
 from .solvers import BudgetExceeded, cmms_value, cmp_value, cms_value, mp_value, ms_value
-
-
-def _read_inputs(path: str) -> list[RootedGraph]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            # graph6 uses only '?'..'~', where '{' opens every 60-vertex
-            # graph; a JSON record always holds a '"'
-            if '"' in line:
-                out.append(rooted_from_json(line))
-            else:
-                out.append(RootedGraph(graph6_decode(line)))
-    return out
 
 
 def _moves_jsonl(moves: list[Move]) -> list[str]:
@@ -114,9 +96,11 @@ def cmd_solve(args) -> int:
         raise ValueError("--emit-witness and --out go together: give both or neither")
     if args.budget is not None and args.budget < 0:
         raise ValueError(f"--budget must be at least 0, got {args.budget}")
+    with open(args.input) as fh:
+        graphs = read_graphs(fh)
     results = [
         _solve_one(rg, args.param, args.k, args.budget, args.emit_witness)
-        for rg in _read_inputs(args.input)
+        for rg in graphs
     ]
     if args.out is not None:
         many = len(results) > 1
@@ -168,7 +152,8 @@ def cmd_verify_paper(args) -> int:
     families = None if args.families is None else load_families(args.families)
     corpus = None
     if args.corpus is not None:
-        corpus = [rg.graph for rg in _read_inputs(args.corpus)]
+        with open(args.corpus) as fh:
+            corpus = [rg.graph for rg in read_graphs(fh)]
     checks = run_all(
         families=families, seed=args.seed, quick=args.quick, corpus=corpus
     )
@@ -186,7 +171,8 @@ def cmd_verify_paper(args) -> int:
 def _load_base(path: str | None):
     if path is None:
         return mine_branch_base(7)
-    return _read_inputs(path)
+    with open(path) as fh:
+        return read_graphs(fh)
 
 
 def cmd_branches(args) -> int:
@@ -217,7 +203,8 @@ def cmd_branches(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    fam = _read_inputs(args.family)
+    with open(args.family) as fh:
+        fam = read_graphs(fh)
     glued = sorted(glue_family_at_root(fam, args.m), key=graph6_encode)
     if args.out:
         with open(args.out, "w") as fh:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from .graphs import Graph, RootedGraph
 
@@ -86,13 +86,6 @@ def write_graph6_lines(graphs: Iterable[Graph], fh: TextIO) -> None:
         fh.write(graph6_encode(g) + "\n")
 
 
-def read_graph6_lines(fh: TextIO) -> Iterator[Graph]:
-    for line in fh:
-        line = line.strip()
-        if line:
-            yield graph6_decode(line)
-
-
 def rooted_to_json(rg: RootedGraph, name: str | None = None) -> str:
     obj = {
         "g6": graph6_encode(rg.graph),
@@ -123,8 +116,17 @@ def rooted_from_json(line: str) -> RootedGraph:
     return RootedGraph(g, *roots)
 
 
-def read_rooted_lines(fh: TextIO) -> Iterator[RootedGraph]:
+def read_graphs(fh: TextIO) -> list[RootedGraph]:
+    """One `RootedGraph` per nonblank line of fh: a rooted JSON record
+    when the line holds a '"', otherwise graph6 with no roots.  graph6
+    uses only '?'..'~' (where '{' opens every 60-vertex graph), while a
+    JSON record always holds a '"'.  Raises ValueError for a malformed
+    line or a disconnected graph."""
+    out = []
     for line in fh:
         line = line.strip()
-        if line:
-            yield rooted_from_json(line)
+        if '"' in line:
+            out.append(rooted_from_json(line))
+        elif line:
+            out.append(RootedGraph(graph6_decode(line)))
+    return out

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .canon import certificate, is_isomorphic
-from .contractions import is_contraction
 from .expansions import expansion_cost, expansion_to_strategy, strategy_to_expansion
 from .gen import connected_graphs
-from .gio import read_graph6_lines, read_rooted_lines
+from .gio import read_graphs
 from .graphs import (
     Graph,
     Part,
@@ -330,25 +330,32 @@ def check_properties(seed: int = 0, cases: int = 500) -> CheckResult:
 
 
 def load_families(families_dir: str) -> list[Graph]:
-    """The graphs of every .g6/.graph6/.json/.jsonl file in `families_dir`.
+    """The graphs of every .g6/.graph6/.json/.jsonl file in `families_dir`,
+    read by `gio.read_graphs`.
 
     Raises OSError for an unreadable directory or file and ValueError for
-    a malformed record.
+    a malformed record or a disconnected graph.
     """
     out: list[Graph] = []
     for name in sorted(os.listdir(families_dir)):
-        path = os.path.join(families_dir, name)
-        if name.endswith(".g6") or name.endswith(".graph6"):
-            with open(path) as fh:
-                out.extend(read_graph6_lines(fh))
-        elif name.endswith(".jsonl") or name.endswith(".json"):
-            with open(path) as fh:
-                out.extend(rg.graph for rg in read_rooted_lines(fh))
+        if name.endswith((".g6", ".graph6", ".json", ".jsonl")):
+            with open(os.path.join(families_dir, name)) as fh:
+                out.extend(rg.graph for rg in read_graphs(fh))
     return out
 
 
 def check_d1(members: list[Graph] | None) -> CheckResult:
-    """Check 10 on the graphs from `load_families`; skipped without them."""
+    """Check 10 on the graphs from `load_families`; skipped without them.
+
+    The family must hold 177 members in distinct isomorphism classes,
+    each a minimal (cmp, 2) contraction obstruction.  No pairwise
+    containment test is needed: if a is a proper contraction of b, then
+    a is a contraction of some single-edge contraction b' of b.  The
+    class cmp <= 2 is closed under contraction (the paper's premise,
+    which the "contraction monotonicity" property suite checks), so
+    cmp(b') >= cmp(a) > 2 and `is_obstruction(b)` is already False:
+    every comparable pair is reported, as "not an obstruction".
+    """
     if members is None:
         return CheckResult(
             "10 full 177-graph family verification", True, skipped=True,
@@ -357,14 +364,13 @@ def check_d1(members: list[Graph] | None) -> CheckResult:
     fails = []
     if len(members) != 177:
         fails.append(f"count {len(members)} != 177")
+    classes = Counter(certificate(g) for g in members)
+    dup = sum(1 for c in classes.values() if c > 1)
+    if dup:
+        fails.append(f"{dup} duplicate classes")
     for g in members:
         if not is_obstruction(g, "cmp", 2, "contraction"):
             fails.append(f"not an obstruction: n={g.n} m={g.m}")
-    keyed = [(certificate(g), g) for g in members]
-    for i, (ca, a) in enumerate(keyed):
-        for cb, b in keyed[i + 1 :]:
-            if ca != cb and (is_contraction(a, b) or is_contraction(b, a)):
-                fails.append("comparable pair")
     return CheckResult(
         "10 full 177-graph family verification", not fails, detail="; ".join(fails[:5])
     )

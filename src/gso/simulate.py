@@ -106,6 +106,12 @@ class HostCtx:
         filled by `solvers._moves`: every solve on this host shares them."""
         return {}
 
+    @cached_property
+    def connected_sets(self) -> dict[int, bool]:
+        """`edges_connected` of the clean sets the game solver tested in
+        full, keyed by edge mask: every solve on this host shares it."""
+        return {}
+
     def emask(self, edges: Iterable[Edge]) -> int:
         m = 0
         for e in edges:

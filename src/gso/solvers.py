@@ -351,13 +351,11 @@ def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[list]:
     """Every move from searcher set pmask with at most k searchers, in
     search order, as [kind, v, u, searchers after the move, edges the
     move cleans, edges at the vacated vertex, edges the vacated vertex
-    floods, whether the clean set the move makes out of c = 0 is
-    connected]: the edges cleaned are those with both ends occupied
+    floods]: the edges cleaned are those with both ends occupied
     afterwards, plus the sliding edge of a slide; a placement vacates
     nothing (0), a removal or slide vacates v (inc[v]).  The flood,
     `HostCtx.flood(v, searchers after the move)`, is -1 until a
-    non-monotone solve first needs it, and the connectivity out of
-    c = 0 is None until a connected solve first needs it.
+    non-monotone solve first needs it.
 
     The table lives on the host (`HostCtx.game_moves`, keyed (pmask,
     guard)), so every solve on it shares the tables and their memoised
@@ -380,11 +378,11 @@ def _placements(ctx: HostCtx, pmask: int, guard: int | None) -> list[list]:
     """The placements out of pmask: with (b, U) = `HostCtx.occupied(pmask)`,
     a searcher on v cleans b plus v's edges into pmask, inc[v] & U."""
     if guard is not None and pmask == 0:
-        return [["p", guard, None, 1 << guard, 0, 0, 0, None]]
+        return [["p", guard, None, 1 << guard, 0, 0, 0]]
     b, occ = ctx.occupied(pmask)
     inc = ctx.inc
     return [
-        ["p", v, None, pmask | (1 << v), b | inc[v] & occ, 0, 0, None]
+        ["p", v, None, pmask | (1 << v), b | inc[v] & occ, 0, 0]
         for v in range(ctx.g.n)
         if not pmask >> v & 1
     ]
@@ -406,13 +404,13 @@ def _departures(ctx: HostCtx, pmask: int, guard: int | None) -> list[list]:
         rest = pmask & ~(1 << v)
         iv = inc[v]
         kept = b & ~iv
-        out.append(["r", v, None, rest, kept, iv, -1, None])
+        out.append(["r", v, None, rest, kept, iv, -1])
         for u, ei in ctx.slides[v]:
             if rest >> u & 1:
                 cleaned = kept | (1 << ei)
             else:
                 cleaned = kept | inc[u] & occ
-            out.append(["s", v, u, rest | (1 << u), cleaned, iv, -1, None])
+            out.append(["s", v, u, rest | (1 << u), cleaned, iv, -1])
     return out
 
 
@@ -472,10 +470,10 @@ def solve_game(
       When c2 contains a nonempty c (always in a monotone solve), c2 is
       connected exactly when the new edges c2 & ~c reach the vertices of
       c through one another (`HostCtx.joined`); the vertices of c are
-      found once per state, on first need.  Out of c == 0 the clean set
-      c2 depends on the move alone, so `HostCtx.edges_connected(c2)` is
-      memoised on the move.  The full test remains for a closure that
-      lost edges.
+      found once per state, on first need.  Out of c == 0, or after a
+      closure that lost edges, the full `HostCtx.edges_connected(c2)`
+      is read from `HostCtx.connected_sets`, which every solve on the
+      host shares.
     """
     ctx = host if isinstance(host, HostCtx) else HostCtx(host)
     goal = ctx.full & ~forbid
@@ -496,6 +494,7 @@ def solve_game(
     explored = 0
     # the moves out of a state depend on its searcher set alone
     moves_at: dict[int, list] = {}
+    linked = ctx.connected_sets
 
     while queue:
         state = queue.popleft()
@@ -508,7 +507,7 @@ def solve_game(
             moves = moves_at[pmask] = _moves(ctx, pmask, k, guard)
         verts = -1  # vertex mask of c, found on first need
         for move in moves:
-            kind, v, u, p2, cleaned, vac, lost, _ = move
+            kind, v, u, p2, cleaned, vac, lost = move
             q = c | cleaned
             x = vac & q
             if x and x != vac:  # v has clean and dirty edges
@@ -526,20 +525,17 @@ def solve_game(
                     continue
             if last_clean is not None and c2 != goal and c2 & last_clean:
                 continue
-            if connected:
-                if c and c2 & c != c:
-                    if not ctx.edges_connected(c2):
-                        continue
-                elif not c:
-                    joint = move[7]
-                    if joint is None:
-                        joint = move[7] = ctx.edges_connected(c2)
-                    if not joint:
-                        continue
-                elif c2 != c:
+            if connected and c2 != c:
+                if c and c2 & c == c:
                     if verts < 0:
                         verts = ctx.vmask(c)
                     if not ctx.joined(verts, c2 & ~c):
+                        continue
+                else:
+                    joint = linked.get(c2)
+                    if joint is None:
+                        joint = linked[c2] = ctx.edges_connected(c2)
+                    if not joint:
                         continue
             st2 = (c2, p2)
             if st2 in visited:

@@ -350,6 +350,16 @@ def test_verify_paper_malformed_family_record_is_exit_2(tmp_path, capsys, no_che
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_verify_paper_disconnected_family_graph_is_exit_2(tmp_path, capsys, no_checks):
+    fam = tmp_path / "families"
+    fam.mkdir()
+    write_inputs(fam / "mined.g6", [graph6_encode(path_graph(3)), "A?"])
+    code = main(["verify-paper", "--families", str(fam)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: rooted graph must be connected\n"
+
+
 def test_verify_paper_missing_families_dir_is_exit_2(tmp_path, capsys, no_checks):
     code = main(["verify-paper", "--families", str(tmp_path / "absent")])
     err = capsys.readouterr().err

@@ -9,8 +9,7 @@ from gso.gio import (
     Graph6Error,
     graph6_decode,
     graph6_encode,
-    read_graph6_lines,
-    read_rooted_lines,
+    read_graphs,
     rooted_from_json,
     rooted_to_json,
     write_graph6_lines,
@@ -65,8 +64,9 @@ def test_graph6_lines_io():
     buf = io.StringIO()
     write_graph6_lines(graphs, buf)
     buf.seek(0)
-    back = list(read_graph6_lines(buf))
-    assert [g.edges for g in back] == [g.edges for g in graphs]
+    back = read_graphs(buf)
+    assert [rg.graph.edges for rg in back] == [g.edges for g in graphs]
+    assert all(not rg.s_in and not rg.s_out for rg in back)
 
 
 def test_rooted_json_roundtrip():
@@ -107,5 +107,31 @@ def test_rooted_json_rejects_bad_records(line):
 
 def test_read_rooted_lines_skips_blanks():
     lines = [rooted_to_json(RootedGraph(path_graph(2))), "", " "]
-    got = list(read_rooted_lines(io.StringIO("\n".join(lines))))
+    got = read_graphs(io.StringIO("\n".join(lines)))
     assert len(got) == 1
+
+
+def test_read_graphs_mixes_graph6_and_json_lines():
+    rooted = RootedGraph(path_graph(3), frozenset({0}), frozenset({2}))
+    lines = [
+        graph6_encode(complete_graph(4)),
+        "",
+        rooted_to_json(rooted),
+        "   ",
+        # a 63-vertex graph6 string opens with '~', a 60-vertex one with '{'
+        graph6_encode(path_graph(63)),
+        graph6_encode(path_graph(60)),
+        json.dumps({"g6": graph6_encode(path_graph(2))}),
+    ]
+    got = read_graphs(io.StringIO("\n".join(lines) + "\n\n"))
+    assert [(rg.graph.n, rg.graph.m) for rg in got] == [
+        (4, 6), (3, 2), (63, 62), (60, 59), (2, 1)
+    ]
+    assert got[1] == rooted
+    assert all(not rg.s_in and not rg.s_out for rg in got[:1] + got[2:])
+
+
+def test_read_graphs_refuses_a_disconnected_graph():
+    lines = [graph6_encode(path_graph(2)), graph6_encode(Graph.from_edges(2, []))]
+    with pytest.raises(ValueError, match="connected"):
+        read_graphs(io.StringIO("\n".join(lines)))

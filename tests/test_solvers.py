@@ -349,10 +349,9 @@ def test_move_table_entries_clean_both_occupied_edges():
                     # the departures are the same entries at every k
                     assert all(a is b for a, b in zip(roomy[len(placements):], tight))
                     assert _moves(ctx, pmask, size, guard) is tight
-                    for kind, v, _, _, _, vac, lost, joint in roomy:
+                    for kind, v, _, _, _, vac, lost in roomy:
                         assert vac == (0 if kind == "p" else ctx.inc[v])
                         assert lost == (0 if kind == "p" else -1)
-                        assert joint is None
 
 
 def test_shared_context_solves_match_fresh_ones():
@@ -644,29 +643,36 @@ def _full_test_game(host, k, connected, monotone, forbid, start_clean,
     return False, None, explored
 
 
-def _random_start(rng: random.Random, ctx: HostCtx) -> tuple[int, int]:
-    """A mid-game (clean, occupied) start: a random one, most often
-    unstable; a stabilised one (closure of a random set plus the edges
-    between searchers); or searchers on the ends of two random edges with
-    the edges between them clean, sometimes disconnected."""
-    occ = rng.getrandbits(ctx.g.n)
-    clean = sum(1 << i for i in range(ctx.m) if rng.random() < 0.3)
-    flavor = rng.randrange(3)
-    if flavor == 1:
-        clean = ctx.closure(clean | ctx.occupied(occ)[0], occ)
-    elif flavor == 2:
-        occ = ctx.ev[rng.randrange(ctx.m)] | ctx.ev[rng.randrange(ctx.m)]
-        clean = ctx.occupied(occ)[0]
-    return clean, occ
+def _random_start(rng: random.Random, ctx: HostCtx) -> tuple[int, int, int]:
+    """A mid-game (clean, occupied) start and a forbidden edge mask (0
+    in four draws of five) that leave some edge to clean: a random start,
+    most often unstable; a stabilised one (closure of a random set plus
+    the edges between searchers); or searchers on the ends of two random
+    edges with the edges between them clean, sometimes disconnected.  A
+    start already at the goal is drawn again: the search would return
+    before its first move."""
+    while True:
+        occ = rng.getrandbits(ctx.g.n)
+        clean = sum(1 << i for i in range(ctx.m) if rng.random() < 0.3)
+        flavor = rng.randrange(3)
+        if flavor == 1:
+            clean = ctx.closure(clean | ctx.occupied(occ)[0], occ)
+        elif flavor == 2:
+            occ = ctx.ev[rng.randrange(ctx.m)] | ctx.ev[rng.randrange(ctx.m)]
+            clean = ctx.occupied(occ)[0]
+        forbid = rng.getrandbits(ctx.m) & ~clean if rng.random() < 0.2 else 0
+        if clean != ctx.full & ~forbid:
+            return clean, occ, forbid
 
 
 def _full_test_cases(connected, monotone):
     """(host, k, start clean, start occupied, constraints) of the searches
     compared against `_full_test_game`.  A fixed stable, disconnected
-    start with a spare searcher comes first.  Of the 400 random starts,
-    50-61 per variant are unstable and up to 5 more are disconnected;
-    `solve_game` refuses those unless it returns before searching (too
-    many searchers, or the start is the goal)."""
+    start with a spare searcher comes first.  Every start is searched:
+    k is at least its searcher count and it is not at the goal.  Of the
+    400 random starts, 59-75 per variant are unstable and 2 more in each
+    connected variant are stable but disconnected; `solve_game` refuses
+    those."""
     path = path_graph(6)
     plain = dict(forbid=0, guard=None, first_clean=None, last_clean=None)
     cases = [(path, 3, HostCtx(path).emask([(0, 1), (4, 5)]), 0b10010, plain)]
@@ -677,10 +683,10 @@ def _full_test_cases(connected, monotone):
             pool = [h for h in pool if h.m <= h.n]
         g = rng.choice(pool)
         ctx = HostCtx(g)
-        clean, occ = _random_start(rng, ctx)
+        clean, occ, forbid = _random_start(rng, ctx)
         k = max(1, occ.bit_count() + rng.randint(0, 1))
         kw = dict(
-            forbid=rng.getrandbits(ctx.m) & ~clean if rng.random() < 0.2 else 0,
+            forbid=forbid,
             guard=rng.randrange(g.n) if rng.random() < 0.2 else None,
             first_clean=1 << rng.randrange(ctx.m) if rng.random() < 0.2 else None,
             last_clean=1 << rng.randrange(ctx.m) if rng.random() < 0.2 else None,
@@ -692,18 +698,18 @@ def _full_test_cases(connected, monotone):
 @pytest.mark.parametrize("connected", [False, True])
 @pytest.mark.parametrize("monotone", [False, True])
 def test_solve_game_matches_full_test_search(connected, monotone):
-    # every reachable start matches the reference search; every other
-    # start that reaches the search (not over k, not at the goal) raises
+    # every start reaches the search (not over k, not at the goal); a
+    # reachable one matches the reference search, any other raises
     compared = refused = 0
     for g, k, clean, occ, kw in _full_test_cases(connected, monotone):
         ctx = HostCtx(g)
-        searched = occ.bit_count() <= k and clean != ctx.full & ~kw["forbid"]
+        assert occ.bit_count() <= k and clean != ctx.full & ~kw["forbid"]
         unreachable = ctx.closure(clean, occ) != clean or (
             connected and not ctx.edges_connected(clean)
         )
         args = dict(connected=connected, monotone=monotone, start_clean=clean,
                     start_occupied=occ, witness=True, **kw)
-        if searched and unreachable:
+        if unreachable:
             with pytest.raises(ValueError):
                 solve_game(g, k, **args)
             refused += 1
@@ -740,7 +746,7 @@ def test_vacated_vertex_flood_equals_closure(rng):
                 # the full closure
                 assert (c, pmask) == (clean, occ)
                 return
-            for kind, v, u, p2, cleaned, vac, _, _ in _moves(ctx, pmask, k, guard):
+            for kind, v, u, p2, cleaned, vac, _ in _moves(ctx, pmask, k, guard):
                 q = c | cleaned
                 x = vac & q
                 got = q & ~ctx.flood(v, p2) if x and x != vac else q
