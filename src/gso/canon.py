@@ -17,7 +17,9 @@ distinct signatures in the cells before its own plus its rank inside
 its cell, so singleton cells, and cells with no neighbour in a cell that
 just split, need no signature.  The ranks are the ones a single sort of
 every signature gives.  `automorphisms(g)` returns the automorphisms one
-search of g finds, which `gen` and `obstructions` prune with.
+search of g finds, which `gen` and `obstructions` prune with;
+`canonical_labelling(g)` returns them with the certificate and the
+canonical positions, from the same search.
 """
 
 from __future__ import annotations
@@ -189,6 +191,17 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     autos: list[tuple[int, ...]] = []
     _canon(g, (0,) * g.n, autos)
     return autos
+
+
+def canonical_labelling(
+    g: Graph,
+) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
+    """One search of g: `certificate(g)`, the position of each vertex in
+    the canonical relabeling (`g.relabel(pos)` is `canonical_graph(g)`),
+    and the automorphisms the search finds (as `automorphisms(g)`)."""
+    autos: list[tuple[int, ...]] = []
+    code, pos = _canon(g, (0,) * g.n, autos)
+    return repr((g.n, code, (0,) * g.n)).encode(), pos, autos
 
 
 def certificate(g: Graph, colors: Sequence[int] | None = None) -> bytes:

@@ -130,8 +130,9 @@ def cmd_mine(args) -> int:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     if args.k < 0:
         raise ValueError(f"level k must be at least 0, got {args.k}")
+    stats: list[dict] | None = [] if args.stats else None
     with _open_out(args.out) as fh:
-        mined = mine_obstructions(args.max_n, args.param, args.k, args.relation)
+        mined = mine_obstructions(args.max_n, args.param, args.k, args.relation, stats)
         if fh is not None:
             write_graph6_lines(mined, fh)
     report = {
@@ -144,6 +145,8 @@ def cmd_mine(args) -> int:
         "count": len(mined),
         "graphs": [graph6_encode(g) for g in mined],
     }
+    if stats is not None:
+        report["stats"] = stats
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
@@ -242,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--relation", choices=["contraction", "minor"], default="contraction")
     p.add_argument("--out", default=None, metavar="FILE")
+    p.add_argument(
+        "--stats", action="store_true",
+        help="add a stats key: one record of split and candidate counts per size",
+    )
     p.set_defaults(fn=cmd_mine)
 
     p = sub.add_parser("verify-paper", help="run the reproducibility checklist")

@@ -10,6 +10,10 @@ automorphisms `canon.automorphisms` finds is attached (McKay,
 keeps one canonical graph per class in certificate order, so the output
 is the one the unpruned loop gives.  Results are cached per size since
 several acceptance checks sweep the same ranges.
+
+Only the checklist reads it: checks 3, 4, 8 and 9 directly, and checks
+6 and 7 through the fan and branch bases, all at n <= 7.  Obstruction
+mining splits the good graphs instead (`obstructions.mine_obstructions`).
 """
 
 from __future__ import annotations

@@ -121,12 +121,17 @@ def read_graphs(fh: TextIO) -> list[RootedGraph]:
     when the line holds a '"', otherwise graph6 with no roots.  graph6
     uses only '?'..'~' (where '{' opens every 60-vertex graph), while a
     JSON record always holds a '"'.  Raises ValueError for a malformed
-    line or a disconnected graph."""
+    line or a disconnected graph, its message prefixed with `FILE:LINE:`
+    (FILE is `fh.name`, or `<input>` for a handle without one)."""
     out = []
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
-        if '"' in line:
-            out.append(rooted_from_json(line))
-        elif line:
-            out.append(RootedGraph(graph6_decode(line)))
+        try:
+            if '"' in line:
+                out.append(rooted_from_json(line))
+            elif line:
+                out.append(RootedGraph(graph6_decode(line)))
+        except ValueError as exc:
+            where = getattr(fh, "name", "<input>")
+            raise ValueError(f"{where}:{lineno}: {exc}") from exc
     return out

@@ -3,14 +3,19 @@
 An obstruction for (param, k) is a connected graph whose parameter
 exceeds k while every proper contraction stays at or below k; for the
 minor relation the minimality check also covers single-edge deletions.
-Mining enumerates connected graphs by size and keeps one set: the
-certificates of the graphs seen so far that contain or equal a found
-obstruction.  The order is generated by single steps (an edge
-contraction, and for minors the components of an edge deletion), so a
-graph contains a found obstruction other than itself exactly when one
-of its one-step children is in the set, and the children were all seen
-before it.  A graph none of whose children is in the set is evaluated
-once; it is an obstruction exactly when its parameter exceeds k.
+Mining grows the good graphs, those with no obstruction at or below
+them, one vertex at a time.  Good graphs are closed under contraction,
+so every graph whose single-edge contractions are all good is a vertex
+split of a good graph one vertex smaller.  Mining splits only those,
+one vertex per automorphism orbit, keeps a split only when the new edge
+has the largest (min degree, max degree, common neighbours) invariant
+and the split is not the mirror image of another, and drops a split
+whose contractions have a shape no good graph has.  Each split left is
+canonicalised once.  A candidate with a child (a single-edge
+contraction, or for minors a component of a single-edge deletion) that
+is not good is rejected; any other is evaluated once, and it is an
+obstruction exactly when its parameter exceeds k.  `gen` is not used
+here except by the fan and branch bases.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .blocks import is_outerplanar
 from .canon import (
     automorphisms,
     canonical_certificate,
+    canonical_labelling,
     certificate,
     rooted_certificate,
     unique,
@@ -69,11 +75,6 @@ def _param_fn(param) -> Callable[[Graph], int]:
     return PARAMS[param]
 
 
-def _deletions(g: Graph) -> Iterator[Graph]:
-    for e in g.edges:
-        yield Graph.from_edges(g.n, [f for f in g.edges if f != e])
-
-
 def is_obstruction(g: Graph, param, k: int, relation: str = "contraction") -> bool:
     if not g.is_connected():
         raise ValueError("obstruction candidates must be connected")
@@ -92,54 +93,238 @@ def is_obstruction(g: Graph, param, k: int, relation: str = "contraction") -> bo
     return True
 
 
-def _children(g: Graph, relation: str) -> Iterator[Graph]:
+def _children(
+    g: Graph, relation: str, edges: Sequence[Edge] | None = None
+) -> Iterator[Graph]:
     """The graphs one step below g: its single-edge contractions and, for
-    the minor relation, the components of its single-edge deletions."""
-    for e in g.edges:
+    the minor relation, the components of its single-edge deletions; only
+    those of `edges` when given (by default every edge of g)."""
+    if edges is None:
+        edges = g.edges
+    for e in edges:
         yield contract_edge(g, e)
     if relation == "minor":
-        for d in _deletions(g):
+        for e in edges:
+            d = Graph.from_edges(g.n, [f for f in g.edges if f != e])
             yield from component_graphs(d)
 
 
+def _edge_orbit_mins(g: Graph, autos: Sequence[tuple[int, ...]]) -> list[Edge]:
+    """The least edge of each orbit of the group `autos` generate on the
+    edges of g, in edge order."""
+    orbit = {e: e for e in g.edges}
+    for perm in autos:
+        for u, w in g.edges:
+            a, b = orbit[(u, w)], orbit[norm_edge(perm[u], perm[w])]
+            if a != b:
+                low = min(a, b)
+                orbit = {e: low if o in (a, b) else o for e, o in orbit.items()}
+    return [e for e, o in orbit.items() if e == o]
+
+
+def _splits(g: Graph, autos: Sequence[tuple[int, ...]]) -> Iterator[Graph]:
+    """The vertex splits of g that mining certifies.
+
+    One vertex v per `_orbit_mins(g, autos)` orbit becomes the adjacent
+    pair v, v' (v' is the new vertex g.n), and each neighbour of v goes to
+    v, to v' or to both.  Swapping v and v' gives an isomorphic graph, so
+    only the assignment whose first neighbour not sent to both goes to v
+    is kept, not its mirror.  A split is yielded only when the edge vv'
+    has the largest (min degree, max degree, common neighbours) of all
+    its edges; ties are kept.
+    """
+    for v in _orbit_mins(g, autos):
+        nbrs = g.adj[v]
+        # both: the neighbours sent to v and v'; moved: those sent to v' only
+        both = nbrs
+        while True:
+            rest = nbrs & ~both
+            # the lowest neighbour not sent to both stays with v
+            free = rest & (rest - 1)
+            moved = free
+            while True:
+                h = _split(g, v, both, moved)
+                if h is not None:
+                    yield h
+                if not moved:
+                    break
+                moved = (moved - 1) & free
+            if not both:
+                break
+            both = (both - 1) & nbrs
+
+
+def _split(g: Graph, v: int, both: int, moved: int) -> Graph | None:
+    """g with v split as `_splits` describes, or None when vv' is not an
+    edge of the largest invariant."""
+    n = g.n
+    bit, new = 1 << v, 1 << n
+    adj = list(g.adj)
+    for u in range(n):
+        if moved >> u & 1:
+            adj[u] = adj[u] & ~bit | new
+        elif both >> u & 1:
+            adj[u] |= new
+    adj[v] = adj[v] & ~moved | new
+    adj.append(both | moved | bit)
+    deg = [a.bit_count() for a in adj]
+    lo, hi = sorted((deg[v], deg[n]))
+    above = at = 0  # the vertices of degree above lo, and of degree lo
+    for x, d in enumerate(deg):
+        if d > lo:
+            above |= 1 << x
+        elif d == lo:
+            at |= 1 << x
+    # an edge beats vv' when its lower degree is above lo, or is lo and
+    # its (higher degree, common neighbours) are larger
+    top = (hi, both.bit_count())
+    for x in range(n + 1):
+        if above >> x & 1 and adj[x] & above:
+            return None
+        if at >> x & 1:
+            for y in range(n + 1):
+                if (adj[x] & (above | at)) >> y & 1:
+                    if (max(deg[x], deg[y]), (adj[x] & adj[y]).bit_count()) > top:
+                        return None
+    return Graph(n + 1, tuple(adj))
+
+
+def _shape(g: Graph) -> tuple[int, int]:
+    """(edge count, degree histogram), an isomorphism invariant; the
+    histogram counts the vertices of degree d in bits 8d and up."""
+    return g.m, sum(1 << 8 * a.bit_count() for a in g.adj)
+
+
+def _contraction_shapes(h: Graph) -> Iterator[tuple[int, int]]:
+    """`_shape(contract_edge(h, e))` for each edge e, without contracting:
+    the ends x, y merge into one vertex of degree |N(x) | N(y)| - 2, and
+    each common neighbour loses one degree and one edge."""
+    adj = h.adj
+    deg = [a.bit_count() for a in adj]
+    hist = sum(1 << 8 * d for d in deg)
+    m = sum(deg) // 2
+    for x, y in h.edges:
+        common = adj[x] & adj[y]
+        out = hist - (1 << 8 * deg[x]) - (1 << 8 * deg[y])
+        out += 1 << 8 * ((adj[x] | adj[y]).bit_count() - 2)
+        c = common
+        while c:
+            low = c & -c
+            c ^= low
+            d = deg[low.bit_length() - 1]
+            out += (1 << 8 * (d - 1)) - (1 << 8 * d)
+        yield m - 1 - common.bit_count(), out
+
+
 def mine_obstructions(
-    n_max: int, param, k: int, relation: str = "contraction"
+    n_max: int,
+    param,
+    k: int,
+    relation: str = "contraction",
+    stats: list[dict] | None = None,
 ) -> list[Graph]:
-    """Minimal obstructions up to n_max vertices, in certificate order.
+    """Minimal obstructions up to n_max vertices, by size and in
+    certificate order within a size.
 
     These are the connected graphs whose parameter exceeds k while every
     proper contraction (for minors: every proper connected minor) stays
-    at or below k.  Graphs are visited by size and, within a size, by
-    edge count, so every child of a graph (`_children`) is visited
-    before it.  By induction on that order, a visited graph lands in
-    `bad` exactly when it contains or equals an obstruction:
-    - containment is transitive, so a graph with a child in `bad`
-      contains an obstruction;
-    - a graph that contains an obstruction other than itself has a
-      child that contains or equals it: contract an edge inside a class
-      of two or more vertices, or (minors) delete an edge the minor
-      leaves out;
-    - so no proper contraction (minor) of a graph with no child in `bad`
-      contains an obstruction.  Every graph above k contains one, so they
-      all stay at or below k, and the graph is an obstruction exactly
-      when its own parameter, evaluated once, exceeds k.
-    No monotonicity of the parameter is assumed.
+    at or below k.  Call a graph good when neither it nor any of its
+    contractions (minors) exceeds k.  A graph is good exactly when no
+    obstruction lies at or below it, and every contraction of a good
+    graph is good.
+
+    Split order.  The candidates on n vertices are the graphs whose
+    single-edge contractions are all good.  Contracting any edge of a
+    candidate h gives a good graph g, and h is a vertex split of g: the
+    merged vertex v becomes the adjacent pair v, v', and each neighbour
+    of v goes to v, to v' or to both.  So size n is built from the good
+    graphs on n-1 vertices by `_splits`, one vertex v per orbit of the
+    automorphisms found when g was canonicalised.  Two rules prune the
+    splits before they are canonicalised:
+    - mirror: swapping v and v' gives an isomorphic graph, so of the two
+      assignments only the one whose first neighbour not sent to both
+      goes to v is kept;
+    - largest edge: the split is kept only when its new edge vv' has the
+      largest (min degree, max degree, common neighbours) of all its
+      edges; ties are kept.
+    Both are sound.  Let e be an edge of h with the largest invariant.
+    h/e is good, so an isomorphic copy of it is split; an automorphism
+    moves the merged vertex to its orbit's least vertex, and one of the
+    two mirror assignments rebuilds h with e as the new edge.  A split
+    with a contraction whose (edge count, degree histogram) no good graph
+    on n-1 vertices has is dropped too: that contraction is not good.
+    Each split left is canonicalised once, and splits are merged by
+    certificate.
+
+    Classification.  Candidates are visited by (edge count,
+    certificate), so every child (`_children`: a single-edge
+    contraction, or for minors a component of a single-edge deletion) is
+    visited before its parent.  A connected graph that is not good was
+    rejected, or found, or never produced because its contractions are
+    all not good.  So a candidate with a child outside the good set
+    contains an obstruction and is rejected; one child per edge orbit of
+    the candidate is enough.  Any other candidate is evaluated once: it
+    is an obstruction when its value exceeds k, and good otherwise.  No
+    monotonicity of the parameter is assumed.  If K1 exceeds k, the
+    output is [K1] and nothing is split.
+
+    With a `stats` list, one record per size is appended: splits
+    `screened` out by their contraction shapes, `splits` certified,
+    distinct `candidates`, `rejected` by a child, `evaluated`, `good`
+    and `obstructions`.
     """
     fn = _param_fn(param)
-    bad: set[bytes] = set()
+    good: set[bytes] = set()
     found: list[Graph] = []
+    # the good graphs of the size below, each with its automorphisms
+    level: list[tuple[Graph, list[tuple[int, ...]]]] = []
     for n in range(1, n_max + 1):
+        # certificate -> (a split, its canonical positions, its automorphisms)
+        cands: dict[bytes, tuple[Graph, tuple[int, ...], list]] = {}
+        splits = screened = 0
+        if n == 1:
+            k1 = Graph(1, (0,))
+            cands[canonical_certificate(k1)] = (k1, (0,), [])
+        shapes = {_shape(g) for g, _ in level}
+        for g, autos in level:
+            for h in _splits(g, autos):
+                # a contraction of a shape no good graph has is not good
+                if not all(s in shapes for s in _contraction_shapes(h)):
+                    screened += 1
+                    continue
+                splits += 1
+                cert, pos, h_autos = canonical_labelling(h)
+                cands.setdefault(cert, (h, pos, h_autos))
+        level = []
         fresh: list[tuple[bytes, Graph]] = []
-        # stable: certificate order within an edge count; the generated
-        # graphs are canonical, so their own certificates need no search
-        for g in sorted(connected_graphs(n), key=lambda g: g.m):
-            if any(certificate(c) in bad for c in _children(g, relation)):
-                bad.add(canonical_certificate(g))
-            elif fn(g) > k:
-                cert = canonical_certificate(g)
-                bad.add(cert)
-                fresh.append((cert, g))
-        found.extend(g for _, g in sorted(fresh, key=lambda p: p[0]))
+        rejected = 0
+        for cert in sorted(cands, key=lambda c: (cands[c][0].m, c)):
+            h, pos, autos = cands[cert]
+            # an automorphism maps the children of an edge onto those
+            # of its image, so one edge per orbit is enough
+            edges = _edge_orbit_mins(h, autos)
+            if any(certificate(c) not in good for c in _children(h, relation, edges)):
+                rejected += 1
+            elif fn(h) > k:
+                fresh.append((cert, h.relabel(pos)))
+            else:
+                good.add(cert)
+                level.append((h, autos))
+        fresh.sort(key=lambda p: p[0])
+        found.extend(g for _, g in fresh)
+        if stats is not None:
+            stats.append(
+                {
+                    "n": n,
+                    "screened": screened,
+                    "splits": splits,
+                    "candidates": len(cands),
+                    "rejected": rejected,
+                    "evaluated": len(cands) - rejected,
+                    "good": len(level),
+                    "obstructions": len(fresh),
+                }
+            )
     return found
 
 
@@ -237,12 +422,17 @@ def _minimal_rejects(
     return [out[c] for c in sorted(out)]
 
 
-def _orbit_mins(g: Graph) -> list[int]:
-    """The lowest vertex of each orbit of the automorphisms
-    `canon.automorphisms` finds for g, in increasing order."""
+def _orbit_mins(
+    g: Graph, autos: Sequence[tuple[int, ...]] | None = None
+) -> list[int]:
+    """The lowest vertex of each orbit of the group the automorphisms
+    `autos` generate (by default those `canon.automorphisms` finds for g),
+    in increasing order."""
+    if autos is None:
+        autos = automorphisms(g)
     # the orbits are the components of the pairs (v, perm[v])
     orbit = list(range(g.n))  # the lowest vertex of v's component so far
-    for perm in automorphisms(g):
+    for perm in autos:
         for v, w in enumerate(perm):
             a, b = orbit[v], orbit[w]
             if a != b:

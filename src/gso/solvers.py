@@ -59,9 +59,10 @@ def _value_stats(levels: list[int], t0: float) -> dict:
 
 def _check_s_in(rg: RootedGraph) -> None:
     if rg.s_in:
-        g = rg.graph
-        sub, _ = g.induced(sorted(rg.s_in))
-        if not sub.is_connected():
+        mask = 0
+        for v in rg.s_in:
+            mask |= 1 << v
+        if rg.graph.component_mask(min(rg.s_in), mask) != mask:
             raise ValueError("s_in must induce a connected subgraph")
 
 

@@ -177,6 +177,26 @@ def test_mine_meaningless_size_is_exit_2_before_any_work(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_mine_stats_pin_the_good_counts(capsys):
+    argv = ["mine", "--param", "cmp", "-k", "2", "--max-n", "7"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "mine.json"
+    assert plain == reference.read_text()
+    code, rep = run(capsys, *argv, "--stats")
+    assert code == 0
+    stats = rep.pop("stats")
+    # without the flag the report is the same, byte for byte
+    assert rep == json.loads(plain)
+    assert [r["n"] for r in stats] == list(range(1, 8))
+    assert [r["good"] for r in stats] == [1, 1, 2, 5, 13, 45, 165]
+    assert [r["obstructions"] for r in stats] == [0, 0, 0, 1, 2, 1, 2]
+    # the pruning: fewer splits certified or more screened means a rule changed
+    assert [r["splits"] for r in stats] == [0, 1, 2, 7, 25, 118, 563]
+    assert [r["screened"] for r in stats] == [0, 0, 0, 0, 5, 59, 505]
+    assert [r["candidates"] for r in stats] == [1, 1, 2, 6, 15, 49, 207]
+
+
 def test_mine_writes_graph6(tmp_path, capsys):
     out = tmp_path / "obs.g6"
     code, rep = run(
@@ -357,7 +377,17 @@ def test_verify_paper_disconnected_family_graph_is_exit_2(tmp_path, capsys, no_c
     code = main(["verify-paper", "--families", str(fam)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: rooted graph must be connected\n"
+    assert err == f"error: {fam / 'mined.g6'}:2: rooted graph must be connected\n"
+
+
+@pytest.mark.parametrize("bad", ["\x01garbage", "A?", '{"g6":"C~","s_in":5}'])
+def test_solve_bad_line_is_named_by_file_and_line(tmp_path, capsys, bad):
+    lines = [graph6_encode(path_graph(3)), "", bad, graph6_encode(path_graph(4))]
+    inp = write_inputs(tmp_path / "in.g6", lines)
+    code = main(["solve", inp, "--param", "cmp"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {inp}:3: ") and err.count("\n") == 1
 
 
 def test_verify_paper_missing_families_dir_is_exit_2(tmp_path, capsys, no_checks):

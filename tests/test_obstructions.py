@@ -45,21 +45,48 @@ def test_mine_cmp_1_obstructions():
     assert any(is_isomorphic(g, star_graph(3)) for g in got)
 
 
-def test_mining_certifies_no_generated_graph(monkeypatch):
+def test_mining_certifies_each_split_and_child_once(monkeypatch):
+    import gso.canon
     import gso.obstructions
 
-    generated = {id(g) for n in range(1, 7) for g in connected_graphs(n)}
-    searched = []
+    # objects, not ids: every recorded graph stays alive, so no id is reused
+    searched, splits, children = [], [], []
+    real_canon = gso.canon._canon
+    real_splits = gso.obstructions._splits
+    real_children = gso.obstructions._children
 
-    def spy(g, *args):
-        searched.append(id(g) in generated)
-        return certificate(g, *args)
+    def canon_spy(g, *args):
+        searched.append(g)
+        return real_canon(g, *args)
 
-    monkeypatch.setattr(gso.obstructions, "certificate", spy)
-    got = mine_obstructions(6, "cmp", 1)
+    def splits_spy(g, autos):
+        for h in real_splits(g, autos):
+            splits.append(h)
+            yield h
+
+    def children_spy(*args):
+        for c in real_children(*args):
+            children.append(c)
+            yield c
+
+    monkeypatch.setattr(gso.canon, "_canon", canon_spy)
+    monkeypatch.setattr(gso.obstructions, "_splits", splits_spy)
+    monkeypatch.setattr(gso.obstructions, "_children", children_spy)
+    stats = []
+    got = mine_obstructions(6, "cmp", 1, stats=stats)
     assert len(got) == 2
-    # only the contractions are searched: generated graphs are canonical
-    assert searched and not any(searched)
+    ids = [id(g) for g in searched]
+    # no graph is searched twice: a candidate's own search, made when it
+    # was split off, yields its certificate, positions and automorphisms
+    assert len(set(ids)) == len(ids)
+    split_ids = {id(h) for h in splits}
+    child_ids = {id(c) for c in children}
+    # only splits and children are searched; screened splits are not
+    assert set(ids) <= split_ids | child_ids
+    assert sum(i in split_ids for i in ids) == sum(r["splits"] for r in stats)
+    assert sum(r["screened"] for r in stats) == len(splits) - sum(
+        r["splits"] for r in stats
+    )
 
 
 def test_mine_mp_1_minor_obstructions():
@@ -114,6 +141,98 @@ def test_mining_needs_no_monotone_parameter(relation):
         # a graph with a cycle has a spanning subgraph with exactly one
         want = [g for g in want if g.m == 5]
     assert got == want
+
+
+def _mine_by_generation(n_max, param, k, relation="contraction"):
+    """Reference: the mining loop before split mining.  It visits every
+    connected graph by size and edge count and keeps the certificates of
+    the graphs that contain or equal a found obstruction."""
+    from gso.canon import canonical_certificate
+    from gso.obstructions import _children, _param_fn
+
+    fn = _param_fn(param)
+    bad = set()
+    found = []
+    for n in range(1, n_max + 1):
+        fresh = []
+        for g in sorted(connected_graphs(n), key=lambda g: g.m):
+            if any(certificate(c) in bad for c in _children(g, relation)):
+                bad.add(canonical_certificate(g))
+            elif fn(g) > k:
+                cert = canonical_certificate(g)
+                bad.add(cert)
+                fresh.append((cert, g))
+        found.extend(g for _, g in sorted(fresh, key=lambda p: p[0]))
+    return found
+
+
+@pytest.mark.parametrize(
+    "n_max,param,k,relation",
+    [
+        (6, "cmp", 1, "contraction"),
+        (6, "cmp", 2, "contraction"),
+        (6, "mp", 1, "minor"),
+        (6, "mp", 2, "minor"),
+        (6, "cmp", 2, "minor"),
+        (6, "cms", 1, "contraction"),
+        (6, "ms", 1, "minor"),
+        (6, _five_with_a_cycle, 0, "contraction"),
+        (6, _five_with_a_cycle, 0, "minor"),
+        (7, "cmp", 2, "contraction"),
+    ],
+)
+def test_split_mining_matches_the_generation_reference(n_max, param, k, relation):
+    got = [graph6_encode(g) for g in mine_obstructions(n_max, param, k, relation)]
+    assert got == [graph6_encode(g) for g in _mine_by_generation(n_max, param, k, relation)]
+    if n_max == 7:
+        # the `mine` benchmark workload and its reference output
+        assert got == ["C~", "DFw", "DF{", "EElw", "FCSrW", "FAIZw"]
+
+
+@pytest.mark.parametrize(
+    "param,want,good",
+    [
+        # cmp 0 holds only K1, so K2 is the one obstruction
+        ("cmp", ["A_"], [1, 0, 0, 0, 0]),
+        # every connected graph is good
+        (lambda g: 0, [], [1, 1, 2, 6, 21]),
+        # K1 itself exceeds k, so nothing is split
+        (lambda g: 1, ["@"], [0, 0, 0, 0, 0]),
+    ],
+    ids=["cmp", "none-above", "all-above"],
+)
+def test_mining_stats_count_every_candidate(param, want, good):
+    stats = []
+    got = mine_obstructions(5, param, 0, stats=stats)
+    assert [graph6_encode(g) for g in got] == want
+    assert [r["n"] for r in stats] == [1, 2, 3, 4, 5]
+    assert [r["good"] for r in stats] == good
+    for r in stats:
+        assert r["evaluated"] == r["candidates"] - r["rejected"]
+        assert r["evaluated"] == r["good"] + r["obstructions"]
+    assert sum(r["obstructions"] for r in stats) == len(got)
+
+
+def test_splits_reach_every_connected_graph():
+    # with nothing above k every connected graph is good, so the pruned
+    # splits must still reach each class: 853 connected graphs have n=7
+    stats = []
+    assert mine_obstructions(7, lambda g: 0, 0, stats=stats) == []
+    assert [r["good"] for r in stats] == [len(connected_graphs(n)) for n in range(1, 8)]
+    assert [r["good"] for r in stats] == [1, 1, 2, 6, 21, 112, 853]
+
+
+def test_one_edge_per_orbit_gives_every_child_class():
+    from gso.canon import automorphisms
+    from gso.obstructions import _children, _edge_orbit_mins
+
+    for n in range(2, 7):
+        for g in connected_graphs(n):
+            edges = _edge_orbit_mins(g, automorphisms(g))
+            for relation in ("contraction", "minor"):
+                want = {certificate(c) for c in _children(g, relation)}
+                got = [certificate(c) for c in _children(g, relation, edges)]
+                assert set(got) == want, graph6_encode(g)
 
 
 def test_level_two_obstruction_values():

@@ -149,6 +149,19 @@ def test_cmp_decide_consistent_with_value():
     assert cmp_decide(rg, v)
 
 
+@pytest.mark.parametrize(
+    "s_in,ok", [({0, 2}, False), ({0, 3}, False), ({1, 2, 3}, True), ({3}, True)]
+)
+def test_cmp_needs_a_connected_s_in(s_in, ok):
+    rg = RootedGraph(path_graph(4), frozenset(s_in))
+    for call in (lambda: cmp_value(rg), lambda: cmp_decide(rg, 2)):
+        if ok:
+            call()
+        else:
+            with pytest.raises(ValueError, match="s_in must induce"):
+                call()
+
+
 def test_mp_plain_path():
     assert mp_plain(path_graph(4)) == 1
     assert mp_plain(complete_graph(3)) == 2
