@@ -16,10 +16,11 @@ Refinement works cell by cell: a vertex's new rank is the number of
 distinct signatures in the cells before its own plus its rank inside
 its cell, so singleton cells, and cells with no neighbour in a cell that
 just split, need no signature.  The ranks are the ones a single sort of
-every signature gives.  `automorphisms(g)` returns the automorphisms one
-search of g finds, which `gen` and `obstructions` prune with;
-`canonical_labelling(g)` returns them with the certificate and the
-canonical positions, from the same search.
+every signature gives.  `canonical_labelling(g)` returns, from one
+search of g, the certificate, the canonical positions and the
+automorphisms the search finds; `gen` splits each graph by the orbits of
+those automorphisms, and mining takes one edge per orbit.
+`automorphisms(g)` returns the automorphisms alone.
 """
 
 from __future__ import annotations

@@ -1,76 +1,189 @@
-"""Connected graph enumeration, one representative per isomorphism class.
+"""Connected graph enumeration by vertex splitting, one representative per
+isomorphism class.
 
-Each n-vertex connected graph is reached by attaching a new vertex to a
-nonempty neighbour subset of some connected (n-1)-vertex graph (every
-connected graph has a non-cut vertex), deduplicated by certificate.
-Subsets that an automorphism of the parent maps onto each other give
-isomorphic children, so only the first subset of each orbit under the
-automorphisms `canon.automorphisms` finds is attached (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998); `unique`
-keeps one canonical graph per class in certificate order, so the output
-is the one the unpruned loop gives.  Results are cached per size since
-several acceptance checks sweep the same ranges.
+Vertex splitting is the inverse of edge contraction.  `split_level`
+grows a level of graphs by one vertex: in each graph, one vertex v per
+orbit of its automorphisms (`_orbit_mins`) becomes the adjacent pair
+v, v' (v' is the new vertex), and each neighbour of v goes to v, to v'
+or to both.  Two rules prune the splits before they are canonicalised:
+- mirror: swapping v and v' gives an isomorphic graph, so of the two
+  assignments only the one whose first neighbour not sent to both goes
+  to v is kept;
+- largest edge: the split is kept only when its new edge vv' has the
+  largest (min degree, max degree, common neighbours) of all its edges;
+  ties are kept.
+Each split left is canonicalised once, by `canonical_labelling`, which
+also gives the automorphisms that split the next level, and the splits
+are merged by certificate.
 
-Only the checklist reads it: checks 3, 4, 8 and 9 directly, and checks
-6 and 7 through the fan and branch bases, all at n <= 7.  Obstruction
-mining splits the good graphs instead (`obstructions.mine_obstructions`).
+The rules lose no graph h whose contraction by some edge e of the
+largest invariant is isomorphic to a graph of the level: an automorphism
+of that graph moves the merged vertex to its orbit's least vertex, and
+one of the two mirror assignments rebuilds h with e as the new edge
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+So a class closed under contraction, such as the connected graphs or
+mining's good graphs (`obstructions.mine_obstructions`), is grown from
+its own graphs one vertex smaller.  `connected_graphs(n)` keeps each
+class's canonical graph, in certificate order, and caches it with the
+least vertex of each automorphism orbit, since the checklist (checks 3,
+4 and 6-9, all at n <= 7) sweeps the same sizes many times.
 """
 
 from __future__ import annotations
 
-from .canon import automorphisms, unique
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+from .canon import canonical_labelling
 from .graphs import Graph
 
-_cache: dict[int, tuple[Graph, ...]] = {}
+T = TypeVar("T")
+Perm = tuple[int, ...]  # an automorphism: v goes to perm[v]
+
+# n -> (connected_graphs(n), the orbit mins of each graph's automorphisms)
+_cache: dict[int, tuple[tuple[Graph, ...], tuple[tuple[int, ...], ...]]] = {}
 
 
-def _subset_orbit_reps(n: int, autos: list[tuple[int, ...]]) -> list[int]:
-    """The least nonempty vertex mask over range(n) in each orbit of the
-    group the permutations `autos` generate, in increasing order."""
-    seen = 0  # bit s: subset s is in an orbit already met
-    reps = []
-    for s in range(1, 1 << n):
-        if seen >> s & 1:
-            continue
-        reps.append(s)
-        seen |= 1 << s
-        todo = [s]
-        while todo:
-            t = todo.pop()
-            for perm in autos:
-                img = 0
-                for v in range(n):
-                    if t >> v & 1:
-                        img |= 1 << perm[v]
-                if not seen >> img & 1:
-                    seen |= 1 << img
-                    todo.append(img)
-    return reps
+def _orbit_mins(items: Sequence[T], images: Iterable[Sequence[T]]) -> list[T]:
+    """The least item of each orbit of the group that the permutations of
+    `items` generate, in `items` order; each permutation is given as the
+    image of every item, in `items` order."""
+    # the orbits are the components of the pairs (x, image of x); each
+    # component is a tree whose root, its least item, points to itself
+    up = dict(zip(items, items))
+    for image in images:
+        for x, y in zip(items, image):
+            while up[x] != x:
+                x = up[x]
+            while up[y] != y:
+                y = up[y]
+            if x < y:
+                up[y] = x
+            elif y < x:
+                up[x] = y
+    return [x for x, u in up.items() if x == u]
 
 
-def _children(g: Graph):
-    """g plus a new vertex n-1, once per orbit of its neighbour subset."""
+def _splits(g: Graph, roots: Iterable[int]) -> Iterator[Graph]:
+    """The splits of g at each vertex v of `roots` that the mirror and
+    largest-edge rules keep; v' is vertex g.n."""
+    for v in roots:
+        nbrs = g.adj[v]
+        # both: the neighbours sent to v and v'; moved: those sent to v' only
+        both = nbrs
+        while True:
+            rest = nbrs & ~both
+            # the lowest neighbour not sent to both stays with v
+            free = rest & (rest - 1)
+            moved = free
+            while True:
+                h = _split(g, v, both, moved)
+                if h is not None:
+                    yield h
+                if not moved:
+                    break
+                moved = (moved - 1) & free
+            if not both:
+                break
+            both = (both - 1) & nbrs
+
+
+def _split(g: Graph, v: int, both: int, moved: int) -> Graph | None:
+    """g with v split as `_splits` describes, or None when vv' is not an
+    edge of the largest invariant."""
     n = g.n
-    new = 1 << n
-    for nb in _subset_orbit_reps(n, automorphisms(g)):
-        adj = list(g.adj)
-        m = nb
-        while m:
-            low = m & -m
-            m ^= low
-            adj[low.bit_length() - 1] |= new
-        adj.append(nb)
-        yield Graph(n + 1, tuple(adj))
+    bit, new = 1 << v, 1 << n
+    adj = list(g.adj)
+    for u in range(n):
+        if moved >> u & 1:
+            adj[u] = adj[u] & ~bit | new
+        elif both >> u & 1:
+            adj[u] |= new
+    adj[v] = adj[v] & ~moved | new
+    adj.append(both | moved | bit)
+    deg = [a.bit_count() for a in adj]
+    lo, hi = sorted((deg[v], deg[n]))
+    above = at = 0  # the vertices of degree above lo, and of degree lo
+    for x, d in enumerate(deg):
+        if d > lo:
+            above |= 1 << x
+        elif d == lo:
+            at |= 1 << x
+    # an edge beats vv' when its lower degree is above lo, or is lo and
+    # its (higher degree, common neighbours) are larger
+    top = (hi, both.bit_count())
+    for x in range(n + 1):
+        if above >> x & 1 and adj[x] & above:
+            return None
+        if at >> x & 1:
+            for y in range(n + 1):
+                if (adj[x] & (above | at)) >> y & 1:
+                    if (max(deg[x], deg[y]), (adj[x] & adj[y]).bit_count()) > top:
+                        return None
+    return Graph(n + 1, tuple(adj))
+
+
+def split_level(
+    level: Iterable[tuple[Graph, Iterable[int]]],
+    screen: Callable[[Graph], bool] | None = None,
+    keep: Callable[[Graph, Perm, list[Perm]], T] | None = None,
+) -> tuple[dict[bytes, T], int, int]:
+    """Split every graph of `level` at its given vertices, the least of
+    each orbit of automorphisms of it, by `_splits`; drop the splits
+    `screen` rejects, and canonicalise each split left once.
+
+    Returns the classes by certificate, then the number of splits
+    canonicalised and the number screened out.  Each class holds
+    `keep(h, pos, autos)` of its first split h, h's canonical positions
+    and the automorphisms found; by default that triple itself.
+    """
+    classes: dict[bytes, T] = {}
+    searched = screened = 0
+    for g, roots in level:
+        for h in _splits(g, roots):
+            if screen is not None and not screen(h):
+                screened += 1
+                continue
+            searched += 1
+            cert, pos, autos = canonical_labelling(h)
+            if cert not in classes:
+                classes[cert] = (h, pos, autos) if keep is None else keep(h, pos, autos)
+    return classes, searched, screened
+
+
+def _canonical(h: Graph, pos: Perm, autos: list[Perm]) -> tuple[Graph, tuple[int, ...]]:
+    """h in canonical form, with the least vertex of each orbit of `autos`
+    in the canonical labels."""
+    # h's automorphism v -> perm[v] is pos[v] -> pos[perm[v]] on the
+    # canonical graph, whose vertex pos[v] is h's vertex v
+    images = ([pos[w] for w in perm] for perm in autos)
+    return h.relabel(pos), tuple(sorted(_orbit_mins(pos, images)))
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:
     if n < 1:
         raise ValueError("n must be positive")
-    if n in _cache:
-        return _cache[n]
-    if n == 1:
-        out = (Graph.from_edges(1, []),)
-    else:
-        out = tuple(unique(c for g in connected_graphs(n - 1) for c in _children(g)))
-    _cache[n] = out
-    return out
+    if n not in _cache:
+        if n == 1:
+            _cache[1] = ((Graph(1, (0,)),), ((0,),))
+        else:
+            connected_graphs(n - 1)
+            # each class keeps its canonical form, not its split: the splits
+            # (with the edges their search cached) would all be alive at once
+            classes = split_level(zip(*_cache[n - 1]), keep=_canonical)[0]
+            graphs, roots = [], []
+            shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for cert in sorted(classes):
+                g, mins = classes[cert]
+                graphs.append(g)
+                # one tuple per distinct value, since most graphs share a few
+                # and the cache lives as long as the process
+                roots.append(shared.setdefault(mins, mins))
+            _cache[n] = (tuple(graphs), tuple(roots))
+    return _cache[n][0]
+
+
+def with_orbit_mins(n: int) -> list[tuple[Graph, tuple[int, ...]]]:
+    """Each graph of `connected_graphs(n)` with the least vertex of each
+    orbit of the automorphisms found when it was canonicalised."""
+    connected_graphs(n)
+    return list(zip(*_cache[n]))

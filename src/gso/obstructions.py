@@ -6,16 +6,15 @@ minor relation the minimality check also covers single-edge deletions.
 Mining grows the good graphs, those with no obstruction at or below
 them, one vertex at a time.  Good graphs are closed under contraction,
 so every graph whose single-edge contractions are all good is a vertex
-split of a good graph one vertex smaller.  Mining splits only those,
-one vertex per automorphism orbit, keeps a split only when the new edge
-has the largest (min degree, max degree, common neighbours) invariant
-and the split is not the mirror image of another, and drops a split
-whose contractions have a shape no good graph has.  Each split left is
-canonicalised once.  A candidate with a child (a single-edge
-contraction, or for minors a component of a single-edge deletion) that
-is not good is rejected; any other is evaluated once, and it is an
-obstruction exactly when its parameter exceeds k.  `gen` is not used
-here except by the fan and branch bases.
+split of a good graph one vertex smaller.  Mining splits only those, by
+the same `gen.split_level` that enumerates the connected graphs, and
+drops a split whose contractions have a shape no good graph has.  Each
+split left is canonicalised once.  A candidate with a child (a
+single-edge contraction, or for minors a component of a single-edge
+deletion) that is not good is rejected; any other is evaluated once,
+and it is an obstruction exactly when its parameter exceeds k.  The fan
+and branch bases read the connected graphs `gen` enumerates, with the
+orbits of their automorphisms, and try one root per orbit.
 """
 
 from __future__ import annotations
@@ -26,16 +25,9 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .blocks import is_outerplanar
-from .canon import (
-    automorphisms,
-    canonical_certificate,
-    canonical_labelling,
-    certificate,
-    rooted_certificate,
-    unique,
-)
+from .canon import canonical_certificate, certificate, rooted_certificate, unique
 from .contractions import proper_contractions
-from .gen import connected_graphs
+from .gen import _orbit_mins, split_level, with_orbit_mins
 from .graphs import (
     Edge,
     Graph,
@@ -112,81 +104,8 @@ def _children(
 def _edge_orbit_mins(g: Graph, autos: Sequence[tuple[int, ...]]) -> list[Edge]:
     """The least edge of each orbit of the group `autos` generate on the
     edges of g, in edge order."""
-    orbit = {e: e for e in g.edges}
-    for perm in autos:
-        for u, w in g.edges:
-            a, b = orbit[(u, w)], orbit[norm_edge(perm[u], perm[w])]
-            if a != b:
-                low = min(a, b)
-                orbit = {e: low if o in (a, b) else o for e, o in orbit.items()}
-    return [e for e, o in orbit.items() if e == o]
-
-
-def _splits(g: Graph, autos: Sequence[tuple[int, ...]]) -> Iterator[Graph]:
-    """The vertex splits of g that mining certifies.
-
-    One vertex v per `_orbit_mins(g, autos)` orbit becomes the adjacent
-    pair v, v' (v' is the new vertex g.n), and each neighbour of v goes to
-    v, to v' or to both.  Swapping v and v' gives an isomorphic graph, so
-    only the assignment whose first neighbour not sent to both goes to v
-    is kept, not its mirror.  A split is yielded only when the edge vv'
-    has the largest (min degree, max degree, common neighbours) of all
-    its edges; ties are kept.
-    """
-    for v in _orbit_mins(g, autos):
-        nbrs = g.adj[v]
-        # both: the neighbours sent to v and v'; moved: those sent to v' only
-        both = nbrs
-        while True:
-            rest = nbrs & ~both
-            # the lowest neighbour not sent to both stays with v
-            free = rest & (rest - 1)
-            moved = free
-            while True:
-                h = _split(g, v, both, moved)
-                if h is not None:
-                    yield h
-                if not moved:
-                    break
-                moved = (moved - 1) & free
-            if not both:
-                break
-            both = (both - 1) & nbrs
-
-
-def _split(g: Graph, v: int, both: int, moved: int) -> Graph | None:
-    """g with v split as `_splits` describes, or None when vv' is not an
-    edge of the largest invariant."""
-    n = g.n
-    bit, new = 1 << v, 1 << n
-    adj = list(g.adj)
-    for u in range(n):
-        if moved >> u & 1:
-            adj[u] = adj[u] & ~bit | new
-        elif both >> u & 1:
-            adj[u] |= new
-    adj[v] = adj[v] & ~moved | new
-    adj.append(both | moved | bit)
-    deg = [a.bit_count() for a in adj]
-    lo, hi = sorted((deg[v], deg[n]))
-    above = at = 0  # the vertices of degree above lo, and of degree lo
-    for x, d in enumerate(deg):
-        if d > lo:
-            above |= 1 << x
-        elif d == lo:
-            at |= 1 << x
-    # an edge beats vv' when its lower degree is above lo, or is lo and
-    # its (higher degree, common neighbours) are larger
-    top = (hi, both.bit_count())
-    for x in range(n + 1):
-        if above >> x & 1 and adj[x] & above:
-            return None
-        if at >> x & 1:
-            for y in range(n + 1):
-                if (adj[x] & (above | at)) >> y & 1:
-                    if (max(deg[x], deg[y]), (adj[x] & adj[y]).bit_count()) > top:
-                        return None
-    return Graph(n + 1, tuple(adj))
+    edges = g.edges
+    return _orbit_mins(edges, ([norm_edge(p[u], p[w]) for u, w in edges] for p in autos))
 
 
 def _shape(g: Graph) -> tuple[int, int]:
@@ -235,26 +154,13 @@ def mine_obstructions(
 
     Split order.  The candidates on n vertices are the graphs whose
     single-edge contractions are all good.  Contracting any edge of a
-    candidate h gives a good graph g, and h is a vertex split of g: the
-    merged vertex v becomes the adjacent pair v, v', and each neighbour
-    of v goes to v, to v' or to both.  So size n is built from the good
-    graphs on n-1 vertices by `_splits`, one vertex v per orbit of the
-    automorphisms found when g was canonicalised.  Two rules prune the
-    splits before they are canonicalised:
-    - mirror: swapping v and v' gives an isomorphic graph, so of the two
-      assignments only the one whose first neighbour not sent to both
-      goes to v is kept;
-    - largest edge: the split is kept only when its new edge vv' has the
-      largest (min degree, max degree, common neighbours) of all its
-      edges; ties are kept.
-    Both are sound.  Let e be an edge of h with the largest invariant.
-    h/e is good, so an isomorphic copy of it is split; an automorphism
-    moves the merged vertex to its orbit's least vertex, and one of the
-    two mirror assignments rebuilds h with e as the new edge.  A split
-    with a contraction whose (edge count, degree histogram) no good graph
-    on n-1 vertices has is dropped too: that contraction is not good.
-    Each split left is canonicalised once, and splits are merged by
-    certificate.
+    candidate gives a good graph, so size n is grown from the good graphs
+    on n-1 vertices by `gen.split_level`, at one vertex per orbit of the
+    automorphisms found when each was canonicalised; its mirror and
+    largest-edge rules lose no candidate (see `gen`).  A split with a
+    contraction whose (edge count, degree histogram) no good graph on n-1
+    vertices has is dropped before it is canonicalised: that contraction
+    is not good.
 
     Classification.  Candidates are visited by (edge count,
     certificate), so every child (`_children`: a single-edge
@@ -276,25 +182,18 @@ def mine_obstructions(
     fn = _param_fn(param)
     good: set[bytes] = set()
     found: list[Graph] = []
-    # the good graphs of the size below, each with its automorphisms
-    level: list[tuple[Graph, list[tuple[int, ...]]]] = []
+    # the good graphs of the size below, each with the least vertex of
+    # each orbit of its automorphisms
+    level: list[tuple[Graph, list[int]]] = []
     for n in range(1, n_max + 1):
-        # certificate -> (a split, its canonical positions, its automorphisms)
-        cands: dict[bytes, tuple[Graph, tuple[int, ...], list]] = {}
-        splits = screened = 0
+        shapes = {_shape(g) for g, _ in level}
+        # a contraction of a shape no good graph has is not good
+        cands, splits, screened = split_level(
+            level, lambda h: all(s in shapes for s in _contraction_shapes(h))
+        )
         if n == 1:
             k1 = Graph(1, (0,))
             cands[canonical_certificate(k1)] = (k1, (0,), [])
-        shapes = {_shape(g) for g, _ in level}
-        for g, autos in level:
-            for h in _splits(g, autos):
-                # a contraction of a shape no good graph has is not good
-                if not all(s in shapes for s in _contraction_shapes(h)):
-                    screened += 1
-                    continue
-                splits += 1
-                cert, pos, h_autos = canonical_labelling(h)
-                cands.setdefault(cert, (h, pos, h_autos))
         level = []
         fresh: list[tuple[bytes, Graph]] = []
         rejected = 0
@@ -309,7 +208,7 @@ def mine_obstructions(
                 fresh.append((cert, h.relabel(pos)))
             else:
                 good.add(cert)
-                level.append((h, autos))
+                level.append((h, _orbit_mins(range(h.n), autos)))
         fresh.sort(key=lambda p: p[0])
         found.extend(g for _, g in fresh)
         if stats is not None:
@@ -406,39 +305,20 @@ def _minimal_rejects(
     outerplanarity is closed under contraction."""
     out: dict[bytes, RootedGraph] = {}
     for n in range(1, n_max + 1):
-        for g in connected_graphs(n):
+        for g, roots in with_orbit_mins(n):
             if not is_outerplanar(g):
                 continue
             # doubly_rooted(g, v) and doubly_rooted(g, w) are isomorphic
             # exactly when an automorphism of g maps v to w; keying the
             # rejects by certificate keeps one per class even if the
             # automorphisms found generate only part of the group
-            for v in _orbit_mins(g):
+            for v in roots:
                 rg = doubly_rooted(g, v)
                 if accepts(rg):
                     continue
                 if all(accepts(contract_edge_rooted(rg, e)) for e in g.edges):
                     out.setdefault(rooted_certificate(rg), rg)
     return [out[c] for c in sorted(out)]
-
-
-def _orbit_mins(
-    g: Graph, autos: Sequence[tuple[int, ...]] | None = None
-) -> list[int]:
-    """The lowest vertex of each orbit of the group the automorphisms
-    `autos` generate (by default those `canon.automorphisms` finds for g),
-    in increasing order."""
-    if autos is None:
-        autos = automorphisms(g)
-    # the orbits are the components of the pairs (v, perm[v])
-    orbit = list(range(g.n))  # the lowest vertex of v's component so far
-    for perm in autos:
-        for v, w in enumerate(perm):
-            a, b = orbit[v], orbit[w]
-            if a != b:
-                low = min(a, b)
-                orbit = [low if x in (a, b) else x for x in orbit]
-    return [v for v in range(g.n) if orbit[v] == v]
 
 
 def mine_fan_base(n_max: int = 7) -> list[RootedGraph]:

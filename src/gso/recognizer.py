@@ -94,6 +94,10 @@ def spine_degree(g: Graph, v: int) -> int:
 
 
 def label_block(b_star: RootedGraph) -> str:
+    """How 2 connected searchers can clear b_star: "<->" both ways, "->"
+    from s_in to s_out only, "<-" back only, "x" neither.  Connected search
+    has a sense of direction, so the two ways can differ; unconnected
+    search has none (`test_connected_search_has_a_sense_of_direction`)."""
     f = cmp_decide(b_star, 2)
     b = cmp_decide(rev(b_star), 2)
     if f and b:

@@ -4,7 +4,7 @@ import pytest
 
 from gso import canon, gen
 from gso.canon import certificate, unique
-from gso.gen import connected_graphs
+from gso.gen import connected_graphs, with_orbit_mins
 from gso.graphs import Graph
 
 # A001349: connected graphs on n unlabeled vertices
@@ -32,8 +32,8 @@ def test_connected_graphs_in_strict_certificate_order():
 
 
 def unpruned_children(n):
-    """Every graph the generator would certify without orbit pruning: each
-    connected (n-1)-vertex graph plus a vertex on each nonempty subset."""
+    """Every connected graph the generator must reach, without its pruning:
+    each connected (n-1)-vertex graph plus a vertex on each nonempty subset."""
     return [
         Graph.from_edges(n, list(g.edges) + [(v, n - 1) for v in nb])
         for g in connected_graphs(n - 1)
@@ -43,19 +43,41 @@ def unpruned_children(n):
 
 
 def test_orbit_pruning_keeps_the_unpruned_output(monkeypatch):
-    # a fresh cache, so that every size is generated (and certified) here
+    # a fresh cache, so that every size is generated (and searched) here
     monkeypatch.setattr(gen, "_cache", {})
-    calls = []
-    real = canon.canonical_graph
+    # objects, not ids: every recorded graph stays alive, so no id is reused
+    labelled, searched = [], []
+    real_labelling, real_canon = gen.canonical_labelling, canon._canon
 
-    def counted(g):
-        calls.append(g.n)
-        return real(g)
+    def labelling_spy(g):
+        labelled.append(g)
+        return real_labelling(g)
 
-    monkeypatch.setattr(canon, "canonical_graph", counted)
+    def canon_spy(g, *args):
+        searched.append(g)
+        return real_canon(g, *args)
+
+    monkeypatch.setattr(gen, "canonical_labelling", labelling_spy)
+    monkeypatch.setattr(canon, "_canon", canon_spy)
     got = [connected_graphs(n) for n in range(1, 8)]
-    # 7815 children without pruning
-    assert len(calls) == 4159
-    monkeypatch.setattr(canon, "canonical_graph", real)
+    monkeypatch.undo()
+    # one search per split that the mirror and largest-edge rules keep
+    assert len(labelled) == 2178
+    # each split is searched once, by canonical_labelling alone: no
+    # automorphisms() or canonical_graph() search runs beside it
+    assert [id(g) for g in searched] == [id(g) for g in labelled]
+    assert len({id(g) for g in searched}) == len(searched)
+    # the brute-force children, deduplicated by `unique`, are the
+    # independent check on the generator
     for n in range(2, 8):
         assert got[n - 1] == tuple(unique(unpruned_children(n)))
+
+
+def test_kept_orbits_are_the_full_groups_orbits():
+    for n in range(1, 7):
+        pairs = with_orbit_mins(n)
+        assert [g for g, _ in pairs] == list(connected_graphs(n))
+        for g, roots in pairs:
+            # found on a split, then carried to the canonical graph
+            group = [p for p in itertools.permutations(range(n)) if g.relabel(p) == g]
+            assert roots == tuple(sorted({min(p[v] for p in group) for v in range(n)}))

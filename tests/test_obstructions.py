@@ -47,20 +47,21 @@ def test_mine_cmp_1_obstructions():
 
 def test_mining_certifies_each_split_and_child_once(monkeypatch):
     import gso.canon
+    import gso.gen
     import gso.obstructions
 
     # objects, not ids: every recorded graph stays alive, so no id is reused
     searched, splits, children = [], [], []
     real_canon = gso.canon._canon
-    real_splits = gso.obstructions._splits
+    real_splits = gso.gen._splits
     real_children = gso.obstructions._children
 
     def canon_spy(g, *args):
         searched.append(g)
         return real_canon(g, *args)
 
-    def splits_spy(g, autos):
-        for h in real_splits(g, autos):
+    def splits_spy(g, roots):
+        for h in real_splits(g, roots):
             splits.append(h)
             yield h
 
@@ -70,7 +71,7 @@ def test_mining_certifies_each_split_and_child_once(monkeypatch):
             yield c
 
     monkeypatch.setattr(gso.canon, "_canon", canon_spy)
-    monkeypatch.setattr(gso.obstructions, "_splits", splits_spy)
+    monkeypatch.setattr(gso.gen, "_splits", splits_spy)
     monkeypatch.setattr(gso.obstructions, "_children", children_spy)
     stats = []
     got = mine_obstructions(6, "cmp", 1, stats=stats)
@@ -371,17 +372,20 @@ def _parent_minimal_rejects(n_max, accepts):
 def test_orbit_roots_are_the_rooted_classes():
     from gso.blocks import is_outerplanar
     from gso.canon import rooted_certificate
-    from gso.obstructions import _orbit_mins
+    from gso.gen import with_orbit_mins
 
     graphs = [
-        g for n in range(1, 8) for g in connected_graphs(n) if is_outerplanar(g)
+        (g, roots)
+        for n in range(1, 8)
+        for g, roots in with_orbit_mins(n)
+        if is_outerplanar(g)
     ]
     assert len(graphs) == 240
-    for g in graphs:
+    for g, roots in graphs:
         first = {}
         for v in range(g.n):
             first.setdefault(rooted_certificate(doubly_rooted(g, v)), v)
-        assert _orbit_mins(g) == sorted(first.values()), graph6_encode(g)
+        assert list(roots) == sorted(first.values()), graph6_encode(g)
 
 
 def test_base_mining_matches_every_root_loop(monkeypatch):

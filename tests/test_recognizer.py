@@ -1,9 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
 
 import gso.recognizer as recognizer
-from gso.expansions import Expansion, InvalidExpansion, expansion_cost, validate_expansion
+from gso.expansions import (
+    Expansion,
+    InvalidExpansion,
+    expansion_cost,
+    expansion_to_strategy,
+    validate_expansion,
+)
 from gso.gen import connected_graphs
 from gso.graphs import (
     Graph,
@@ -24,7 +31,8 @@ from gso.recognizer import (
     spine_degree,
     spine_structure,
 )
-from gso.solvers import cmp_decide, cmp_plain
+from gso.simulate import is_monotone, simulate, width
+from gso.solvers import cmp_decide, cmp_plain, cmp_value, mp_value
 
 from conftest import random_connected
 
@@ -303,3 +311,33 @@ def test_unrooted_fan_cover_matches_the_rooted_one():
         assert got == rooted_decide_cmms_le_2(g)
         methods.add(got[1]["method"])
     assert methods == {"trivial", "fan-cover", "spine", "solver"}
+
+
+def test_connected_search_has_a_sense_of_direction():
+    # connected search from a to b can need fewer searchers than from b to
+    # a, which `label_block` relies on; unconnected search cannot
+    pairs, cmp_differs = {}, {}
+    for n in range(2, 7):
+        pairs[n] = cmp_differs[n] = 0
+        for g in connected_graphs(n):
+            for a, b in combinations(range(n), 2):
+                rg = RootedGraph(g, {a}, {b})
+                pairs[n] += 1
+                if cmp_value(rg).value != cmp_value(rev(rg)).value:
+                    cmp_differs[n] += 1
+                assert mp_value(rg).value == mp_value(rev(rg)).value
+    assert pairs[6] == 1680
+    assert cmp_differs == {2: 0, 3: 0, 4: 0, 5: 0, 6: 6}
+
+    # the smallest case: a path 0-1-5 hung on the 4-cycle 2-3-5-4
+    g = Graph.from_edges(6, [(0, 1), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
+    forward = RootedGraph(g, {2}, {3})
+    for rg, want in ((forward, 2), (rev(forward), 3)):
+        res = cmp_value(rg, witness=True)
+        assert res.value == want
+        enh = enhance(rg)
+        t = simulate(enh.host, expansion_to_strategy(enh, res.witness))
+        # every edge is cleared but the exit edges, which are never entered
+        assert t.final_clean == frozenset(enh.host.edges) - enh.e_out
+        assert is_monotone(t)
+        assert width(t) == want
