@@ -15,7 +15,6 @@ from .graphs import (
     rev,
 )
 from .canon import (
-    automorphisms,
     canonical_graph,
     certificate,
     is_isomorphic,
@@ -56,7 +55,7 @@ from .solvers import (
     cmp_value,
     cms_decide,
     cms_value,
-    mp_plain,
+    mp_decide,
     mp_value,
     ms_value,
     rooted_game_value,

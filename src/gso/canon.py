@@ -20,7 +20,6 @@ every signature gives.  `canonical_labelling(g)` returns, from one
 search of g, the certificate, the canonical positions and the
 automorphisms the search finds; `gen` splits each graph by the orbits of
 those automorphisms, and mining takes one edge per orbit.
-`automorphisms(g)` returns the automorphisms alone.
 """
 
 from __future__ import annotations
@@ -179,27 +178,19 @@ def _canon(
     return _search(nbrs, g.adj, g.edges, cells, (1 << g.n) - 1, [], None, autos)
 
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """The automorphisms one canonical search of g finds, as permutations
-    (v goes to perm[v]); empty when it finds none but the identity.
-
-    They are what the search prunes with.  Each is an automorphism of g;
-    the group they generate has the orbits of the full automorphism
-    group on every connected graph the tests enumerate (n <= 6), and the
-    callers here need only the former: they skip a choice that one of
-    them maps onto an earlier one.
-    """
-    autos: list[tuple[int, ...]] = []
-    _canon(g, (0,) * g.n, autos)
-    return autos
-
-
 def canonical_labelling(
     g: Graph,
 ) -> tuple[bytes, tuple[int, ...], list[tuple[int, ...]]]:
     """One search of g: `certificate(g)`, the position of each vertex in
     the canonical relabeling (`g.relabel(pos)` is `canonical_graph(g)`),
-    and the automorphisms the search finds (as `automorphisms(g)`)."""
+    and the automorphisms the search finds, as permutations (v goes to
+    perm[v]); empty when it finds none but the identity.
+
+    They are what the search prunes with.  Each is an automorphism of g;
+    the group they generate has the orbits of the full automorphism
+    group on every connected graph the tests enumerate (n <= 6), and the
+    callers here need only the former: they skip a choice that one of
+    them maps onto an earlier one."""
     autos: list[tuple[int, ...]] = []
     code, pos = _canon(g, (0,) * g.n, autos)
     return repr((g.n, code, (0,) * g.n)).encode(), pos, autos

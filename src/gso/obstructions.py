@@ -12,8 +12,10 @@ drops a split whose contractions have a shape no good graph has.  Each
 split left is canonicalised once.  A candidate with a child (a
 single-edge contraction, or for minors a component of a single-edge
 deletion) that is not good is rejected; any other is evaluated once,
-and it is an obstruction exactly when its parameter exceeds k.  The fan
-and branch bases read the connected graphs `gen` enumerates, with the
+and it is an obstruction exactly when its parameter exceeds k.  That
+is the only question asked of a parameter, so `ABOVE` maps each name to
+one solver decision at k, not to a search for the value.  The fan and
+branch bases read the connected graphs `gen` enumerates, with the
 orbits of their automorphisms, and try one root per orbit.
 """
 
@@ -41,46 +43,41 @@ from .graphs import (
     norm_edge,
 )
 from .simulate import HostCtx
-from .solvers import (
-    cmms_decide,
-    cmms_value,
-    cmp_decide,
-    cmp_plain,
-    cms_value,
-    mp_plain,
-    ms_value,
-    solve_game,
-)
+from .solvers import cmms_decide, cmp_decide, cms_decide, mp_decide, solve_game
 
-PARAMS: dict[str, Callable[[Graph], int]] = {
-    "cmp": cmp_plain,
-    "mp": mp_plain,
-    "ms": lambda g: ms_value(g).value,
-    "cms": lambda g: cms_value(g).value,
-    "cmms": lambda g: cmms_value(g).value,
+# name -> above(g, k): whether the parameter of g exceeds k
+ABOVE: dict[str, Callable[[Graph, int], bool]] = {
+    "cmp": lambda g, k: not cmp_decide(RootedGraph(g), k),
+    "mp": lambda g, k: not all(
+        mp_decide(RootedGraph(sub), k) for sub in component_graphs(g)
+    ),
+    "ms": lambda g, k: not solve_game(g, k, monotone=True)[0],
+    "cms": lambda g, k: not cms_decide(g, k),
+    "cmms": lambda g, k: not cmms_decide(g, k),
 }
 
 
-def _param_fn(param) -> Callable[[Graph], int]:
+def _above_fn(param) -> Callable[[Graph, int], bool]:
+    """`ABOVE[param]`; a callable param is read as a value function."""
     if callable(param):
-        return param
-    return PARAMS[param]
+        return lambda g, k: param(g) > k
+    return ABOVE[param]
 
 
 def is_obstruction(g: Graph, param, k: int, relation: str = "contraction") -> bool:
     if not g.is_connected():
         raise ValueError("obstruction candidates must be connected")
-    fn = _param_fn(param)
-    if fn(g) <= k:
+    above = _above_fn(param)
+    if not above(g, k):
         return False
-    # the parameter is an isomorphism invariant: one evaluation per class
+    # the parameter is an isomorphism invariant: one decision per class
     seen: set[bytes] = set()
     for c in _children(g, relation):
         cert = certificate(c)
         if cert in seen:
             continue
         seen.add(cert)
-        if fn(c) > k:
+        if above(c, k):
             return False
     return True
 
@@ -169,17 +166,18 @@ def mine_obstructions(
     rejected, or found, or never produced because its contractions are
     all not good.  So a candidate with a child outside the good set
     contains an obstruction and is rejected; one child per edge orbit of
-    the candidate is enough.  Any other candidate is evaluated once: it
-    is an obstruction when its value exceeds k, and good otherwise.  No
-    monotonicity of the parameter is assumed.  If K1 exceeds k, the
-    output is [K1] and nothing is split.
+    the candidate is enough.  Any other candidate is evaluated once, by
+    one decision at k (`ABOVE`, or `param(g) > k` for a callable param):
+    it is an obstruction when its parameter exceeds k, and good
+    otherwise.  No monotonicity of the parameter is assumed.  If K1
+    exceeds k, the output is [K1] and nothing is split.
 
     With a `stats` list, one record per size is appended: splits
     `screened` out by their contraction shapes, `splits` certified,
     distinct `candidates`, `rejected` by a child, `evaluated`, `good`
     and `obstructions`.
     """
-    fn = _param_fn(param)
+    above = _above_fn(param)
     good: set[bytes] = set()
     found: list[Graph] = []
     # the good graphs of the size below, each with the least vertex of
@@ -204,7 +202,7 @@ def mine_obstructions(
             edges = _edge_orbit_mins(h, autos)
             if any(certificate(c) not in good for c in _children(h, relation, edges)):
                 rejected += 1
-            elif fn(h) > k:
+            elif above(h, k):
                 fresh.append((cert, h.relabel(pos)))
             else:
                 good.add(cert)
@@ -408,8 +406,11 @@ def _check_level(k: int) -> None:
 
 
 def branch_count(k: int, base_size: int = 5) -> int:
-    """|Br(k)|; obr_count and both bound checks raise through it for k < 1."""
+    """|Br(k)|; obr_count and both bound checks raise through it for k < 1
+    or a negative base_size."""
     _check_level(k)
+    if base_size < 0:
+        raise ValueError(f"base size must be at least 0, got {base_size}")
     f = base_size
     for _ in range(2, k + 1):
         f = comb(f + 1, 2)

@@ -52,7 +52,7 @@ from .solvers import (
     cmp_value,
     cms_decide,
     cms_value,
-    mp_value,
+    mp_decide,
     rooted_game_value,
 )
 
@@ -240,12 +240,12 @@ def _prop_glue(rng: random.Random) -> bool:
     except ValueError:
         return True  # overlap precondition violated by the draw; vacuous
     bound = max(cmp_value(rg).value for _, rg in parts)
-    return cmp_value(glued).value <= bound
+    return cmp_decide(glued, bound)
 
 
 def _prop_shrink(rng: random.Random) -> bool:
     rg = _random_rooted(rng, _random_connected(rng))
-    return cmp_value(RootedGraph(rg.graph)).value <= cmp_value(rg).value
+    return cmp_decide(RootedGraph(rg.graph), cmp_value(rg).value)
 
 
 def _prop_contraction_mono(rng: random.Random) -> bool:
@@ -261,18 +261,18 @@ def _prop_contraction_mono(rng: random.Random) -> bool:
         return True
     ok = True
     if not cur.s_in or cur.graph.induced(sorted(cur.s_in))[0].is_connected():
-        ok = cmp_value(cur).value <= before_cmp
-    return ok and cms_value(cur.graph).value <= before_cms
+        ok = cmp_decide(cur, before_cmp)
+    return ok and cms_decide(cur.graph, before_cms)
 
 
 def _prop_mp_le_cmp(rng: random.Random) -> bool:
     rg = _random_rooted(rng, _random_connected(rng))
-    return mp_value(rg).value <= cmp_value(rg).value
+    return mp_decide(rg, cmp_value(rg).value)
 
 
 def _prop_cms_le_cmms(rng: random.Random) -> bool:
     g = _random_connected(rng)
-    return cms_value(g).value <= cmms_value(g).value
+    return cms_decide(g, cmms_value(g).value)
 
 
 def _prop_closure(rng: random.Random) -> bool:

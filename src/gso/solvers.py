@@ -28,10 +28,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .expansions import Expansion
-from .graphs import Graph, RootedGraph, component_graphs, enhance
+from .graphs import Graph, RootedGraph, enhance
 from .simulate import HostCtx, Move
 
 
@@ -45,16 +45,6 @@ class SolveResult:
     value: int
     witness: Any = None
     stats: dict = field(default_factory=dict)
-
-
-def _value_stats(levels: list[int], t0: float) -> dict:
-    """A value search's stats: states over all levels, the states
-    explored at each level k = 0, 1, ..., and seconds since t0."""
-    return {
-        "states": sum(levels),
-        "levels": levels,
-        "seconds": time.perf_counter() - t0,
-    }
 
 
 def _check_s_in(rg: RootedGraph) -> None:
@@ -304,18 +294,36 @@ def cmp_decide(rg: RootedGraph, k: int, witness: bool = False):
     return (ok, wit) if witness else ok
 
 
+def mp_decide(rg: RootedGraph, k: int) -> bool:
+    """mp(rg) <= k: the unconnected twin of `cmp_decide`."""
+    return _expansion_decide(_ExpCtx(rg), k, connected=False, witness=False)[0]
+
+
+def _deepen(decide: Callable[[int], tuple], top: int, t0: float) -> SolveResult:
+    """Iterative deepening, the one value search of both engines: the
+    least k in 0..top that `decide(k)`, a (decision, witness, states
+    explored) triple, accepts, with its witness.  The stats hold the
+    states over all levels, the states explored at each level k = 0, 1,
+    ..., and the seconds since t0."""
+    levels = []
+    for k in range(top + 1):
+        ok, wit, explored = decide(k)
+        levels.append(explored)
+        if ok:
+            seconds = time.perf_counter() - t0
+            stats = {"states": sum(levels), "levels": levels, "seconds": seconds}
+            return SolveResult(k, wit, stats)
+    raise AssertionError("no strategy within the trivial bound")
+
+
 def _expansion_value(
     rg: RootedGraph, connected: bool, witness: bool, budget: int | None
 ) -> SolveResult:
     t0 = time.perf_counter()
     ec = _ExpCtx(rg)
-    levels = []
-    for k in range(rg.graph.n + 2):
-        ok, wit, explored = _expansion_decide(ec, k, connected, witness, budget)
-        levels.append(explored)
-        if ok:
-            return SolveResult(k, wit, _value_stats(levels, t0))
-    raise AssertionError("no expansion found below the trivial bound")
+    return _deepen(
+        lambda k: _expansion_decide(ec, k, connected, witness, budget), rg.graph.n + 1, t0
+    )
 
 
 def cmp_value(
@@ -334,14 +342,6 @@ def mp_value(
 
 def cmp_plain(g: Graph) -> int:
     return cmp_value(RootedGraph(g)).value
-
-
-def mp_plain(g: Graph) -> int:
-    """mp of a not necessarily connected graph (components solve separately)."""
-    return max(
-        (mp_value(RootedGraph(sub)).value for sub in component_graphs(g) if sub.m),
-        default=0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +561,13 @@ def solve_game(
 def _game_value(
     ctx: HostCtx, connected: bool, monotone: bool, witness: bool, **kw
 ) -> SolveResult:
-    t0 = time.perf_counter()
-    levels = []
-    for k in range(ctx.g.n + 1):
-        ok, wit, explored = solve_game(
+    return _deepen(
+        lambda k: solve_game(
             ctx, k, connected=connected, monotone=monotone, witness=witness, **kw
-        )
-        levels.append(explored)
-        if ok:
-            return SolveResult(k, wit, _value_stats(levels, t0))
-    raise AssertionError("unsolvable game below the trivial bound")
+        ),
+        ctx.g.n,
+        time.perf_counter(),
+    )
 
 
 def ms_value(g: Graph, witness: bool = False, budget: int | None = None) -> SolveResult:

@@ -324,6 +324,15 @@ def test_branches_level_below_one_is_exit_2(tmp_path, capsys, k, count_only):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k,size", [("1", "-1"), ("2", "-3")])
+def test_branches_negative_base_size_is_exit_2(capsys, k, size):
+    code = main(["branches", "-k", k, "--count-only", "--base-size", size])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: base size") and captured.err.count("\n") == 1
+
+
 def test_glue_roundtrip(tmp_path, capsys):
     fam = [rooted_to_json(doubly_rooted(path_graph(2), 0))]
     inp = write_inputs(tmp_path / "fam.jsonl", fam)

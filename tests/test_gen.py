@@ -64,7 +64,7 @@ def test_orbit_pruning_keeps_the_unpruned_output(monkeypatch):
     # one search per split that the mirror and largest-edge rules keep
     assert len(labelled) == 2178
     # each split is searched once, by canonical_labelling alone: no
-    # automorphisms() or canonical_graph() search runs beside it
+    # other search (certificate, canonical_graph) runs beside it
     assert [id(g) for g in searched] == [id(g) for g in labelled]
     assert len({id(g) for g in searched}) == len(searched)
     # the brute-force children, deduplicated by `unique`, are the

@@ -10,6 +10,7 @@ from gso.graphs import (
     RootedGraph,
     complete_bipartite,
     complete_graph,
+    component_graphs,
     cycle_graph,
     doubly_rooted,
     k23_plus,
@@ -17,6 +18,7 @@ from gso.graphs import (
     star_graph,
 )
 from gso.obstructions import (
+    ABOVE,
     Branch,
     base_branches,
     branch_count,
@@ -33,6 +35,7 @@ from gso.obstructions import (
     obr_count_lower_bound_holds,
     obr_set,
 )
+from gso.solvers import cmms_value, cmp_plain, cms_value, mp_value, ms_value
 
 
 # --- minimal obstructions -------------------------------------------------
@@ -144,14 +147,25 @@ def test_mining_needs_no_monotone_parameter(relation):
     assert got == want
 
 
+# name -> value: the reference reads each parameter's value, not the
+# decisions at k that mining reads
+VALUES = {
+    "cmp": cmp_plain,
+    "mp": lambda g: max(mp_value(RootedGraph(c)).value for c in component_graphs(g)),
+    "ms": lambda g: ms_value(g).value,
+    "cms": lambda g: cms_value(g).value,
+    "cmms": lambda g: cmms_value(g).value,
+}
+
+
 def _mine_by_generation(n_max, param, k, relation="contraction"):
     """Reference: the mining loop before split mining.  It visits every
     connected graph by size and edge count and keeps the certificates of
     the graphs that contain or equal a found obstruction."""
     from gso.canon import canonical_certificate
-    from gso.obstructions import _children, _param_fn
+    from gso.obstructions import _children
 
-    fn = _param_fn(param)
+    fn = param if callable(param) else VALUES[param]
     bad = set()
     found = []
     for n in range(1, n_max + 1):
@@ -214,6 +228,17 @@ def test_mining_stats_count_every_candidate(param, want, good):
     assert sum(r["obstructions"] for r in stats) == len(got)
 
 
+@pytest.mark.parametrize("name", sorted(ABOVE))
+def test_each_decision_at_k_agrees_with_the_value(name):
+    value, above = VALUES[name], ABOVE[name]
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            v = value(g)
+            assert [above(g, k) for k in range(-1, 4)] == [
+                v > k for k in range(-1, 4)
+            ], graph6_encode(g)
+
+
 def test_splits_reach_every_connected_graph():
     # with nothing above k every connected graph is good, so the pruned
     # splits must still reach each class: 853 connected graphs have n=7
@@ -224,12 +249,12 @@ def test_splits_reach_every_connected_graph():
 
 
 def test_one_edge_per_orbit_gives_every_child_class():
-    from gso.canon import automorphisms
+    from gso.canon import canonical_labelling
     from gso.obstructions import _children, _edge_orbit_mins
 
     for n in range(2, 7):
         for g in connected_graphs(n):
-            edges = _edge_orbit_mins(g, automorphisms(g))
+            edges = _edge_orbit_mins(g, canonical_labelling(g)[2])
             for relation in ("contraction", "minor"):
                 want = {certificate(c) for c in _children(g, relation)}
                 got = [certificate(c) for c in _children(g, relation, edges)]
@@ -470,6 +495,19 @@ def test_lower_bounds_hold():
     for k in range(1, 7):
         assert branch_count_lower_bound_holds(k)
         assert obr_count_lower_bound_holds(k)
+
+
+def test_branch_counts_refuse_a_negative_base_size():
+    for call in (
+        lambda: branch_count(1, -1),
+        lambda: branch_count(2, -3),
+        lambda: obr_count(1, -1),
+        lambda: branch_count_lower_bound_holds(1, -1),
+        lambda: obr_count_lower_bound_holds(2, -3),
+    ):
+        with pytest.raises(ValueError, match="base size must be at least 0"):
+            call()
+    assert branch_count(1, 0) == obr_count(1, 0) == 0
 
 
 @pytest.mark.parametrize("k", [0, -1])

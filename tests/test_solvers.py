@@ -26,7 +26,7 @@ from gso.solvers import (
     cmp_plain,
     cmp_value,
     cms_value,
-    mp_plain,
+    mp_decide,
     mp_value,
     ms_value,
     rooted_game_value,
@@ -162,9 +162,11 @@ def test_cmp_needs_a_connected_s_in(s_in, ok):
                 call()
 
 
-def test_mp_plain_path():
-    assert mp_plain(path_graph(4)) == 1
-    assert mp_plain(complete_graph(3)) == 2
+def test_mp_decide_path_and_triangle():
+    p4 = RootedGraph(path_graph(4))
+    assert not mp_decide(p4, 0) and mp_decide(p4, 1)
+    k3 = RootedGraph(complete_graph(3))
+    assert not mp_decide(k3, 1) and mp_decide(k3, 2)
 
 
 # --- constrained game solves ---------------------------------------------
