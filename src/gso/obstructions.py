@@ -367,13 +367,17 @@ def base_branches(base: Sequence[RootedGraph]) -> list[Branch]:
     """Level-1 branches from a doubly-rooted base family.
 
     Base roots may have any degree; the trunk of a level-1 branch is the
-    smallest edge incident to the root.
+    smallest edge incident to the root.  Raises ValueError, naming the
+    member's index, unless every member is doubly rooted on one vertex
+    with an incident edge.
     """
     out = []
-    for rg in base:
+    for i, rg in enumerate(base):
+        if not (len(rg.s_in) == 1 and rg.s_in == rg.s_out):
+            raise ValueError(f"base member {i} must be doubly rooted on one vertex")
         (v,) = rg.s_in
         if rg.graph.degree(v) < 1:
-            raise ValueError("base root must have an incident edge")
+            raise ValueError(f"base member {i}: root must have an incident edge")
         u = min(rg.graph.neighbors(v))
         out.append(Branch(rg.graph, v, norm_edge(v, u), 1))
     return out

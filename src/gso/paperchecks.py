@@ -14,7 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .canon import certificate, is_isomorphic
-from .expansions import expansion_cost, expansion_to_strategy, strategy_to_expansion
+from .expansions import (
+    expansion_cost,
+    expansion_to_strategy,
+    strategy_to_expansion,
+    validate_expansion,
+)
 from .gen import connected_graphs
 from .gio import read_graphs
 from .graphs import (
@@ -119,6 +124,7 @@ def check_game_equivalence(seed: int = 0, per_size: int = 100, n_max: int = 6) -
                 bad.append(f"n={n}: cmp {res.value} vs game {game.value}")
                 continue
             enh = enhance(rg)
+            validate_expansion(res.witness, enh.e_in, enh.e_out)
             moves = expansion_to_strategy(enh, res.witness)
             t = simulate(enh.host, moves)
             if not is_monotone(t) or width(t) != res.value:

@@ -9,7 +9,9 @@ each other:
   from it to an occupied vertex, plus the sliding edge.  Between moves
   searchers stand exactly on the boundary of the clean set, so the
   width of a transition is the boundary size plus the extra vertices
-  that the move needs occupied.
+  that the move needs occupied.  The cmp search keeps its clean sets
+  connected by construction: out of a nonempty set, a move lands only on
+  a vertex with a dirty edge into the boundary (see `_jumps`).
 * the game solver: state space over (clean edge set, searcher set)
   with the simulator's closure semantics; flags select the monotone
   and connected variants, optional constraints support the
@@ -79,9 +81,10 @@ class _ExpCtx:
         return out
 
 
-def _jumps(ec: _ExpCtx, a: int, bnd: int, k: int):
+def _jumps(ec: _ExpCtx, a: int, bnd: int, k: int, connected: bool):
     """One-move transitions from clean set a, whose boundary is bnd, with
-    at most k searchers.
+    at most k searchers; in a connected search, only those that keep the
+    clean set connected.
 
     A move lands a searcher on a vertex v off the boundary while the
     occupied set is the boundary plus a set of extra dirty neighbours of
@@ -110,6 +113,13 @@ def _jumps(ec: _ExpCtx, a: int, bnd: int, k: int):
     edge the move leaves for v.  A yielded boundary lies within the
     occupied set plus v, and a full occupied set yields only when a
     searcher leaves the boundary, so it never exceeds k vertices.
+
+    A move cleans a star at v, and v and every extra have a dirty edge
+    and sit off the boundary, so none of their edges is clean, while
+    every boundary vertex has a clean edge.  So a connected a2 out of a
+    connected nonempty a is exactly one whose star has an edge into the
+    boundary: a connected search lands only on vertices with a dirty edge
+    into the boundary.  Out of the empty set every star is connected.
 
     No dirty edge touches an apex: u_in's edges are E_in, clean from the
     start, and u_out's are E_out, never a target.
@@ -141,8 +151,9 @@ def _jumps(ec: _ExpCtx, a: int, bnd: int, k: int):
     cap = k - nbase
     na = ~a
     # with no searcher to spare there are no extras, so a landing
-    # vertex needs a dirty edge into the boundary to clean anything
-    land = (live if cap else bad) & ~bnd
+    # vertex needs a dirty edge into the boundary to clean anything; a
+    # connected search needs one to stay connected
+    land = (bad if not cap or connected and a else live) & ~bnd
     while land:
         vb = land & -land
         land ^= vb
@@ -201,7 +212,6 @@ def _expansion_decide(
     computed once per context, every other one by `_jumps` from its
     predecessor's, and none is wider than k.
     """
-    ctx = ec.ctx
     if ec.s_in_size > k:
         return False, None, 0
     start = ec.start
@@ -210,10 +220,9 @@ def _expansion_decide(
     parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
     queue = deque([(start, ec.start_bnd)])
     explored = 0
-    # a2 contains a, and every set the search holds is connected: the
-    # start e_start is the star from u_in over S_in plus edges among its
-    # leaves.  So only the new edges of a2 are tested (as in
-    # `solve_game`), except out of the empty start, which has no vertices.
+    # a connected search holds only connected sets: the start e_start is
+    # the star from u_in over S_in plus edges among its leaves, and
+    # `_jumps` keeps every successor of a connected set connected.
     while queue:
         a, bnd = queue.popleft()
         explored += 1
@@ -223,19 +232,9 @@ def _expansion_decide(
             if not witness:
                 return True, None, explored
             return True, _reconstruct(ec, parent, a), explored
-        verts = -1  # vertex mask of a, found on first need
-        for a2, bnd2 in _jumps(ec, a, bnd, k):
+        for a2, bnd2 in _jumps(ec, a, bnd, k, connected):
             if a2 in parent:
                 continue
-            if connected:
-                if not a:
-                    if not ctx.edges_connected(a2):
-                        continue
-                else:
-                    if verts < 0:
-                        verts = ctx.vmask(a)
-                    if not ctx.joined(verts, a2 & ~a):
-                        continue
             parent[a2] = (a, a2 & ~a)
             queue.append((a2, bnd2))
     return False, None, explored
@@ -289,6 +288,8 @@ def _reconstruct(ec: _ExpCtx, parent: dict, last: int) -> Expansion:
 
 
 def cmp_decide(rg: RootedGraph, k: int, witness: bool = False):
+    """cmp(rg) <= k.  With witness, the pair (decision, connected monotone
+    `Expansion` of width at most k, or None when the decision is no)."""
     _check_s_in(rg)
     ok, wit, _ = _expansion_decide(_ExpCtx(rg), k, connected=True, witness=witness)
     return (ok, wit) if witness else ok

@@ -5,9 +5,9 @@ import pytest
 
 from gso import cli
 from gso.cli import main
-from gso.gio import graph6_encode, rooted_to_json
-from gso.graphs import RootedGraph, complete_graph, doubly_rooted, path_graph
-from gso.simulate import Move, simulate, width
+from gso.gio import graph6_encode, rooted_from_json, rooted_to_json
+from gso.graphs import RootedGraph, complete_graph, doubly_rooted, enhance, path_graph
+from gso.simulate import Move, is_monotone, simulate, width
 from gso.solvers import BudgetExceeded
 
 
@@ -52,11 +52,38 @@ def test_solve_emits_witness_strategy(tmp_path, capsys):
         obj = json.loads(line)
         assert obj["op"] in ("p", "r", "s")
         moves.append(Move(obj["op"], obj["v"], obj.get("u")))
-    from gso.graphs import enhance
-
     host = enhance(rg).host
     t = simulate(host, moves)
     assert width(t) == 1
+
+
+# mp 2 and cmp 3: the mp witness is monotone but not connected
+WITNESS_RECORD = '{"g6": "E`HW", "s_in": [3], "s_out": [2]}'
+
+
+@pytest.mark.parametrize("param", ["ms", "cms", "cmms", "cmp", "mp"])
+def test_solve_witness_replays_at_the_reported_value(tmp_path, capsys, param):
+    rg = rooted_from_json(WITNESS_RECORD)
+    if param in ("cmp", "mp"):
+        line, enh = WITNESS_RECORD, enhance(rg)
+        host, target = enh.host, frozenset(enh.host.edges) - enh.e_out
+    else:
+        line, host = graph6_encode(rg.graph), rg.graph
+        target = frozenset(host.edges)
+    inp = write_inputs(tmp_path / "in.jsonl", [line])
+    out = tmp_path / "wit.jsonl"
+    code, rep = run(
+        capsys, "solve", inp, "--param", param, "--emit-witness", "--out", str(out)
+    )
+    assert code == 0
+    moves = [
+        Move(obj["op"], obj["v"], obj.get("u"))
+        for obj in map(json.loads, out.read_text().splitlines())
+    ]
+    t = simulate(host, moves)
+    assert width(t) == rep["results"][0]["value"]
+    assert t.final_clean == target
+    assert is_monotone(t) or param == "cms"
 
 
 def test_solve_reads_a_60_vertex_graph6_line(tmp_path, capsys):
@@ -331,6 +358,20 @@ def test_branches_negative_base_size_is_exit_2(capsys, k, size):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: base size") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "record",
+    ['{"g6": "Bw", "s_in": [], "s_out": []}', '{"g6": "Bw", "s_in": [0], "s_out": [2]}'],
+    ids=["unrooted", "rooted-apart"],
+)
+def test_branches_base_member_not_doubly_rooted_is_exit_2(tmp_path, capsys, record):
+    inp = write_inputs(tmp_path / "base.jsonl", [record])
+    code = main(["branches", "-k", "1", "--base", inp])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: base member 0 must be doubly rooted on one vertex\n"
 
 
 def test_glue_roundtrip(tmp_path, capsys):

@@ -468,6 +468,16 @@ def test_base_branch_trunks():
     assert b.trunk == (0, 1)  # smallest root-incident edge
 
 
+@pytest.mark.parametrize(
+    "s_in,s_out", [((), ()), ((0,), (2,)), ((0, 1), (0, 1))], ids=["none", "apart", "two"]
+)
+def test_base_branches_need_one_double_root(s_in, s_out):
+    g = path_graph(3)
+    base = [doubly_rooted(g, 1), RootedGraph(g, frozenset(s_in), frozenset(s_out))]
+    with pytest.raises(ValueError, match="base member 1 must be doubly rooted"):
+        base_branches(base)
+
+
 def test_branch_counts():
     assert branch_count(1) == 5
     assert branch_count(2) == 15

@@ -33,7 +33,7 @@ from gso.solvers import (
     solve_game,
 )
 from gso.solvers import _ExpCtx, _jumps, _moves
-from gso.expansions import expansion_to_strategy
+from gso.expansions import expansion_to_strategy, validate_expansion
 
 from conftest import random_connected, random_rooted
 
@@ -132,6 +132,7 @@ def test_cmp_witness_pipeline(rng):
         rg = random_rooted(rng, random_connected(rng, 5))
         res = cmp_value(rg, witness=True)
         enh = enhance(rg)
+        validate_expansion(res.witness, enh.e_in, enh.e_out)
         moves = expansion_to_strategy(enh, res.witness)
         t = simulate(enh.host, moves)
         assert is_monotone(t)
@@ -862,10 +863,13 @@ def _parent_jumps(ec: _ExpCtx, a: int, k: int):
                 yield a2
 
 
-def test_jumps_yield_each_parent_successor_once_with_its_boundary():
-    # every state the unconnected search reaches at width k (a superset
-    # of the connected search's states), on random rooted graphs; no
-    # yielded boundary is wider than k, so the search needs no width test
+@pytest.mark.parametrize("connected", [False, True], ids=["unconnected", "connected"])
+def test_jumps_yield_each_parent_successor_once_with_its_boundary(connected):
+    # every state the search reaches at width k, on random rooted graphs
+    # (the unconnected search's states are a superset of the connected
+    # one's); no yielded boundary is wider than k, so the search needs no
+    # width test.  The connected reference keeps the parent's successors
+    # whose clean set is connected, tested whole.
     rng = random.Random(31337)
     states = repeats = 0
     for _ in range(80):
@@ -877,8 +881,10 @@ def test_jumps_yield_each_parent_successor_once_with_its_boundary():
             while todo:
                 a = todo.pop()
                 parent = list(_parent_jumps(ec, a, k))
+                if connected:
+                    parent = [a2 for a2 in parent if ec.ctx.edges_connected(a2)]
                 want = list(dict.fromkeys(parent))
-                got = list(_jumps(ec, a, _parent_bmask(ec, a), k))
+                got = list(_jumps(ec, a, _parent_bmask(ec, a), k, connected))
                 assert [a2 for a2, _ in got] == want, (graph6_encode(rg.graph), k, a)
                 for a2, bnd2 in got:
                     assert bnd2 == _parent_bmask(ec, a2)
@@ -888,4 +894,7 @@ def test_jumps_yield_each_parent_successor_once_with_its_boundary():
                         todo.append(a2)
                 states += 1
                 repeats += len(parent) > len(want)
-    assert states > 2000 and repeats > 500
+    if connected:
+        assert states > 1500 and repeats > 400
+    else:
+        assert states > 2000 and repeats > 500
