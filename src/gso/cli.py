@@ -74,7 +74,9 @@ _VALUE = {
 }
 
 
-def _solve_one(rg: RootedGraph, param: str, k: int | None, budget: int | None, wit: bool):
+def _solve_one(
+    rg: RootedGraph, param: str, k: int | None, budget: int | None, wit: bool, stats: bool
+):
     expansion = param in ("cmp", "mp")
     if not expansion and (rg.s_in or rg.s_out):
         raise ValueError(f"param {param} takes plain graphs, not rooted ones")
@@ -88,6 +90,8 @@ def _solve_one(rg: RootedGraph, param: str, k: int | None, budget: int | None, w
         entry["s_out"] = sorted(rg.s_out)
     if k is not None:
         entry["decision"] = value <= k
+    if stats:
+        entry["stats"] = res.stats
     return entry, moves
 
 
@@ -99,7 +103,7 @@ def cmd_solve(args) -> int:
     with open(args.input) as fh:
         graphs = read_graphs(fh)
     results = [
-        _solve_one(rg, args.param, args.k, args.budget, args.emit_witness)
+        _solve_one(rg, args.param, args.k, args.budget, args.emit_witness, args.stats)
         for rg in graphs
     ]
     if args.out is not None:
@@ -157,8 +161,9 @@ def cmd_verify_paper(args) -> int:
     if args.corpus is not None:
         with open(args.corpus) as fh:
             corpus = [rg.graph for rg in read_graphs(fh)]
+    stats: list[dict] | None = [] if args.stats else None
     checks = run_all(
-        families=families, seed=args.seed, quick=args.quick, corpus=corpus
+        families=families, seed=args.seed, quick=args.quick, corpus=corpus, stats=stats
     )
     report = {
         "command": "verify-paper",
@@ -167,6 +172,8 @@ def cmd_verify_paper(args) -> int:
         "checks": [asdict(c) for c in checks],
         "ok": all(c.ok for c in checks),
     }
+    if stats is not None:
+        report["stats"] = stats
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0 if report["ok"] else 1
 
@@ -237,6 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--emit-witness", action="store_true")
     p.add_argument("--out", default=None, metavar="FILE")
+    p.add_argument(
+        "--stats", action="store_true",
+        help="add a stats key to each result: states, states per level k, seconds",
+    )
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("mine", help="mine minimal obstructions")
@@ -259,6 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true")
+    p.add_argument(
+        "--stats", action="store_true",
+        help="add a stats key: the name and seconds of each check",
+    )
     p.set_defaults(fn=cmd_verify_paper)
 
     p = sub.add_parser("branches", help="lower-bound branch families")

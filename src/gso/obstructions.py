@@ -65,19 +65,30 @@ def _above_fn(param) -> Callable[[Graph, int], bool]:
 
 
 def is_obstruction(g: Graph, param, k: int, relation: str = "contraction") -> bool:
+    return _is_obstruction(g, _above_fn(param), k, relation, {})
+
+
+def _is_obstruction(
+    g: Graph,
+    above: Callable[[Graph, int], bool],
+    k: int,
+    relation: str,
+    verdicts: dict[bytes, bool],
+) -> bool:
+    """`is_obstruction` for the decision `above` at k.  The parameter is
+    an isomorphism invariant, so each class of children is decided once:
+    verdicts maps a child's certificate to `above(child, k)`, and callers
+    that pass one table for many graphs share the decisions among them."""
     if not g.is_connected():
         raise ValueError("obstruction candidates must be connected")
-    above = _above_fn(param)
     if not above(g, k):
         return False
-    # the parameter is an isomorphism invariant: one decision per class
-    seen: set[bytes] = set()
     for c in _children(g, relation):
         cert = certificate(c)
-        if cert in seen:
-            continue
-        seen.add(cert)
-        if above(c, k):
+        bad = verdicts.get(cert)
+        if bad is None:
+            bad = verdicts[cert] = above(c, k)
+        if bad:
             return False
     return True
 

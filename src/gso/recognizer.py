@@ -10,7 +10,7 @@ structural precondition that fails, any inconsistent label, or any
 certificate that does not validate sends the decision to the exact
 solver, which is always the authority.  Of the 996 connected graphs
 with n <= 7, 161 are answered by a fan cover, 3 by a spine, 1 as
-trivial and 831 by the solver, and deciding all of them costs 5 to 6
+trivial and 831 by the solver, and deciding all of them costs about 5
 times as much as `cmp_decide(RootedGraph(g), 2)` alone.  Check 8 of
 `gso.paperchecks` re-solves every answer that does not come from the
 solver.

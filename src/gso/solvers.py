@@ -11,7 +11,11 @@ each other:
   width of a transition is the boundary size plus the extra vertices
   that the move needs occupied.  The cmp search keeps its clean sets
   connected by construction: out of a nonempty set, a move lands only on
-  a vertex with a dirty edge into the boundary (see `_jumps`).
+  a vertex with a dirty edge into the boundary (see `_jumps`).  Its
+  context (`_ExpCtx`) reads the enhanced host's edge tables off the
+  rooted graph in one walk, with no `Graph` or `HostCtx` built, and
+  its queue carries each set's dirty-neighbour table, which a successor
+  copies and updates by the edges its move cleans.
 * the game solver: state space over (clean edge set, searcher set)
   with the simulator's closure semantics; flags select the monotone
   and connected variants, optional constraints support the
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .expansions import Expansion
-from .graphs import Graph, RootedGraph, enhance
+from .graphs import Edge, Graph, RootedGraph, enhance
 from .simulate import HostCtx, Move
 
 
@@ -59,32 +63,102 @@ def _check_s_in(rg: RootedGraph) -> None:
 
 
 class _ExpCtx:
+    """The enhanced host of a rooted graph as the expansion BFS reads it,
+    built in one walk over `rg.graph.adj`.
+
+    The host is `enhance(rg).host`: the graph plus the apexes u_in = n,
+    joined to S_in, and u_out = n + 1, joined to S_out.  Its edges are
+    numbered in `Graph.edges` order, which for each u < n lists u's
+    neighbours above u, then u_in when u is in S_in, then u_out when u
+    is in S_out (the apexes are not adjacent).  ends[i] is (u, w, bit of
+    u, bit of w) for edge i and inc[v] the mask of the edges at v; e_in
+    is E_in, start is `Enhancement.e_start` (E_in plus the edges inside
+    S_in) and target every edge but E_out.  Every search on the context
+    starts from start, whose boundary is start_bnd and whose dirty
+    neighbours of each vertex are start_dadj; the searches copy that
+    table, never change it.
+    """
+
     def __init__(self, rg: RootedGraph):
-        self.enh = enhance(rg)
-        self.ctx = HostCtx(self.enh.host)
-        ctx = self.ctx
-        self.e_in = ctx.emask(self.enh.e_in)
-        self.start = ctx.emask(self.enh.e_start)
-        self.target = ctx.full & ~ctx.emask(self.enh.e_out)
+        g = rg.graph
+        n = g.n
+        s_in = s_out = 0
+        for v in rg.s_in:
+            s_in |= 1 << v
+        for v in rg.s_out:
+            s_out |= 1 << v
+        inc = [0] * (n + 2)
+        dadj = [0] * (n + 2)
+        ends = []
+        e_in = e_out = inside = 0
+        bit = 1
+        for u, nbrs in enumerate(g.adj):
+            ub = 1 << u
+            rooted = ub & s_in
+            m = nbrs >> (u + 1) << (u + 1)
+            while m:
+                wb = m & -m
+                m ^= wb
+                w = wb.bit_length() - 1
+                ends.append((u, w, ub, wb))
+                inc[u] |= bit
+                inc[w] |= bit
+                if rooted and wb & s_in:
+                    inside |= bit
+                else:
+                    dadj[u] |= wb
+                    dadj[w] |= ub
+                bit <<= 1
+            if rooted:
+                ends.append((u, n, ub, 1 << n))
+                inc[u] |= bit
+                inc[n] |= bit
+                e_in |= bit
+                bit <<= 1
+            if ub & s_out:
+                ends.append((u, n + 1, ub, 1 << (n + 1)))
+                inc[u] |= bit
+                inc[n + 1] |= bit
+                e_out |= bit
+                bit <<= 1
+        start = e_in | inside
+        start_bnd = 0
+        for v, iv in enumerate(inc):
+            if iv & start and iv & ~start:
+                start_bnd |= 1 << v
+        self.inc = inc
+        self.ends = ends
+        self.e_in = e_in
+        self.start = start
+        self.target = (bit - 1) & ~e_out
+        self.start_bnd = start_bnd
+        self.start_dadj = dadj
         self.s_in_size = len(rg.s_in)
-        self.ends = tuple((u, w, 1 << u, 1 << w) for u, w in ctx.edges)
-        self.start_bnd = self.bmask(self.start)
 
-    def bmask(self, a: int) -> int:
-        """Vertex mask of the boundary of the clean set a."""
-        out = 0
-        ctx = self.ctx
-        for v in range(self.enh.host.n):
-            inc = ctx.inc[v]
-            if inc & a and inc & ~a:
-                out |= 1 << v
-        return out
+    def host(self) -> Graph:
+        """The enhanced host, `enhance(rg).host`."""
+        adj = [0] * len(self.inc)
+        for u, w, ub, wb in self.ends:
+            adj[u] |= wb
+            adj[w] |= ub
+        return Graph(len(adj), tuple(adj))
+
+    def eset(self, mask: int) -> frozenset[Edge]:
+        ends = self.ends
+        out = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, w, _, _ = ends[low.bit_length() - 1]
+            out.append((u, w))
+        return frozenset(out)
 
 
-def _jumps(ec: _ExpCtx, a: int, bnd: int, k: int, connected: bool):
-    """One-move transitions from clean set a, whose boundary is bnd, with
-    at most k searchers; in a connected search, only those that keep the
-    clean set connected.
+def _jumps(ec: _ExpCtx, a: int, bnd: int, dadj: list[int], k: int, connected: bool):
+    """One-move transitions from clean set a, whose boundary is bnd and
+    whose dirty neighbours of each vertex v are dadj[v], with at most k
+    searchers; in a connected search, only those that keep the clean set
+    connected.
 
     A move lands a searcher on a vertex v off the boundary while the
     occupied set is the boundary plus a set of extra dirty neighbours of
@@ -123,22 +197,18 @@ def _jumps(ec: _ExpCtx, a: int, bnd: int, k: int, connected: bool):
 
     No dirty edge touches an apex: u_in's edges are E_in, clean from the
     start, and u_out's are E_out, never a target.
+
+    dadj is the caller's and stays unchanged.  The landing vertices are
+    the boundary's dirty neighbours when no searcher is spare or a
+    connected search leaves a nonempty set; otherwise they are every
+    vertex off the boundary at a dirty edge (a nonzero dadj entry),
+    found only then.
     """
     nbase = bnd.bit_count()
     if nbase > k:
         return
-    inc, ends = ec.ctx.inc, ec.ends
+    inc = ec.inc
     dirty = ec.target & ~a
-    dadj = [0] * len(inc)  # dirty neighbours of each vertex
-    live = 0  # vertices at a dirty edge
-    m = dirty
-    while m:
-        low = m & -m
-        m ^= low
-        u, w, ub, wb = ends[low.bit_length() - 1]
-        dadj[u] |= wb
-        dadj[w] |= ub
-        live |= ub | wb
     bad = 0  # vertices with a dirty edge into the boundary
     m = bnd
     while m:
@@ -153,7 +223,14 @@ def _jumps(ec: _ExpCtx, a: int, bnd: int, k: int, connected: bool):
     # with no searcher to spare there are no extras, so a landing
     # vertex needs a dirty edge into the boundary to clean anything; a
     # connected search needs one to stay connected
-    land = (bad if not cap or connected and a else live) & ~bnd
+    if not cap or connected and a:
+        land = bad & ~bnd
+    else:
+        land = 0  # vertices at a dirty edge
+        for v, d in enumerate(dadj):
+            if d:
+                land |= 1 << v
+        land &= ~bnd
     while land:
         vb = land & -land
         land ^= vb
@@ -208,9 +285,12 @@ def _expansion_decide(
 ) -> tuple[bool, Expansion | None, int]:
     """Breadth-first search over the clean sets of width at most k.
 
-    The queue carries each set with its boundary: the start's is
-    computed once per context, every other one by `_jumps` from its
-    predecessor's, and none is wider than k.
+    The queue carries each set with its boundary and its dirty-neighbour
+    table (dadj[v], the dirty neighbours of v).  The start's are built
+    once per context.  A successor's boundary comes from `_jumps`, and
+    none is wider than k.  Its table is its parent's with the edges the
+    move cleans removed, made only when the set is first met, so a
+    successor met again costs nothing.
     """
     if ec.s_in_size > k:
         return False, None, 0
@@ -218,13 +298,14 @@ def _expansion_decide(
     if ec.start_bnd.bit_count() > k:
         return False, None, 0
     parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    queue = deque([(start, ec.start_bnd)])
+    queue = deque([(start, ec.start_bnd, ec.start_dadj)])
+    ends = ec.ends
     explored = 0
     # a connected search holds only connected sets: the start e_start is
     # the star from u_in over S_in plus edges among its leaves, and
     # `_jumps` keeps every successor of a connected set connected.
     while queue:
-        a, bnd = queue.popleft()
+        a, bnd, dadj = queue.popleft()
         explored += 1
         if budget is not None and explored > budget:
             raise BudgetExceeded("expansion state budget exhausted")
@@ -232,11 +313,19 @@ def _expansion_decide(
             if not witness:
                 return True, None, explored
             return True, _reconstruct(ec, parent, a), explored
-        for a2, bnd2 in _jumps(ec, a, bnd, k, connected):
+        for a2, bnd2 in _jumps(ec, a, bnd, dadj, k, connected):
             if a2 in parent:
                 continue
-            parent[a2] = (a, a2 & ~a)
-            queue.append((a2, bnd2))
+            cleaned = a2 & ~a
+            parent[a2] = (a, cleaned)
+            dadj2 = dadj.copy()
+            while cleaned:
+                low = cleaned & -cleaned
+                cleaned ^= low
+                u, w, ub, wb = ends[low.bit_length() - 1]
+                dadj2[u] &= ~wb
+                dadj2[w] &= ~ub
+            queue.append((a2, bnd2, dadj2))
     return False, None, explored
 
 
@@ -247,7 +336,7 @@ def _reconstruct(ec: _ExpCtx, parent: dict, last: int) -> Expansion:
     then every chunk in cleaning order, each chunk opened by an edge
     touching the part already laid out so prefixes stay connected.
     """
-    ctx = ec.ctx
+    ev = [ub | wb for _, _, ub, wb in ec.ends]  # vertex mask of each edge
     chunks: list[int] = []
     cur = last
     while parent[cur][0] != -1:
@@ -266,7 +355,7 @@ def _reconstruct(ec: _ExpCtx, parent: dict, last: int) -> Expansion:
     while mm:
         i = (mm & -mm).bit_length() - 1
         mm &= mm - 1
-        covered |= ctx.ev[i]
+        covered |= ev[i]
     for chunk in chunks:
         items = []
         m = chunk
@@ -275,16 +364,16 @@ def _reconstruct(ec: _ExpCtx, parent: dict, last: int) -> Expansion:
             m &= m - 1
             items.append(i)
         while items:
-            pick = next((i for i in items if ctx.ev[i] & covered), items[0])
+            pick = next((i for i in items if ev[i] & covered), items[0])
             items.remove(pick)
             order.append(pick)
-            covered |= ctx.ev[pick]
-    sets = [ctx.eset(ec.e_in)]
+            covered |= ev[pick]
+    sets = [ec.eset(ec.e_in)]
     acc = ec.e_in
     for i in order:
         acc |= 1 << i
-        sets.append(ctx.eset(acc))
-    return Expansion(ec.enh.host, tuple(sets))
+        sets.append(ec.eset(acc))
+    return Expansion(ec.host(), tuple(sets))
 
 
 def cmp_decide(rg: RootedGraph, k: int, witness: bool = False):

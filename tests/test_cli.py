@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gso import cli
+from gso import cli, paperchecks
 from gso.cli import main
 from gso.gio import graph6_encode, rooted_from_json, rooted_to_json
 from gso.graphs import RootedGraph, complete_graph, doubly_rooted, enhance, path_graph
@@ -125,6 +125,40 @@ def test_solve_many_graphs(tmp_path, capsys):
     assert code == 0
     assert [e["value"] for e in rep["results"]] == [1, 1, 1, 1]
     assert [e["g6"] for e in rep["results"]] == lines
+
+
+@pytest.mark.parametrize("param", ["cmp", "cmms"])
+def test_solve_stats_add_each_results_search_stats(tmp_path, capsys, param):
+    lines = [graph6_encode(g) for g in (path_graph(3), complete_graph(4))]
+    inp = write_inputs(tmp_path / "in.g6", lines)
+    assert main(["solve", inp, "--param", param]) == 0
+    plain = capsys.readouterr().out
+    code, rep = run(capsys, "solve", inp, "--param", param, "--stats")
+    assert code == 0
+    stats = [entry.pop("stats") for entry in rep["results"]]
+    # without the flag the report is the same, byte for byte
+    assert json.dumps(rep, sort_keys=True, indent=2) + "\n" == plain
+    for entry, st in zip(rep["results"], stats):
+        assert sorted(st) == ["levels", "seconds", "states"]
+        assert len(st["levels"]) == entry["value"] + 1
+        assert st["states"] == sum(st["levels"]) and st["seconds"] >= 0
+
+
+def test_verify_paper_stats_add_the_seconds_of_each_check(monkeypatch, capsys):
+    def fake_run_all(stats=None, **kwargs):
+        checks = [paperchecks.CheckResult("1 one", True), paperchecks.CheckResult("2 two", True)]
+        if stats is not None:
+            stats += [{"check": c.name, "seconds": 0.5} for c in checks]
+        return checks
+
+    monkeypatch.setattr("gso.cli.run_all", fake_run_all)
+    assert main(["verify-paper"]) == 0
+    plain = capsys.readouterr().out
+    code, rep = run(capsys, "verify-paper", "--stats")
+    assert code == 0
+    stats = rep.pop("stats")
+    assert json.dumps(rep, sort_keys=True, indent=2) + "\n" == plain
+    assert stats == [{"check": "1 one", "seconds": 0.5}, {"check": "2 two", "seconds": 0.5}]
 
 
 @pytest.mark.parametrize(

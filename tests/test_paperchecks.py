@@ -1,9 +1,20 @@
 """Check 10 (`check_d1`) on families built in the test, not external data."""
 
-from gso import contractions, paperchecks
-from gso.graphs import Graph, complete_graph
+from collections import Counter
+
+import pytest
+
+from gso import contractions, obstructions, paperchecks
+from gso.canon import certificate
+from gso.graphs import Graph, complete_graph, contract_edge
 from gso.obstructions import mine_branch_base, obr_set
 from gso.paperchecks import check_d1
+
+
+@pytest.fixture(scope="module")
+def family():
+    """The level-1 glued family: 120 (cmp, 2) obstructions on 10 to 16 vertices."""
+    return list(obr_set(1, mine_branch_base(7)))
 
 
 def test_check_d1_refuses_one_class_repeated():
@@ -11,7 +22,7 @@ def test_check_d1_refuses_one_class_repeated():
     assert not res.ok and res.detail == "1 duplicate classes"
 
 
-def test_check_d1_tests_members_alone(monkeypatch):
+def test_check_d1_tests_members_alone(monkeypatch, family):
     # per-member minimality decides every comparable pair, so no
     # containment search runs, even on the 10 to 16 vertex glued graphs
     def refuse(*args, **kwargs):
@@ -19,9 +30,28 @@ def test_check_d1_tests_members_alone(monkeypatch):
 
     monkeypatch.setattr(contractions, "is_contraction", refuse)
     monkeypatch.setattr(paperchecks, "is_contraction", refuse, raising=False)
-    family = list(obr_set(1, mine_branch_base(7)))
     res = check_d1(family)
     assert not res.ok and res.detail == f"count {len(family)} != 177"
+
+
+def test_check_d1_decides_each_contraction_class_once(monkeypatch, family):
+    # the members share one verdict table: every member and every class
+    # of single-edge contractions across the family is decided once
+    decided = Counter()
+    above = obstructions.ABOVE["cmp"]
+
+    def counting(g, k):
+        decided[certificate(g)] += 1
+        return above(g, k)
+
+    monkeypatch.setitem(obstructions.ABOVE, "cmp", counting)
+    res = check_d1(family)
+    assert res.detail == f"count {len(family)} != 177"
+    classes = [{certificate(contract_edge(g, e)) for e in g.edges} for g in family]
+    children = set().union(*classes)
+    assert max(decided.values()) == 1
+    assert len(decided) == len(family) + len(children)
+    assert len(children) < sum(map(len, classes))  # members share classes
 
 
 def test_check_d1_reports_a_comparable_pair_as_not_an_obstruction():

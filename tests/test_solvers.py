@@ -33,7 +33,8 @@ from gso.solvers import (
     solve_game,
 )
 from gso.solvers import _ExpCtx, _jumps, _moves
-from gso.expansions import expansion_to_strategy, validate_expansion
+from gso import solvers
+from gso.expansions import expansion_cost, expansion_to_strategy, validate_expansion
 
 from conftest import random_connected, random_rooted
 
@@ -777,25 +778,36 @@ def test_vacated_vertex_flood_equals_closure(rng):
     assert moves_checked > 40_000 and flooded > 20_000, (moves_checked, flooded)
 
 
-def _parent_bmask(ec: _ExpCtx, a: int) -> int:
+def _parent_bmask(ctx: HostCtx, a: int) -> int:
     """Vertex mask of the boundary of the clean set a, vertex by vertex."""
     out = 0
-    for v in range(ec.enh.host.n):
-        inc = ec.ctx.inc[v]
+    for v in range(ctx.g.n):
+        inc = ctx.inc[v]
         if inc & a and inc & ~a:
             out |= 1 << v
     return out
 
 
-def _parent_jumps(ec: _ExpCtx, a: int, k: int):
+def _rebuilt_dadj(ctx: HostCtx, dirty: int) -> list[int]:
+    """The dirty neighbours of each vertex, rebuilt from the dirty edges."""
+    dadj = [0] * ctx.g.n
+    for i, (u, w) in enumerate(ctx.edges):
+        if dirty >> i & 1:
+            dadj[u] |= 1 << w
+            dadj[w] |= 1 << u
+    return dadj
+
+
+def _parent_jumps(ctx: HostCtx, target: int, a: int, k: int):
     """The expansion search's one-move transitions before they were
     enumerated from dirty adjacency: every subset of v's free dirty
     neighbours, each tested against every dirty edge, a placement and
-    each slide yielded separately (so one clean set may come repeatedly)."""
-    ctx = ec.ctx
-    apex = (1 << ec.enh.u_in) | (1 << ec.enh.u_out)
-    bnd = _parent_bmask(ec, a)
-    dirty = ec.target & ~a
+    each slide yielded separately (so one clean set may come repeatedly).
+    ctx is the enhanced host's `HostCtx`, whose last two vertices are the
+    apexes u_in and u_out, and target its edges but E_out."""
+    apex = 3 << ctx.g.n - 2
+    bnd = _parent_bmask(ctx, a)
+    dirty = target & ~a
     nbase = bnd.bit_count()
     if nbase > k:
         return
@@ -805,7 +817,7 @@ def _parent_jumps(ec: _ExpCtx, a: int, k: int):
         i = (m & -m).bit_length() - 1
         m &= m - 1
         dirty_ev.append((i, ctx.ev[i]))
-    for v in range(ec.enh.host.n):
+    for v in range(ctx.g.n):
         vb = 1 << v
         if vb & (bnd | apex):
             continue
@@ -858,7 +870,7 @@ def _parent_jumps(ec: _ExpCtx, a: int, k: int):
                     if ctx.ev[i] & ~vb & occ & ~wb:
                         d |= 1 << i
                 a2 = a | d
-                if _parent_bmask(ec, a2) & wb:
+                if _parent_bmask(ctx, a2) & wb:
                     continue
                 yield a2
 
@@ -875,19 +887,21 @@ def test_jumps_yield_each_parent_successor_once_with_its_boundary(connected):
     for _ in range(80):
         rg = random_rooted(rng, random_connected(rng, 7))
         ec = _ExpCtx(rg)
+        ctx = HostCtx(enhance(rg).host)
         for k in range(5):
             seen = {ec.start}
             todo = [ec.start]
             while todo:
                 a = todo.pop()
-                parent = list(_parent_jumps(ec, a, k))
+                parent = list(_parent_jumps(ctx, ec.target, a, k))
                 if connected:
-                    parent = [a2 for a2 in parent if ec.ctx.edges_connected(a2)]
+                    parent = [a2 for a2 in parent if ctx.edges_connected(a2)]
                 want = list(dict.fromkeys(parent))
-                got = list(_jumps(ec, a, _parent_bmask(ec, a), k, connected))
+                dadj = _rebuilt_dadj(ctx, ec.target & ~a)
+                got = list(_jumps(ec, a, _parent_bmask(ctx, a), dadj, k, connected))
                 assert [a2 for a2, _ in got] == want, (graph6_encode(rg.graph), k, a)
                 for a2, bnd2 in got:
-                    assert bnd2 == _parent_bmask(ec, a2)
+                    assert bnd2 == _parent_bmask(ctx, a2)
                     assert bnd2.bit_count() <= k
                     if a2 not in seen:
                         seen.add(a2)
@@ -898,3 +912,76 @@ def test_jumps_yield_each_parent_successor_once_with_its_boundary(connected):
         assert states > 1500 and repeats > 400
     else:
         assert states > 2000 and repeats > 500
+
+
+def _rooted_sample(seed: int, count: int) -> list[RootedGraph]:
+    """Random rooted graphs with n <= 7, led by the root shapes a random
+    draw may miss: no roots, S_out alone, and S_in equal to S_out."""
+    g = cycle_graph(5)
+    rgs = [
+        RootedGraph(g),
+        RootedGraph(g, s_out=frozenset({0, 2})),
+        RootedGraph(g, frozenset({0, 1}), frozenset({0, 1})),
+    ]
+    rng = random.Random(seed)
+    rgs += [random_rooted(rng, random_connected(rng, 7)) for _ in range(count)]
+    return rgs
+
+
+def test_exp_ctx_matches_the_enhanced_host():
+    # the one-pass context numbers the edges as `HostCtx(enhance(rg).host)`
+    # does and reads the same masks off them
+    overlap = 0
+    for rg in _rooted_sample(7, 300):
+        enh = enhance(rg)
+        ctx = HostCtx(enh.host)
+        ec = _ExpCtx(rg)
+        assert [(u, w) for u, w, _, _ in ec.ends] == list(ctx.edges)
+        assert [ub | wb for _, _, ub, wb in ec.ends] == list(ctx.ev)
+        assert tuple(ec.inc) == ctx.inc
+        assert ec.e_in == ctx.emask(enh.e_in)
+        assert ec.start == ctx.emask(enh.e_start)
+        assert ec.target == ctx.full & ~ctx.emask(enh.e_out)
+        assert ec.start_bnd == _parent_bmask(ctx, ec.start)
+        assert ec.start_dadj == _rebuilt_dadj(ctx, ec.target & ~ec.start)
+        assert ec.host() == enh.host
+        assert ec.eset(ec.target) == ctx.eset(ec.target)
+        overlap += bool(rg.s_in & rg.s_out)
+    assert overlap > 30
+
+
+@pytest.mark.parametrize("connected", [False, True], ids=["unconnected", "connected"])
+def test_carried_dirty_table_matches_a_rebuilt_one(monkeypatch, connected):
+    # at every state the search pops, at every width k, the table the
+    # queue carries equals one rebuilt from the state's dirty edges
+    jumps = solvers._jumps
+    checked = 0
+
+    def checking(ec, a, bnd, dadj, k, conn):
+        nonlocal checked
+        assert dadj == _rebuilt_dadj(ctx, ec.target & ~a)
+        checked += 1
+        return jumps(ec, a, bnd, dadj, k, conn)
+
+    monkeypatch.setattr(solvers, "_jumps", checking)
+    for rg in _rooted_sample(11, 120):
+        ctx = HostCtx(enhance(rg).host)
+        if connected:
+            cmp_value(rg)
+        else:
+            mp_value(rg)
+    assert checked > 1000
+
+
+def test_witnesses_live_on_the_enhanced_host():
+    # the witness's host is `enhance(rg).host`, edges in the same order,
+    # and the witness is a valid expansion of the reported width
+    for rg in _rooted_sample(13, 120):
+        enh = enhance(rg)
+        res = cmp_value(rg, witness=True)
+        wit = res.witness
+        assert wit.host == enh.host and wit.host.edges == enh.host.edges
+        validate_expansion(wit, enh.e_in, enh.e_out)
+        assert expansion_cost(wit, enh) == res.value
+        ok, wit2 = cmp_decide(rg, res.value, witness=True)
+        assert ok and wit2 == wit
