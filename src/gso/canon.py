@@ -249,8 +249,4 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def rooted_certificate(rg: RootedGraph) -> bytes:
-    colors = [
-        (1 if v in rg.s_in else 0) | (2 if v in rg.s_out else 0)
-        for v in range(rg.graph.n)
-    ]
-    return certificate(rg.graph, colors)
+    return certificate(rg.graph, rg.root_colors())

@@ -33,6 +33,7 @@ from .expansions import expansion_to_strategy
 from .gio import graph6_encode, read_graphs, write_graph6_lines
 from .graphs import RootedGraph, enhance
 from .obstructions import (
+    ABOVE,
     branch_count,
     branch_count_lower_bound_holds,
     branch_set,
@@ -66,11 +67,11 @@ def _witness_path(out: str, index: int, many: bool) -> str:
 
 
 _VALUE = {
-    "cmp": cmp_value,
-    "mp": mp_value,
     "ms": ms_value,
     "cms": cms_value,
     "cmms": cmms_value,
+    "cmp": cmp_value,
+    "mp": mp_value,
 }
 
 
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="search numbers for graphs in a file")
     p.add_argument("input")
-    p.add_argument("--param", choices=["ms", "cms", "cmms", "cmp", "mp"], default="cmms")
+    p.add_argument("--param", choices=list(_VALUE), default="cmms")
     p.add_argument("-k", type=int, default=None)
     p.add_argument(
         "--budget", type=int, default=None, metavar="NODES",
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine minimal obstructions")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--param", choices=["cmp", "cms", "mp"], default="cmp")
+    p.add_argument("--param", choices=list(ABOVE), default="cmp")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--relation", choices=["contraction", "minor"], default="contraction")
     p.add_argument("--out", default=None, metavar="FILE")

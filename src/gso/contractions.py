@@ -2,9 +2,12 @@
 
 Both relations are decided by enumerating partitions of the host's
 vertices into connected classes and matching the quotient against the
-pattern.  Exponential, but the toolkit only ever runs it on small
-graphs; a node budget turns runaway searches into a distinct error.
-`is_outerplanar` lives in `gso.blocks` and is re-exported here.
+pattern.  Exponential, but it only ever runs on small graphs; a node
+budget turns runaway searches into a distinct error.  No library path
+calls `is_contraction`, `is_minor` or `contains_any`: they are the
+tests' oracle, kept here while the benchmark wraps them.  The library
+reads `proper_contractions`.  `is_outerplanar` lives in `gso.blocks`
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def _partitions(g: Graph, parts: int, budget: list[int] | None) -> Iterator[tupl
             if budget[0] < 0:
                 raise BudgetExceeded("partition budget exhausted")
         if v == n:
-            if used == parts and all(_mask_connected(g, m) for m in members[:used]):
+            if used == parts and all(g.is_connected(m) for m in members):
                 yield tuple(assign)
             return
         # must still be able to open the remaining classes
@@ -58,13 +61,6 @@ def _partitions(g: Graph, parts: int, budget: list[int] | None) -> Iterator[tupl
         assign[v] = 0
 
     yield from rec(0, 0)
-
-
-def _mask_connected(g: Graph, mask: int) -> bool:
-    if mask == 0:
-        return False
-    start = (mask & -mask).bit_length() - 1
-    return g.component_mask(start, mask) == mask
 
 
 def _quotient_adj(g: Graph, assign: tuple[int, ...], parts: int) -> list[int]:
@@ -147,9 +143,7 @@ def _decide(h: RootedGraph, g: RootedGraph, exact: bool, budget: int | None) -> 
     hg, gg = h.graph, g.graph
     if hg.n > gg.n:
         return None
-    h_colors = [
-        (1 if v in h.s_in else 0) | (2 if v in h.s_out else 0) for v in range(hg.n)
-    ]
+    h_colors = h.root_colors()
     h_degs = [hg.degree(v) for v in range(hg.n)]
     bud = [budget] if budget is not None else None
     for assign in _partitions(gg, hg.n, bud):

@@ -82,15 +82,22 @@ class Graph:
             seen |= frontier
         return seen
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
+    def is_connected(self, allowed: int | None = None) -> bool:
+        """Does the vertex mask `allowed` (default: every vertex) induce a
+        connected subgraph?  The empty mask does."""
+        if allowed is None:
+            allowed = (1 << self.n) - 1
+        if not allowed:
             return True
-        return self.component_mask(0) == (1 << self.n) - 1
+        start = (allowed & -allowed).bit_length() - 1
+        return self.component_mask(start, allowed) == allowed
 
-    def components(self) -> list[int]:
-        """Vertex bitmasks of the connected components."""
+    def components(self, allowed: int | None = None) -> list[int]:
+        """Vertex bitmasks of the connected components of the subgraph
+        induced by the vertex mask `allowed` (default: every vertex),
+        ordered by their lowest vertex."""
         out = []
-        left = (1 << self.n) - 1
+        left = (1 << self.n) - 1 if allowed is None else allowed
         while left:
             v = (left & -left).bit_length() - 1
             comp = self.component_mask(v, left)
@@ -134,21 +141,18 @@ def vertex_set(edges: Iterable[Edge]) -> frozenset[int]:
     return frozenset(v for e in edges for v in e)
 
 
+def _merged_ids(n: int, u: int, v: int) -> list[int]:
+    """The id of each of n vertices after contracting edge (u, v), u < v:
+    the merged vertex keeps id u; v disappears and the ids above shift down."""
+    return [u if x == v else x - (x > v) for x in range(n)]
+
+
 def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     u, v = norm_edge(*e)
     if not g.has_edge(u, v):
         raise ValueError(f"no such edge ({u},{v})")
-    # merged vertex keeps id u (the smaller); v disappears, ids above shift down
-    def remap(x: int) -> int:
-        if x == v:
-            return u
-        return x - 1 if x > v else x
-
-    edges = set()
-    for a, b in g.edges:
-        a2, b2 = remap(a), remap(b)
-        if a2 != b2:
-            edges.add(norm_edge(a2, b2))
+    to = _merged_ids(g.n, u, v)
+    edges = {norm_edge(to[a], to[b]) for a, b in g.edges if to[a] != to[b]}
     return Graph.from_edges(g.n - 1, edges)
 
 
@@ -168,6 +172,13 @@ class RootedGraph:
         if not self.graph.is_connected():
             raise ValueError("rooted graph must be connected")
 
+    def root_colors(self) -> list[int]:
+        """The colour of each vertex: 1 if it is in S_in, plus 2 if in S_out."""
+        return [
+            (1 if v in self.s_in else 0) | (2 if v in self.s_out else 0)
+            for v in range(self.graph.n)
+        ]
+
 
 def rev(rg: RootedGraph) -> RootedGraph:
     return RootedGraph(rg.graph, rg.s_out, rg.s_in)
@@ -179,17 +190,11 @@ def doubly_rooted(g: Graph, v: int) -> RootedGraph:
 
 def contract_edge_rooted(rg: RootedGraph, e: tuple[int, int]) -> RootedGraph:
     u, v = norm_edge(*e)
-    g2 = contract_edge(rg.graph, (u, v))
-
-    def remap(x: int) -> int:
-        if x == v:
-            return u
-        return x - 1 if x > v else x
-
+    to = _merged_ids(rg.graph.n, u, v)
     return RootedGraph(
-        g2,
-        frozenset(remap(x) for x in rg.s_in),
-        frozenset(remap(x) for x in rg.s_out),
+        contract_edge(rg.graph, (u, v)),
+        frozenset(to[x] for x in rg.s_in),
+        frozenset(to[x] for x in rg.s_out),
     )
 
 

@@ -284,18 +284,13 @@ def fan_check_structural(g: Graph, v: int) -> bool:
 def _fan_shape(g: Graph, v: int) -> bool:
     """Every component of g - v is a vertex or a path with an end adjacent
     to v.  With outerplanarity this is `fan_check_structural`."""
-    allowed = ((1 << g.n) - 1) & ~(1 << v)
-    rest = allowed
-    while rest:
-        w = (rest & -rest).bit_length() - 1
-        comp = g.component_mask(w, allowed)
-        rest &= ~comp
+    for comp in g.components(((1 << g.n) - 1) & ~(1 << v)):
         vs = [x for x in range(g.n) if comp >> x & 1]
         sub, idx = g.induced(vs)
         degs = sorted(sub.degree(i) for i in range(sub.n))
         if sub.n == 1:
             ends = vs
-        elif degs[-1] <= 2 and degs[:2] == [1, 1] and sub.is_connected():
+        elif degs[-1] <= 2 and degs[:2] == [1, 1]:
             ends = [x for x in vs if sub.degree(idx[x]) == 1]
         else:
             return False

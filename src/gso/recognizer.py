@@ -61,13 +61,8 @@ class SpineStructure:
 def root_components(g: Graph, v: int) -> list[tuple[RootedGraph, tuple[int, ...]]]:
     """Each component of g - v together with v, doubly rooted at v."""
     out = []
-    allowed = ((1 << g.n) - 1) & ~(1 << v)
-    rest = allowed
-    while rest:
-        w = (rest & -rest).bit_length() - 1
-        comp = g.component_mask(w, allowed)
-        rest &= ~comp
-        vs = sorted([x for x in range(g.n) if comp >> x & 1] + [v])
+    for comp in g.components(((1 << g.n) - 1) & ~(1 << v)):
+        vs = [x for x in range(g.n) if (comp | 1 << v) >> x & 1]
         sub, idx = g.induced(vs)
         out.append((doubly_rooted(sub, idx[v]), tuple(vs)))
     return out

@@ -5,10 +5,10 @@ newly cleaned edges are those with both endpoints occupied plus the
 sliding edge; the closure then recontaminates every clean edge that
 can reach a contaminated edge along a path whose connecting vertices
 are all unguarded.  `HostCtx` holds a host's bitmask kernels:
-`occupied` gives the edges a searcher set cleans and touches, `closure`
-the clean set that survives, and `flood` the closure's loss when
-recontamination can start only at the vertex a move vacates, which is
-all a game state reachable from a stable start can lose.
+`occupied` gives the edges a searcher set cleans and touches, `flood`
+what recontamination from a vertex set takes, `closure` the clean set
+that survives, and `joined` and `edges_connected` whether edge sets are
+connected.
 """
 
 from __future__ import annotations
@@ -57,19 +57,19 @@ class HostCtx:
       end in p): OR-ing inc over p gives the second, and an edge is met
       twice on the way, so the first is the running overlap of the seen
       mask with each new inc[v], in |p| steps.
-    * closure(q, guard): the contaminated region W is every unguarded
-      vertex at a dirty edge (not in q), grown along adj through
-      unguarded vertices; the edges lost are q & inc(W), the union of
-      inc[v] over v in W.
-    * flood(v, guard) is what closure loses when v, unguarded, is the
-      only unguarded vertex with both clean and dirty edges: the edges
-      at every vertex that unguarded paths reach from v.  Any other
-      seed vertex has only dirty edges, so the region grown from it
-      stays on dirty edges unless it meets v.
+    * flood(seeds, guard): the edges at every vertex that unguarded
+      paths reach from the unguarded vertex mask seeds, the one walk
+      over vertices.  closure(q, guard) = q minus the flood from every
+      unguarded vertex at a dirty edge (not in q).  In a game state
+      reachable from a stable start, the vertex v a move vacates is the
+      only unguarded vertex with both clean and dirty edges, so the
+      closure loses flood(1 << v, guard): the region grown from any
+      other seed stays on dirty edges unless it meets v.
     * joined(vmask(c), new) = edges_connected(c | new) for a connected,
       nonempty c disjoint from new, in passes over new alone: a search
       whose sets only grow and stay connected tests just the edges a
-      move adds.
+      move adds.  It is the one walk over edges: edges_connected(e) is
+      joined from e's lowest edge over the rest of e.
     """
 
     def __init__(self, g: Graph):
@@ -85,11 +85,6 @@ class HostCtx:
             inc[v] |= 1 << i
         self.inc = tuple(inc)
         self.adj = g.adj
-
-    @cached_property
-    def vinc(self) -> tuple[tuple[int, int], ...]:
-        """(bit of v, inc[v]) for every vertex v: the loop that seeds `closure`."""
-        return tuple((1 << v, iv) for v, iv in enumerate(self.inc))
 
     @cached_property
     def slides(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -136,40 +131,15 @@ class HostCtx:
 
     def closure(self, q: int, guard: int) -> int:
         """Clean set surviving recontamination from E(host) minus q."""
-        dirty = self.full & ~q
-        if dirty == 0:
-            return q
-        w = 0
-        for bit, iv in self.vinc:
-            if iv & dirty:
-                w |= bit
-        free = ~guard
-        w &= free
-        adj = self.adj
-        frontier = w
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nxt |= adj[low.bit_length() - 1]
-            frontier = nxt & free & ~w
-            w |= frontier
-        inc = self.inc
-        lost = 0
-        while w:
-            low = w & -w
-            w ^= low
-            lost |= inc[low.bit_length() - 1]
-        return q & ~lost
+        return q & ~self.flood(self.vmask(self.full & ~q) & ~guard, guard)
 
-    def flood(self, v: int, guard: int) -> int:
+    def flood(self, seeds: int, guard: int) -> int:
         """The edges at the vertices that unguarded paths reach from the
-        unguarded vertex v: what closure(q, guard) loses when v is the one
-        unguarded vertex with both a clean and a dirty edge in q."""
+        vertex mask seeds: what recontamination takes when it starts at
+        seeds.  seeds should hold no guarded vertex."""
         free = ~guard
         adj, inc = self.adj, self.inc
-        w = frontier = 1 << v
+        w = frontier = seeds
         out = 0
         while frontier:
             nxt = 0
@@ -214,29 +184,8 @@ class HostCtx:
 
     def edges_connected(self, emask: int) -> bool:
         """Do the edges in emask induce a connected subgraph?"""
-        if emask == 0:
-            return True
-        first = (emask & -emask).bit_length() - 1
-        verts = self.ev[first]
-        seen = 1 << first
-        frontier = 1 << first
-        while frontier:
-            nxt = 0
-            vm = 0
-            mm = frontier
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                vm |= self.ev[i]
-            verts |= vm
-            m2 = vm
-            while m2:
-                v = (m2 & -m2).bit_length() - 1
-                m2 &= m2 - 1
-                nxt |= self.inc[v]
-            frontier = nxt & emask & ~seen
-            seen |= frontier
-        return seen == emask
+        low = emask & -emask
+        return not emask or self.joined(self.ev[low.bit_length() - 1], emask ^ low)
 
 
 @dataclass(frozen=True)

@@ -54,12 +54,8 @@ class SolveResult:
 
 
 def _check_s_in(rg: RootedGraph) -> None:
-    if rg.s_in:
-        mask = 0
-        for v in rg.s_in:
-            mask |= 1 << v
-        if rg.graph.component_mask(min(rg.s_in), mask) != mask:
-            raise ValueError("s_in must induce a connected subgraph")
+    if not rg.graph.is_connected(sum(1 << v for v in rg.s_in)):
+        raise ValueError("s_in must induce a connected subgraph")
 
 
 class _ExpCtx:
@@ -445,7 +441,7 @@ def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[list]:
     floods]: the edges cleaned are those with both ends occupied
     afterwards, plus the sliding edge of a slide; a placement vacates
     nothing (0), a removal or slide vacates v (inc[v]).  The flood,
-    `HostCtx.flood(v, searchers after the move)`, is -1 until a
+    `HostCtx.flood(1 << v, searchers after the move)`, is -1 until a
     non-monotone solve first needs it.
 
     The table lives on the host (`HostCtx.game_moves`, keyed (pmask,
@@ -555,16 +551,17 @@ def solve_game(
       neither empty nor all of inc[v].  A monotone solve drops such a
       move.  In a non-monotone one recontamination can start at v alone,
       and the closure loses the edges at every vertex that unguarded
-      paths reach from v: c2 = q & ~`HostCtx.flood(v, p2)`, computed
+      paths reach from v: c2 = q & ~`HostCtx.flood(1 << v, p2)`, computed
       once per move, on first need.  Otherwise c2 = q.
     * Connected (connected solves): c induces a connected subgraph.
       When c2 contains a nonempty c (always in a monotone solve), c2 is
       connected exactly when the new edges c2 & ~c reach the vertices of
       c through one another (`HostCtx.joined`); the vertices of c are
       found once per state, on first need.  Out of c == 0, or after a
-      closure that lost edges, the full `HostCtx.edges_connected(c2)`
-      is read from `HostCtx.connected_sets`, which every solve on the
-      host shares.
+      closure that lost edges, no part of c2 is known to be connected,
+      so `HostCtx.edges_connected(c2)` runs the same `joined` walk from
+      c2's lowest edge; its answer is read from
+      `HostCtx.connected_sets`, which every solve on the host shares.
     """
     ctx = host if isinstance(host, HostCtx) else HostCtx(host)
     goal = ctx.full & ~forbid
@@ -605,7 +602,7 @@ def solve_game(
                 if monotone:
                     continue
                 if lost < 0:
-                    lost = move[6] = ctx.flood(v, p2)
+                    lost = move[6] = ctx.flood(1 << v, p2)
                 c2 = q & ~lost
             else:
                 c2 = q

@@ -2,27 +2,11 @@ import random
 
 import pytest
 
-from gso.gen import connected_graphs
-from gso.graphs import Graph, RootedGraph
+# the seeded draws the property checks make, shared so the tests draw alike
+from gso.paperchecks import _random_connected as random_connected  # noqa: F401
+from gso.paperchecks import _random_rooted as random_rooted  # noqa: F401
 
 
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
-
-
-def random_connected(rng: random.Random, n_max: int = 5) -> Graph:
-    n = rng.randint(1, n_max)
-    return rng.choice(connected_graphs(n))
-
-
-def random_rooted(rng: random.Random, g: Graph) -> RootedGraph:
-    for _ in range(50):
-        size = rng.randint(0, min(3, g.n))
-        s_in = frozenset(rng.sample(range(g.n), size))
-        if not s_in or g.induced(sorted(s_in))[0].is_connected():
-            break
-    else:
-        s_in = frozenset()
-    s_out = frozenset(rng.sample(range(g.n), rng.randint(0, min(3, g.n))))
-    return RootedGraph(g, s_in, s_out)

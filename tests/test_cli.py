@@ -277,6 +277,17 @@ def test_mine_output_matches_bench_reference(capsys):
     assert capsys.readouterr().out == ref.read_text()
 
 
+def test_mine_takes_every_decided_param(capsys):
+    # ms and cmms were refused by the parser though mining decides them;
+    # the game engine's cmms obstructions are the expansion engine's cmp ones
+    ref = Path(__file__).resolve().parents[1] / "bench" / "reference" / "mine.json"
+    code, rep = run(capsys, "mine", "--param", "cmms", "-k", "2", "--max-n", "7")
+    assert code == 0
+    assert rep["param"] == "cmms"
+    assert rep["graphs"] == json.loads(ref.read_text())["graphs"]
+    assert cli.build_parser().parse_args(["mine", "--param", "ms", "-k", "1", "--max-n", "3"])
+
+
 def test_mine_minor_relation(capsys):
     code, rep = run(
         capsys, "mine", "--max-n", "5", "--param", "mp", "-k", "1",

@@ -72,6 +72,26 @@ def test_connectivity_matches_networkx(rng):
         assert g.is_connected() == nx.is_connected(to_nx(g))
 
 
+def test_vertex_mask_connectivity_matches_networkx(rng):
+    """is_connected(allowed) and components(allowed) read the subgraph
+    induced by allowed; the empty mask is connected with no components."""
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        g = Graph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        )
+        for allowed in {0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)}:
+            sub = to_nx(g).subgraph(v for v in range(n) if allowed >> v & 1)
+            comps = sorted(
+                (sum(1 << v for v in c) for c in nx.connected_components(sub)),
+                key=lambda m: m & -m,
+            )
+            assert g.components(allowed) == comps
+            assert g.is_connected(allowed) == (len(comps) <= 1)
+            if allowed:
+                assert g.is_connected(allowed) == nx.is_connected(sub)
+
+
 def test_components_partition(rng):
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)])
     masks = g.components()

@@ -123,6 +123,20 @@ def brute_closure(g: Graph, ctx: HostCtx, q: int, guard: int) -> int:
     return out
 
 
+def brute_flood(g: Graph, ctx: HostCtx, seeds: int, guard: int) -> int:
+    """The edges at every vertex that an unguarded path reaches from seeds."""
+    region = {v for v in range(g.n) if seeds >> v & 1}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a in region and not guard >> b & 1 and b not in region:
+                    region.add(b)
+                    changed = True
+    return sum(1 << i for i, e in enumerate(ctx.edges) if set(e) & region)
+
+
 def brute_edges_connected(ctx: HostCtx, emask: int) -> bool:
     """Union-find over the edges of emask: one component, or none."""
     root = list(range(ctx.g.n))
@@ -152,6 +166,8 @@ def test_closure_matches_brute_force(rng):
 
 def test_kernels_match_brute_force_on_all_small_graphs():
     rng = random.Random(5)
+    seed_rng = random.Random(6)  # apart, so rng draws the same sets q
+    several = 0
     for n in range(1, 6):
         for g in connected_graphs(n):
             ctx = HostCtx(g)
@@ -163,6 +179,10 @@ def test_kernels_match_brute_force_on_all_small_graphs():
                     if guard >> u & 1 or guard >> v & 1:
                         touched |= 1 << i
                 assert ctx.occupied(guard) == (both, touched)
+                free = ((1 << n) - 1) & ~guard
+                for seeds in {free} | {seed_rng.getrandbits(n) & free for _ in range(3)}:
+                    assert ctx.flood(seeds, guard) == brute_flood(g, ctx, seeds, guard)
+                    several += seeds.bit_count() > 1
                 qs = {0, ctx.full} | {rng.getrandbits(ctx.m) for _ in range(6)}
                 for q in qs:
                     got = ctx.closure(q, guard)
@@ -176,3 +196,4 @@ def test_kernels_match_brute_force_on_all_small_graphs():
                         assert ctx.joined(ctx.vmask(q), new) == brute_edges_connected(
                             ctx, q | new
                         )
+    assert several > 1_000

@@ -766,7 +766,7 @@ def test_vacated_vertex_flood_equals_closure(rng):
             for kind, v, u, p2, cleaned, vac, _ in _moves(ctx, pmask, k, guard):
                 q = c | cleaned
                 x = vac & q
-                got = q & ~ctx.flood(v, p2) if x and x != vac else q
+                got = q & ~ctx.flood(1 << v, p2) if x and x != vac else q
                 assert got == ctx.closure(q, p2), (graph6_encode(g), c, kind, v, u)
                 moves_checked += 1
                 flooded += got != q
