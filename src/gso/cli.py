@@ -101,6 +101,8 @@ def cmd_solve(args) -> int:
         raise ValueError("--emit-witness and --out go together: give both or neither")
     if args.budget is not None and args.budget < 0:
         raise ValueError(f"--budget must be at least 0, got {args.budget}")
+    if args.k is not None and args.k < 0:
+        raise ValueError(f"-k must be at least 0, got {args.k}")
     with open(args.input) as fh:
         graphs = read_graphs(fh)
     results = [

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .blocks import is_outerplanar  # noqa: F401
-from .canon import unique
+from .canon import canonical_labelling, unique
+from .gen import _edge_orbit_mins
 from .graphs import Graph, RootedGraph, contract_edge
 from .solvers import BudgetExceeded
 
@@ -176,6 +177,8 @@ def contains_any(g, family, relation: str = "contraction", budget: int | None = 
 
 def proper_contractions(g: Graph) -> list[Graph]:
     """All single-edge contractions of g, one per isomorphism class, in
-    certificate order."""
-    return unique(contract_edge(g, e) for e in g.edges)
+    certificate order.  An automorphism maps an edge's contraction onto
+    its image's, so one edge per orbit is contracted."""
+    edges = _edge_orbit_mins(g, canonical_labelling(g)[2])
+    return unique(contract_edge(g, e) for e in edges)
 

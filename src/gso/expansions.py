@@ -20,6 +20,7 @@ the cost is never below |S_in|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .graphs import Edge, Enhancement, Graph, boundary, norm_edge, vertex_set
 from .simulate import HostCtx, Move, Trace, p, s
@@ -234,6 +235,31 @@ def expansion_to_strategy(enh: Enhancement, ex: Expansion) -> list[Move]:
     return moves
 
 
+def expansion_from_chunks(
+    host: Graph, e_in: frozenset[Edge], chunks: Iterable[Sequence[Edge]]
+) -> Expansion:
+    """The expansion that starts at e_in and adds the chunks' edges one
+    at a time, chunk by chunk.
+
+    Inside a chunk the next edge is the first one, in chunk order, with
+    an end already laid out (the ends of e_in count); when none has one,
+    the first edge left.  Every prefix is one set.  The chunks must be
+    disjoint and miss e_in; the result is not validated.
+    """
+    laid = set(vertex_set(e_in))
+    cur = set(e_in)
+    sets = [frozenset(cur)]
+    for chunk in chunks:
+        left = list(chunk)
+        while left:
+            pick = next((e for e in left if e[0] in laid or e[1] in laid), left[0])
+            left.remove(pick)
+            laid.update(pick)
+            cur.add(pick)
+            sets.append(frozenset(cur))
+    return Expansion(host, tuple(sets))
+
+
 def strategy_to_expansion(
     t: Trace,
     e_in: frozenset[Edge] = frozenset(),
@@ -241,41 +267,21 @@ def strategy_to_expansion(
 ) -> Expansion:
     """Prefix expansion of a monotone trace, truncated to [E_in, E minus E_out].
 
-    The edges are laid out in cleaning order; within one step's chunk the
-    sliding edge comes first, then E_in edges, with ties broken so every
-    prefix together with E_in stays connected.  The expansion starts at
-    E_in and appends each non-extension edge in that order.
+    Each step's chunk is the target edges it newly cleans outside E_in,
+    the sliding edge first and the rest in edge order, and
+    `expansion_from_chunks` lays the chunks out from E_in.
     """
     for st in t.steps:
         if st.recontaminated:
             raise InvalidExpansion("trace is not monotone")
     target = frozenset(t.host.edges) - e_out
-
-    order: list[Edge] = []
-    seen: set[Edge] = set(e_in)
-    cur_vs = vertex_set(e_in)
+    chunks = []
     prev: frozenset[Edge] = frozenset()
     for st in t.steps:
-        chunk = [e for e in st.clean - prev if e not in seen and e in target]
-        while chunk:
-            pick = None
-            ranked = sorted(chunk, key=lambda e: (e != st.sliding, e not in e_in, e))
-            for e in ranked:
-                if not cur_vs or set(e) & cur_vs:
-                    pick = e
-                    break
-            if pick is None:
-                pick = ranked[0]
-            chunk.remove(pick)
-            seen.add(pick)
-            order.append(pick)
-            cur_vs = cur_vs | set(pick)
+        new = (st.clean - prev - e_in) & target
+        chunks.append(sorted(new, key=lambda e: (e != st.sliding, e)))
         prev = st.clean
-    sets: list[frozenset[Edge]] = [frozenset(e_in)]
-    cur: set[Edge] = set(e_in)
-    for e in order:
-        cur.add(e)
-        sets.append(frozenset(cur))
-    if sets[-1] != target:
+    ex = expansion_from_chunks(t.host, e_in, chunks)
+    if ex.sets[-1] != target:
         raise InvalidExpansion("trace does not clean the full target edge set")
-    return Expansion(t.host, tuple(sets))
+    return ex

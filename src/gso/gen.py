@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .canon import canonical_labelling
-from .graphs import Graph
+from .graphs import Edge, Graph, norm_edge
 
 T = TypeVar("T")
 Perm = tuple[int, ...]  # an automorphism: v goes to perm[v]
@@ -61,6 +61,13 @@ def _orbit_mins(items: Sequence[T], images: Iterable[Sequence[T]]) -> list[T]:
             elif y < x:
                 up[x] = y
     return [x for x, u in up.items() if x == u]
+
+
+def _edge_orbit_mins(g: Graph, autos: Sequence[Perm]) -> list[Edge]:
+    """The least edge of each orbit of the group `autos` generate on the
+    edges of g, in edge order."""
+    edges = g.edges
+    return _orbit_mins(edges, ([norm_edge(p[u], p[w]) for u, w in edges] for p in autos))
 
 
 def _splits(g: Graph, roots: Iterable[int]) -> Iterator[Graph]:

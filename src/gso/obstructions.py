@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 from .blocks import is_outerplanar
 from .canon import canonical_certificate, certificate, rooted_certificate, unique
 from .contractions import proper_contractions
-from .gen import _orbit_mins, split_level, with_orbit_mins
+from .gen import _edge_orbit_mins, _orbit_mins, split_level, with_orbit_mins
 from .graphs import (
     Edge,
     Graph,
@@ -107,13 +107,6 @@ def _children(
         for e in edges:
             d = Graph.from_edges(g.n, [f for f in g.edges if f != e])
             yield from component_graphs(d)
-
-
-def _edge_orbit_mins(g: Graph, autos: Sequence[tuple[int, ...]]) -> list[Edge]:
-    """The least edge of each orbit of the group `autos` generate on the
-    edges of g, in edge order."""
-    edges = g.edges
-    return _orbit_mins(edges, ([norm_edge(p[u], p[w]) for u, w in edges] for p in autos))
 
 
 def _shape(g: Graph) -> tuple[int, int]:
@@ -460,7 +453,8 @@ def verify_obr(k: int, base: Sequence[RootedGraph]) -> dict:
     first, and also cleaning it last.
 
     Each contraction is solved once per isomorphism class across the
-    family: `proper_contractions` returns canonical graphs, so one class
+    family: `proper_contractions` contracts one edge per automorphism
+    orbit of the glued graph and returns canonical graphs, so one class
     is one graph, and a contraction shared by several glued graphs
     reuses its verdict (still reported once for each of them).
     """

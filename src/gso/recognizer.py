@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .blocks import Block, blocks_and_cuts
-from .expansions import Expansion, InvalidExpansion, expansion_cost
+from .expansions import Expansion, InvalidExpansion, expansion_cost, expansion_from_chunks
 from .graphs import (
     Edge,
     Graph,
@@ -254,21 +254,18 @@ def _spine(g: Graph, rows: Sequence[_Row]) -> SpineStructure | None:
 def _splice(
     g: Graph, parts: Sequence[tuple[RootedGraph, Sequence[int], Expansion]]
 ) -> Expansion:
-    """Concatenate per-part expansions into one unrooted expansion of g.
+    """The parts' witnesses laid end to end as one unrooted expansion of g.
 
-    The parts' entry and exit edges have no counterpart in g and are
-    dropped.
+    Each step of a witness is one chunk of `expansion_from_chunks`: the
+    edge it adds, mapped to g.  The parts' entry and exit edges have no
+    counterpart in g and are dropped.
     """
-    sets: list[frozenset[Edge]] = []
-    base: frozenset[Edge] = frozenset()
+    chunks = []
     for rg, gids, ex in parts:
         n = rg.graph.n  # the part's u_in and u_out are n and n + 1
-        for a in ex.sets:
-            cur = base | {norm_edge(gids[u], gids[v]) for u, v in a if u < n and v < n}
-            if not sets or sets[-1] != cur:
-                sets.append(cur)
-        base = sets[-1]
-    return Expansion(enhance(RootedGraph(g)).host, tuple(sets))
+        for a, b in zip(ex.sets, ex.sets[1:]):
+            chunks.append([norm_edge(gids[u], gids[v]) for u, v in b - a if u < n and v < n])
+    return expansion_from_chunks(enhance(RootedGraph(g)).host, frozenset(), chunks)
 
 
 def _validated(ex: Expansion) -> bool:

@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .expansions import Expansion
+from .expansions import Expansion, expansion_from_chunks
 from .graphs import Edge, Graph, RootedGraph, enhance
 from .simulate import HostCtx, Move
 
@@ -139,7 +139,8 @@ class _ExpCtx:
             adj[w] |= ub
         return Graph(len(adj), tuple(adj))
 
-    def eset(self, mask: int) -> frozenset[Edge]:
+    def edges(self, mask: int) -> list[Edge]:
+        """The edges in mask, in host edge order."""
         ends = self.ends
         out = []
         while mask:
@@ -147,7 +148,7 @@ class _ExpCtx:
             mask ^= low
             u, w, _, _ = ends[low.bit_length() - 1]
             out.append((u, w))
-        return frozenset(out)
+        return out
 
 
 def _jumps(ec: _ExpCtx, a: int, bnd: int, dadj: list[int], k: int, connected: bool):
@@ -328,48 +329,18 @@ def _expansion_decide(
 def _reconstruct(ec: _ExpCtx, parent: dict, last: int) -> Expansion:
     """Edge-at-a-time expansion from the chunked search path.
 
-    The first set is E_in; the edges inside S_in follow one at a time,
-    then every chunk in cleaning order, each chunk opened by an edge
-    touching the part already laid out so prefixes stay connected.
+    The chunks are the edges inside S_in, then the edges each move of the
+    path cleans, each in host edge order; `expansion_from_chunks` lays
+    them out from E_in, so the prefixes of a cmp witness stay connected.
     """
-    ev = [ub | wb for _, _, ub, wb in ec.ends]  # vertex mask of each edge
-    chunks: list[int] = []
+    chunks: list[list[Edge]] = []
     cur = last
     while parent[cur][0] != -1:
-        prev, arrived = parent[cur]
-        chunks.append(arrived)
-        cur = prev
+        cur, arrived = parent[cur]
+        chunks.append(ec.edges(arrived))
+    chunks.append(ec.edges(ec.start & ~ec.e_in))
     chunks.reverse()
-    order: list[int] = []
-    m = ec.start & ~ec.e_in
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        order.append(i)
-    covered = 0
-    mm = ec.start
-    while mm:
-        i = (mm & -mm).bit_length() - 1
-        mm &= mm - 1
-        covered |= ev[i]
-    for chunk in chunks:
-        items = []
-        m = chunk
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            items.append(i)
-        while items:
-            pick = next((i for i in items if ev[i] & covered), items[0])
-            items.remove(pick)
-            order.append(pick)
-            covered |= ev[pick]
-    sets = [ec.eset(ec.e_in)]
-    acc = ec.e_in
-    for i in order:
-        acc |= 1 << i
-        sets.append(ec.eset(acc))
-    return Expansion(ec.host(), tuple(sets))
+    return expansion_from_chunks(ec.host(), frozenset(ec.edges(ec.e_in)), chunks)
 
 
 def cmp_decide(rg: RootedGraph, k: int, witness: bool = False):

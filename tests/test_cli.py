@@ -192,6 +192,18 @@ def test_solve_negative_budget_is_exit_2_before_any_solve(tmp_path, capsys, monk
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_solve_negative_level_is_exit_2_before_the_input_is_read(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("read the input under a negative -k")
+
+    monkeypatch.setattr("gso.cli.read_graphs", fail)
+    inp = write_inputs(tmp_path / "in.g6", [graph6_encode(complete_graph(3))])
+    code = main(["solve", inp, "-k", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "flags", [["--emit-witness"], ["--out", "{tmp}/wit.jsonl"]], ids=["witness", "out"]
 )

@@ -14,13 +14,14 @@ from gso.contractions import (
     is_outerplanar,
     proper_contractions,
 )
-from gso.canon import certificate, is_isomorphic
+from gso.canon import certificate, is_isomorphic, unique
 from gso.gen import connected_graphs
 from gso.graphs import (
     Graph,
     RootedGraph,
     complete_bipartite,
     complete_graph,
+    contract_edge,
     cycle_graph,
     doubly_rooted,
     path_graph,
@@ -138,6 +139,17 @@ def test_proper_contractions_dedup(rng):
         certs = {certificate(c) for c in got}
         assert len(certs) == len(got)
         assert all(c.n == g.n - 1 for c in got)
+
+
+def test_proper_contractions_contract_every_class():
+    # contracting one edge per automorphism orbit loses no class that
+    # contracting every edge finds
+    from gso.obstructions import mine_branch_base, obr_set
+
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    graphs += obr_set(1, mine_branch_base(7))
+    for g in graphs:
+        assert proper_contractions(g) == unique(contract_edge(g, e) for e in g.edges)
 
 
 def nx_outerplanar(g: Graph) -> bool:

@@ -4,6 +4,7 @@ from gso.expansions import (
     Expansion,
     InvalidExpansion,
     expansion_cost,
+    expansion_from_chunks,
     expansion_to_strategy,
     strategy_to_expansion,
     validate_expansion,
@@ -149,6 +150,23 @@ def test_expansion_to_strategy_roundtrip():
     back = strategy_to_expansion(t, enh.e_in, enh.e_out)
     validate_expansion(back, enh.e_in, enh.e_out)
     assert expansion_cost(back, enh) <= width(t)
+
+
+def test_expansion_from_chunks_lays_out_touching_edges_first():
+    g = path_graph(5)
+    # empty E_in: nothing is laid out, so the first edge left opens the
+    # chunk; then (1, 2) touches it and goes before (0, 1)
+    ex = expansion_from_chunks(g, frozenset(), [[(2, 3), (0, 1), (1, 2)], [], [(3, 4)]])
+    assert ex == grow(g, [(2, 3), (1, 2), (0, 1), (3, 4)])
+    # no edge of the second chunk touches (0, 1): its first edge goes first
+    ex = expansion_from_chunks(g, frozenset(), [[(0, 1)], [(3, 4), (2, 3)]])
+    assert ex == grow(g, [(0, 1), (3, 4), (2, 3)])
+    # the ends of E_in count as laid out
+    enh = enhance(RootedGraph(path_graph(3), frozenset({2})))
+    ex = expansion_from_chunks(enh.host, enh.e_in, [[(0, 1), (1, 2)]])
+    assert ex == grow(enh.host, [(1, 2), (0, 1)], start=enh.e_in)
+    # one set per prefix, each one edge larger
+    assert [len(a) for a in ex.sets] == [1, 2, 3]
 
 
 def test_strategy_to_expansion_rejects_nonmonotone():
