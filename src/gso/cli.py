@@ -243,13 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None)
     p.add_argument(
         "--budget", type=int, default=None, metavar="NODES",
-        help="most search states per level k; exit 3 when exceeded",
+        help="most states each level k may explore, in the order that runs "
+        "(breadth-first with --emit-witness, last-in-first-out without); "
+        "exit 3 when exceeded",
     )
     p.add_argument("--emit-witness", action="store_true")
     p.add_argument("--out", default=None, metavar="FILE")
     p.add_argument(
         "--stats", action="store_true",
-        help="add a stats key to each result: states, states per level k, seconds",
+        help="add a stats key to each result: states, states per level k, seconds "
+        "(the last level's count depends on --emit-witness)",
     )
     p.set_defaults(fn=cmd_solve)
 

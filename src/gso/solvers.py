@@ -3,10 +3,10 @@
 Two engines, kept deliberately independent so they can cross-check
 each other:
 
-* cmp/mp: breadth-first search over clean edge sets of the enhanced
-  host.  A transition is one game move: a searcher lands on a vertex
-  (by placement or slide) and cleans every contaminated edge running
-  from it to an occupied vertex, plus the sliding edge.  Between moves
+* cmp/mp: a search over clean edge sets of the enhanced host.  A
+  transition is one game move: a searcher lands on a vertex (by
+  placement or slide) and cleans every contaminated edge running from
+  it to an occupied vertex, plus the sliding edge.  Between moves
   searchers stand exactly on the boundary of the clean set, so the
   width of a transition is the boundary size plus the extra vertices
   that the move needs occupied.  The cmp search keeps its clean sets
@@ -23,6 +23,17 @@ each other:
   from a start the game can reach, so only the vertex a move vacates
   can start recontamination, and each move is tested there alone (see
   `solve_game`).
+
+In each engine a search with a witness and one without run the same
+loop over one frontier deque and differ only in which end they pop.  A
+search that builds a witness pops the oldest state first
+(breadth-first), so its witness is a shortest one.  A decision-only
+search pops the newest first (last-in-first-out): the goal usually lies
+at the greatest depth, which this order reaches long before it has seen
+most of the states.  The set of states a search can reach does not
+depend on the order it visits them, so decisions and values are the same
+either way, and a no-decision visits the whole set in both; only the
+state count of a yes-decision depends on the order.
 
 Rooted instances start mid-game from `Enhancement.e_start`: the root
 edges E_in and the edges inside S_in count as already clean and S_in
@@ -59,7 +70,7 @@ def _check_s_in(rg: RootedGraph) -> None:
 
 
 class _ExpCtx:
-    """The enhanced host of a rooted graph as the expansion BFS reads it,
+    """The enhanced host of a rooted graph as the expansion search reads it,
     built in one walk over `rg.graph.adj`.
 
     The host is `enhance(rg).host`: the graph plus the apexes u_in = n,
@@ -280,7 +291,9 @@ def _jumps(ec: _ExpCtx, a: int, bnd: int, dadj: list[int], k: int, connected: bo
 def _expansion_decide(
     ec: _ExpCtx, k: int, connected: bool, witness: bool, budget: int | None = None
 ) -> tuple[bool, Expansion | None, int]:
-    """Breadth-first search over the clean sets of width at most k.
+    """Search over the clean sets of width at most k: breadth-first with
+    a witness, last-in-first-out without (see the module docstring).
+    Returns (decision, witness or None, states popped).
 
     The queue carries each set with its boundary and its dirty-neighbour
     table (dadj[v], the dirty neighbours of v).  The start's are built
@@ -302,7 +315,7 @@ def _expansion_decide(
     # the star from u_in over S_in plus edges among its leaves, and
     # `_jumps` keeps every successor of a connected set connected.
     while queue:
-        a, bnd, dadj = queue.popleft()
+        a, bnd, dadj = queue.popleft() if witness else queue.pop()
         explored += 1
         if budget is not None and explored > budget:
             raise BudgetExceeded("expansion state budget exhausted")
@@ -499,6 +512,12 @@ def solve_game(
     vertex must carry a searcher from the first move on.  Returns
     (decision, witness moves or None, states explored).
 
+    With witness the frontier is popped breadth-first, so the witness is
+    a shortest sequence of moves; without, last-in-first-out, which
+    usually reaches a goal in fewer states.  The decision is the same
+    either way, and so is the state count of a no-decision (see the
+    module docstring).
+
     A move to searcher set p2 makes q = c plus the edges with both ends
     in p2, plus the sliding edge, clean; the moves out of a searcher set
     and the edges each one cleans are built once per host (`_moves`).
@@ -556,7 +575,7 @@ def solve_game(
     linked = ctx.connected_sets
 
     while queue:
-        state = queue.popleft()
+        state = queue.popleft() if witness else queue.pop()
         c, pmask = state
         explored += 1
         if budget is not None and explored > budget:

@@ -6,7 +6,15 @@ import pytest
 from gso import cli, paperchecks
 from gso.cli import main
 from gso.gio import graph6_encode, rooted_from_json, rooted_to_json
-from gso.graphs import RootedGraph, complete_graph, doubly_rooted, enhance, path_graph
+from gso.graphs import (
+    RootedGraph,
+    complete_graph,
+    cycle_graph,
+    doubly_rooted,
+    enhance,
+    k23_plus,
+    path_graph,
+)
 from gso.simulate import Move, is_monotone, simulate, width
 from gso.solvers import BudgetExceeded
 
@@ -142,6 +150,28 @@ def test_solve_stats_add_each_results_search_stats(tmp_path, capsys, param):
         assert sorted(st) == ["levels", "seconds", "states"]
         assert len(st["levels"]) == entry["value"] + 1
         assert st["states"] == sum(st["levels"]) and st["seconds"] >= 0
+
+
+@pytest.mark.parametrize("param", ["ms", "cms", "cmms", "cmp", "mp"])
+def test_solve_stats_levels_below_the_value_ignore_emit_witness(tmp_path, capsys, param):
+    # a witness search pops breadth-first, a plain one last-in-first-out:
+    # the value and every level below it (a no-decision, which visits
+    # every reachable state) read the same either way
+    graphs = [path_graph(4), cycle_graph(5), complete_graph(4), k23_plus()]
+    lines = [graph6_encode(g) for g in graphs]
+    if param in ("cmp", "mp"):
+        lines.append(WITNESS_RECORD)
+    inp = write_inputs(tmp_path / "in.jsonl", lines)
+    code, plain = run(capsys, "solve", inp, "--param", param, "--stats")
+    assert code == 0
+    out = str(tmp_path / "wit.jsonl")
+    code, wit = run(
+        capsys, "solve", inp, "--param", param, "--stats", "--emit-witness", "--out", out
+    )
+    assert code == 0
+    for a, b in zip(plain["results"], wit["results"], strict=True):
+        assert a["value"] == b["value"]
+        assert a["stats"]["levels"][:-1] == b["stats"]["levels"][:-1]
 
 
 def test_verify_paper_stats_add_the_seconds_of_each_check(monkeypatch, capsys):

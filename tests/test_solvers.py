@@ -32,7 +32,7 @@ from gso.solvers import (
     rooted_game_value,
     solve_game,
 )
-from gso.solvers import _ExpCtx, _jumps, _moves
+from gso.solvers import _ExpCtx, _expansion_decide, _jumps, _moves
 from gso import solvers
 from gso.expansions import expansion_cost, expansion_to_strategy, validate_expansion
 
@@ -422,52 +422,53 @@ def test_checks_build_one_context_per_host(monkeypatch):
 
 
 # (graph6, s_in, s_out, ms, cms, cmms, rooted game) with each solve as
-# (value, states explored over all levels), recorded before the game
-# kernels went vertex-parallel (the ms column before the per-move tests
-# went incremental).  The state count is the machine-independent
-# cost of a solve; it moves when a kernel or the move order changes which
-# states the search explores.
+# (value, states explored over all levels).  The values were recorded
+# before the game kernels went vertex-parallel (the ms column before the
+# per-move tests went incremental), the counts when witness-less searches
+# began popping their frontier last-in-first-out.  The state count is the
+# machine-independent cost of a solve; it moves when a kernel, the move
+# order or the pop order changes which states the search explores.
 GAME_GOLDEN = [
-    ('CF', [], [0], (2, 24), (2, 24), (2, 24), (2, 34)),
-    ('CR', [], [1, 2], (1, 9), (1, 9), (1, 9), (2, 32)),
-    ('Eqlw', [], [], (3, 77), (3, 77), (3, 77), (3, 145)),
-    ('C~', [], [], (3, 29), (3, 29), (3, 29), (3, 53)),
-    ('EB^w', [], [1, 4], (3, 92), (3, 92), (3, 92), (3, 155)),
-    ('ECDg', [0, 3], [], (2, 67), (2, 65), (2, 65), (2, 20)),
-    ('C^', [], [0, 1], (2, 18), (2, 18), (2, 18), (3, 49)),
-    ('EINw', [], [0, 2], (3, 94), (3, 94), (3, 94), (3, 129)),
-    ('Et\\w', [], [0], (4, 134), (4, 134), (4, 134), (4, 276)),
-    ('E`~o', [], [3, 4], (3, 79), (3, 79), (3, 79), (3, 130)),
-    ('C~', [3], [2, 3], (3, 29), (3, 29), (3, 29), (3, 12)),
-    ('CR', [2, 3], [0, 1], (1, 9), (1, 9), (1, 9), (2, 2)),
-    ('EC\\o', [], [0, 2], (3, 105), (3, 105), (3, 105), (3, 136)),
-    ('D`[', [], [], (2, 34), (2, 34), (2, 34), (2, 51)),
-    ('DR[', [1, 3], [], (2, 30), (2, 30), (2, 30), (2, 3)),
-    ('EENg', [1, 5], [], (3, 93), (3, 93), (3, 93), (3, 20)),
-    ('Es\\w', [], [2, 5], (4, 138), (4, 138), (4, 138), (4, 257)),
-    ('E`\\w', [], [4], (3, 95), (3, 94), (3, 94), (3, 166)),
-    ('D?{', [3, 4], [], (2, 50), (2, 50), (2, 50), (2, 11)),
-    ('EhNW', [3, 5], [0], (3, 84), (3, 84), (3, 84), (3, 11)),
-    ('Cr', [], [], (2, 18), (2, 18), (2, 18), (2, 31)),
-    ('E}lw', [1, 2], [3], (4, 130), (4, 130), (4, 130), (4, 30)),
-    ('CN', [2, 3], [3], (2, 20), (2, 20), (2, 20), (2, 3)),
-    ('ER~w', [], [0], (3, 75), (3, 75), (3, 75), (3, 134)),
-    ('E?lw', [], [], (2, 50), (2, 50), (2, 50), (2, 71)),
-    ('CR', [1], [], (1, 9), (1, 9), (1, 9), (1, 3)),
-    ('C^', [], [0, 2], (2, 18), (2, 18), (2, 18), (2, 29)),
-    ('EqKw', [], [4], (3, 89), (3, 89), (3, 89), (3, 152)),
-    ('Es\\w', [4], [2], (4, 138), (4, 138), (4, 138), (4, 100)),
-    ('D`{', [3, 4], [0, 1], (2, 30), (2, 30), (2, 30), (2, 5)),
-    ('E?Bw', [4, 5], [4], (2, 111), (2, 111), (2, 111), (3, 34)),
-    ('DQK', [2, 4], [0, 3], (1, 12), (1, 12), (1, 12), (3, 15)),
-    ('EF~w', [], [], (4, 136), (4, 136), (4, 136), (4, 310)),
-    ('Cr', [2, 3], [0], (2, 18), (2, 18), (2, 18), (2, 2)),
-    ('CF', [2], [3], (2, 24), (2, 24), (2, 24), (2, 15)),
-    ('CF', [0, 3], [], (2, 24), (2, 24), (2, 24), (2, 4)),
-    ('EJ^w', [], [], (4, 158), (4, 158), (4, 158), (4, 356)),
-    ('ET\\w', [], [], (3, 83), (3, 83), (3, 83), (3, 155)),
-    ('E@~w', [2, 4], [1, 2], (3, 86), (3, 86), (3, 86), (4, 28)),
-    ('CN', [1, 3], [1, 2], (2, 20), (2, 20), (2, 20), (3, 3)),
+    ('CF', [], [0], (2, 14), (2, 14), (2, 14), (2, 20)),
+    ('CR', [], [1, 2], (1, 7), (1, 7), (1, 7), (2, 22)),
+    ('Eqlw', [], [], (3, 36), (3, 40), (3, 36), (3, 58)),
+    ('C~', [], [], (3, 21), (3, 23), (3, 21), (3, 39)),
+    ('EB^w', [], [1, 4], (3, 43), (3, 53), (3, 43), (3, 64)),
+    ('ECDg', [0, 3], [], (2, 22), (2, 28), (2, 22), (2, 9)),
+    ('C^', [], [0, 1], (2, 11), (2, 12), (2, 11), (3, 37)),
+    ('EINw', [], [0, 2], (3, 42), (3, 54), (3, 42), (3, 56)),
+    ('Et\\w', [], [0], (4, 80), (4, 91), (4, 80), (4, 147)),
+    ('E`~o', [], [3, 4], (3, 38), (3, 45), (3, 38), (3, 61)),
+    ('C~', [3], [2, 3], (3, 21), (3, 23), (3, 21), (3, 13)),
+    ('CR', [2, 3], [0, 1], (1, 7), (1, 7), (1, 7), (2, 2)),
+    ('EC\\o', [], [0, 2], (3, 47), (3, 52), (3, 47), (3, 63)),
+    ('D`[', [], [], (2, 14), (2, 15), (2, 14), (2, 24)),
+    ('DR[', [1, 3], [], (2, 15), (2, 17), (2, 15), (2, 3)),
+    ('EENg', [1, 5], [], (3, 42), (3, 43), (3, 42), (3, 8)),
+    ('Es\\w', [], [2, 5], (4, 82), (4, 89), (4, 82), (4, 139)),
+    ('E`\\w', [], [4], (3, 43), (3, 45), (3, 43), (3, 65)),
+    ('D?{', [3, 4], [], (2, 19), (2, 22), (2, 19), (2, 10)),
+    ('EhNW', [3, 5], [0], (3, 39), (3, 44), (3, 39), (3, 8)),
+    ('Cr', [], [], (2, 10), (2, 10), (2, 10), (2, 23)),
+    ('E}lw', [1, 2], [3], (4, 78), (4, 85), (4, 78), (4, 22)),
+    ('CN', [2, 3], [3], (2, 11), (2, 12), (2, 11), (2, 5)),
+    ('ER~w', [], [0], (3, 38), (3, 44), (3, 38), (3, 59)),
+    ('E?lw', [], [], (2, 23), (2, 25), (2, 23), (2, 27)),
+    ('CR', [1], [], (1, 7), (1, 7), (1, 7), (1, 3)),
+    ('C^', [], [0, 2], (2, 11), (2, 12), (2, 11), (2, 22)),
+    ('EqKw', [], [4], (3, 40), (3, 49), (3, 40), (3, 59)),
+    ('Es\\w', [4], [2], (4, 82), (4, 89), (4, 82), (4, 49)),
+    ('D`{', [3, 4], [0, 1], (2, 14), (2, 14), (2, 14), (2, 7)),
+    ('E?Bw', [4, 5], [4], (2, 25), (2, 28), (2, 25), (3, 11)),
+    ('DQK', [2, 4], [0, 3], (1, 9), (1, 9), (1, 9), (3, 7)),
+    ('EF~w', [], [], (4, 82), (4, 87), (4, 82), (4, 158)),
+    ('Cr', [2, 3], [0], (2, 10), (2, 10), (2, 10), (2, 2)),
+    ('CF', [2], [3], (2, 14), (2, 14), (2, 14), (2, 7)),
+    ('CF', [0, 3], [], (2, 14), (2, 14), (2, 14), (2, 5)),
+    ('EJ^w', [], [], (4, 95), (4, 106), (4, 95), (4, 190)),
+    ('ET\\w', [], [], (3, 41), (3, 41), (3, 41), (3, 65)),
+    ('E@~w', [2, 4], [1, 2], (3, 40), (3, 48), (3, 40), (4, 17)),
+    ('CN', [1, 3], [1, 2], (2, 11), (2, 12), (2, 11), (3, 4)),
 ]
 
 
@@ -500,25 +501,26 @@ def test_game_values_and_state_counts_are_golden():
 
 
 # cmp and mp (value, states explored over all levels) of each rooted
-# graph of `_game_golden_sample`, in order.  The cmp column was recorded
+# graph of `_game_golden_sample`, in order.  The cmp values were recorded
 # before the expansion search's connectivity test went incremental, the
-# mp column (the unconnected path of the same search) before its moves
-# were enumerated from dirty adjacency.
+# mp values (the unconnected path of the same search) before its moves
+# were enumerated from dirty adjacency; the counts are those of the
+# witness-less, last-in-first-out search.
 CMP_GOLDEN = [
-    ((2, 12), (2, 12)), ((2, 10), (2, 10)), ((3, 49), (3, 49)),
-    ((3, 21), (3, 21)), ((3, 53), (3, 53)), ((2, 6), (2, 8)),
-    ((3, 19), (3, 19)), ((3, 41), (3, 41)), ((4, 95), (4, 95)),
-    ((3, 45), (3, 45)), ((3, 13), (3, 13)), ((2, 4), (2, 4)),
-    ((3, 38), (3, 38)), ((2, 15), (2, 15)), ((2, 4), (2, 4)),
-    ((3, 16), (3, 16)), ((4, 96), (4, 96)), ((3, 46), (3, 47)),
-    ((2, 8), (2, 8)), ((3, 10), (3, 10)), ((2, 12), (2, 12)),
-    ((4, 22), (4, 22)), ((2, 3), (2, 3)), ((3, 49), (3, 49)),
-    ((2, 28), (2, 28)), ((1, 4), (1, 4)), ((2, 10), (2, 10)),
-    ((3, 48), (3, 48)), ((4, 52), (4, 52)), ((2, 5), (2, 5)),
-    ((3, 17), (3, 17)), ((3, 10), (3, 10)), ((4, 101), (4, 101)),
-    ((2, 4), (2, 4)), ((2, 7), (2, 7)), ((2, 4), (2, 4)),
-    ((4, 94), (4, 94)), ((3, 47), (3, 47)), ((4, 23), (4, 23)),
-    ((3, 5), (3, 5)),
+    ((2, 7), (2, 7)), ((2, 6), (2, 6)), ((3, 23), (3, 23)),
+    ((3, 13), (3, 13)), ((3, 24), (3, 24)), ((2, 4), (2, 4)),
+    ((3, 11), (3, 11)), ((3, 24), (3, 24)), ((4, 50), (4, 50)),
+    ((3, 36), (3, 36)), ((3, 9), (3, 9)), ((2, 3), (2, 3)),
+    ((3, 16), (3, 16)), ((2, 8), (2, 8)), ((2, 4), (2, 4)),
+    ((3, 7), (3, 7)), ((4, 51), (4, 51)), ((3, 23), (3, 23)),
+    ((2, 4), (2, 4)), ((3, 6), (3, 6)), ((2, 6), (2, 6)),
+    ((4, 11), (4, 11)), ((2, 3), (2, 3)), ((3, 26), (3, 26)),
+    ((2, 10), (2, 10)), ((1, 4), (1, 4)), ((2, 7), (2, 7)),
+    ((3, 19), (3, 19)), ((4, 27), (4, 27)), ((2, 4), (2, 4)),
+    ((3, 6), (3, 6)), ((3, 7), (3, 7)), ((4, 56), (4, 56)),
+    ((2, 3), (2, 3)), ((2, 5), (2, 5)), ((2, 3), (2, 3)),
+    ((4, 56), (4, 56)), ((3, 20), (3, 20)), ((4, 13), (4, 13)),
+    ((3, 4), (3, 4)),
 ]
 
 
@@ -549,16 +551,17 @@ def test_cmp_witness_sets_are_golden():
 # with (decision, states explored) of the four constrained solves that
 # `verify_obr(1, ...)` makes on each branch, in its order: trunk first at
 # width 1, root guarded at width 3, trunk first and trunk last at width 2.
-# Recorded before the per-move tests went incremental.
+# The decisions were recorded before the per-move tests went incremental,
+# the counts with the witness-less search popping last-in-first-out.
 CONSTRAINED_GOLDEN = [
-    ('CN', 0, [(False, 6), (True, 6), (True, 10), (True, 11)]),
-    ('C^', 0, [(False, 5), (True, 6), (True, 8), (True, 11)]),
-    ('DC[', 0, [(False, 8), (True, 16), (True, 20), (True, 25)]),
-    ('D?{', 0, [(False, 7), (True, 16), (True, 24), (True, 28)]),
-    ('DIk', 1, [(False, 6), (True, 16), (True, 15), (True, 21)]),
-    ('DB{', 3, [(False, 6), (True, 16), (True, 13), (True, 21)]),
-    ('D@{', 2, [(False, 6), (True, 16), (True, 16), (True, 25)]),
-    ('ECOw', 2, [(False, 8), (True, 31), (True, 30), (True, 40)]),
+    ('CN', 0, [(False, 6), (True, 4), (True, 5), (True, 4)]),
+    ('C^', 0, [(False, 5), (True, 4), (True, 5), (True, 5)]),
+    ('DC[', 0, [(False, 8), (True, 6), (True, 7), (True, 7)]),
+    ('D?{', 0, [(False, 7), (True, 6), (True, 7), (True, 8)]),
+    ('DIk', 1, [(False, 6), (True, 6), (True, 10), (True, 10)]),
+    ('DB{', 3, [(False, 6), (True, 6), (True, 6), (True, 11)]),
+    ('D@{', 2, [(False, 6), (True, 6), (True, 7), (True, 11)]),
+    ('ECOw', 2, [(False, 8), (True, 6), (True, 7), (True, 8)]),
 ]
 
 
@@ -985,3 +988,66 @@ def test_witnesses_live_on_the_enhanced_host():
         assert expansion_cost(wit, enh) == res.value
         ok, wit2 = cmp_decide(rg, res.value, witness=True)
         assert ok and wit2 == wit
+
+
+# A decision-only search pops its frontier last-in-first-out, a witness
+# search breadth-first.  Which states a search can reach does not depend
+# on the order it visits them, so both orders give the same decision,
+# and a no-decision visits the whole reachable set either way.
+
+
+@pytest.mark.parametrize("connected", [False, True])
+@pytest.mark.parametrize("monotone", [False, True])
+def test_game_decision_does_not_depend_on_pop_order(connected, monotone):
+    noes = yeses = 0
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for k in range(4):
+                kw = dict(connected=connected, monotone=monotone)
+                ok, _, states = solve_game(g, k, **kw)
+                ok_w, moves, states_w = solve_game(g, k, witness=True, **kw)
+                assert ok == ok_w and (moves is not None) == ok, (graph6_encode(g), k)
+                if ok:
+                    yeses += 1
+                else:
+                    assert states == states_w, (graph6_encode(g), k)
+                    noes += 1
+    assert noes > 300 and yeses > 150, (noes, yeses)
+
+
+@pytest.mark.parametrize("connected", [False, True], ids=["unconnected", "connected"])
+def test_expansion_decision_does_not_depend_on_pop_order(connected):
+    noes = yeses = 0
+    for rg in _rooted_sample(23, 300):
+        ec = _ExpCtx(rg)
+        for k in range(5):
+            ok, _, states = _expansion_decide(ec, k, connected, witness=False)
+            ok_w, wit, states_w = _expansion_decide(ec, k, connected, witness=True)
+            assert ok == ok_w and (wit is not None) == ok, (graph6_encode(rg.graph), k)
+            if ok:
+                yeses += 1
+            else:
+                assert states == states_w, (graph6_encode(rg.graph), k)
+                noes += 1
+    assert noes > 600 and yeses > 600, (noes, yeses)
+
+
+def test_value_search_levels_below_the_value_do_not_depend_on_pop_order():
+    # every level below the value is a no-decision, so only the last
+    # level's count may differ with and without a witness
+    differ = 0
+    for rg in _game_golden_sample():
+        g = rg.graph
+        for value in (
+            lambda w: ms_value(g, witness=w),
+            lambda w: cms_value(g, witness=w),
+            lambda w: cmms_value(g, witness=w),
+            lambda w: rooted_game_value(rg, witness=w),
+            lambda w: cmp_value(rg, witness=w),
+            lambda w: mp_value(rg, witness=w),
+        ):
+            plain, wit = value(False), value(True)
+            assert plain.value == wit.value, graph6_encode(g)
+            assert plain.stats["levels"][:-1] == wit.stats["levels"][:-1], graph6_encode(g)
+            differ += plain.stats["levels"][-1] != wit.stats["levels"][-1]
+    assert differ > 200, differ
