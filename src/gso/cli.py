@@ -115,7 +115,7 @@ def cmd_solve(args) -> int:
             if moves is None:
                 continue
             with open(_witness_path(args.out, i, many), "w") as fh:
-                fh.write("\n".join(_moves_jsonl(moves)) + "\n")
+                fh.writelines(line + "\n" for line in _moves_jsonl(moves))
     report = {
         "command": "solve",
         "version": __version__,

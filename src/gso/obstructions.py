@@ -279,13 +279,9 @@ def _fan_shape(g: Graph, v: int) -> bool:
     to v.  With outerplanarity this is `fan_check_structural`."""
     for comp in g.components(((1 << g.n) - 1) & ~(1 << v)):
         vs = [x for x in range(g.n) if comp >> x & 1]
-        sub, idx = g.induced(vs)
-        degs = sorted(sub.degree(i) for i in range(sub.n))
-        if sub.n == 1:
-            ends = vs
-        elif degs[-1] <= 2 and degs[:2] == [1, 1]:
-            ends = [x for x in vs if sub.degree(idx[x]) == 1]
-        else:
+        degs = [(g.adj[x] & comp).bit_count() for x in vs]
+        ends = [x for x, d in zip(vs, degs) if d <= 1]
+        if len(vs) > 1 and (max(degs) > 2 or len(ends) != 2):
             return False
         if not any(g.has_edge(x, v) for x in ends):
             return False

@@ -10,18 +10,20 @@ structural precondition that fails, any inconsistent label, or any
 certificate that does not validate sends the decision to the exact
 solver, which is always the authority.  Of the 996 connected graphs
 with n <= 7, 161 are answered by a fan cover, 3 by a spine, 1 as
-trivial and 831 by the solver, and deciding all of them costs about 5
+trivial and 831 by the solver, and deciding all of them costs about 6
 times as much as `cmp_decide(RootedGraph(g), 2)` alone.  Check 8 of
 `gso.paperchecks` re-solves every answer that does not come from the
 solver.
 
-Each root component is decided once.  `_root_fans` gives a vertex its
-row: the root components at that vertex, each with its width-2 witness
-or None when it is not a fan.  `decide_cmms_le_2` builds the rows while
-it tries each vertex as a fan cover (a row without None, whose
-witnesses splice into an unrooted expansion of the graph); when no
-vertex is a cover, the spine reads its degrees, extremal parts, fans
-and hanging hairs from the same rows.
+Rows hold decisions; witnesses are searched only for the parts a
+certificate splices.  `_root_fans` gives a vertex its row: the root
+components at that vertex, each with whether it is a fan.  A row with no
+non-fan is tried as a fan cover, and the spine reads its degrees,
+extremal parts, fans and hanging hairs from the rows of every vertex.
+`_certify` alone searches, splices and validates witnesses.  The
+trade-off: a fan-cover anchor's components are searched twice, a
+decision and then a witness (316 second searches over the 996 graphs);
+a witness search per root component would build 570 unspliced ones.
 """
 
 from __future__ import annotations
@@ -68,20 +70,16 @@ def root_components(g: Graph, v: int) -> list[tuple[RootedGraph, tuple[int, ...]
     return out
 
 
-# one row per vertex: its root components, each with its width-2 witness
-# or None when the component is not a fan
-_Row = list[tuple[RootedGraph, tuple[int, ...], Expansion | None]]
+# one row per vertex: its root components, each with whether it is a fan
+_Row = list[tuple[RootedGraph, tuple[int, ...], bool]]
 
 
 def _root_fans(g: Graph, v: int) -> _Row:
-    return [
-        (rg, vs, cmp_decide(rg, 2, witness=True)[1])
-        for rg, vs in root_components(g, v)
-    ]
+    return [(rg, vs, cmp_decide(rg, 2)) for rg, vs in root_components(g, v)]
 
 
 def _nonfans(row: _Row) -> list[tuple[int, ...]]:
-    return [vs for _, vs, wit in row if wit is None]
+    return [vs for _, vs, fan in row if not fan]
 
 
 def spine_degree(g: Graph, v: int) -> int:
@@ -212,8 +210,8 @@ def _spine(g: Graph, rows: Sequence[_Row]) -> SpineStructure | None:
     fans: list[tuple[int, ...]] = []
     for c in order:
         fvs: set[int] = {c}
-        for _, vs, wit in rows[c]:
-            if wit is not None:
+        for _, vs, fan in rows[c]:
+            if fan:
                 fvs |= set(vs)
         fans.append(tuple(sorted(fvs)))
 
@@ -251,60 +249,41 @@ def _spine(g: Graph, rows: Sequence[_Row]) -> SpineStructure | None:
 # certificate assembly
 
 
-def _splice(
-    g: Graph, parts: Sequence[tuple[RootedGraph, Sequence[int], Expansion]]
-) -> Expansion:
-    """The parts' witnesses laid end to end as one unrooted expansion of g.
+def _certify(
+    g: Graph, parts: Sequence[tuple[RootedGraph, Sequence[int]]]
+) -> Expansion | None:
+    """The parts' width-2 witnesses laid end to end as one unrooted
+    expansion of g; None when a part has none or the splice is invalid.
 
     Each step of a witness is one chunk of `expansion_from_chunks`: the
     edge it adds, mapped to g.  The parts' entry and exit edges have no
     counterpart in g and are dropped.
     """
     chunks = []
-    for rg, gids, ex in parts:
+    for rg, gids in parts:
+        ok, ex = cmp_decide(rg, 2, witness=True)
+        if not ok:
+            return None
         n = rg.graph.n  # the part's u_in and u_out are n and n + 1
         for a, b in zip(ex.sets, ex.sets[1:]):
             chunks.append([norm_edge(gids[u], gids[v]) for u, v in b - a if u < n and v < n])
-    return expansion_from_chunks(enhance(RootedGraph(g)).host, frozenset(), chunks)
-
-
-def _validated(ex: Expansion) -> bool:
+    ex = expansion_from_chunks(enhance(RootedGraph(g)).host, frozenset(), chunks)
     try:
-        return expansion_cost(ex) <= 2
+        return ex if expansion_cost(ex) <= 2 else None
     except InvalidExpansion:
-        return False
+        return None
 
 
 def _expansion_json(ex: Expansion) -> list[list[list[int]]]:
     return [sorted([list(e) for e in a]) for a in ex.sets]
 
 
-def _fan_cover(g: Graph, row: _Row) -> Expansion | None:
-    """The spliced expansion of a row's fans when every root component
-    at its vertex is a fan and the splice validates."""
-    if _nonfans(row):
-        return None
-    ex = _splice(g, row)
-    return ex if _validated(ex) else None
-
-
 def _spine_certificate(g: Graph, st: SpineStructure) -> Expansion | None:
-    if "x" in st.labels:
+    if "x" in st.labels or ("->" in st.labels and "<-" in st.labels):
         return None
-    if "->" in st.labels and "<-" in st.labels:
-        return None
-    forward = "<-" not in st.labels
-    seq = st.parts if forward else tuple(
-        SpinePart(pt.kind, rev(pt.rooted), pt.gids) for pt in reversed(st.parts)
-    )
-    wits = []
-    for pt in seq:
-        ok, wit = cmp_decide(pt.rooted, 2, witness=True)
-        if not ok:
-            return None
-        wits.append((pt.rooted, pt.gids, wit))
-    ex = _splice(g, wits)
-    return ex if _validated(ex) else None
+    if "<-" not in st.labels:
+        return _certify(g, [(pt.rooted, pt.gids) for pt in st.parts])
+    return _certify(g, [(rev(pt.rooted), pt.gids) for pt in reversed(st.parts)])
 
 
 def decide_cmms_le_2(g: Graph) -> tuple[bool, dict]:
@@ -316,7 +295,7 @@ def decide_cmms_le_2(g: Graph) -> tuple[bool, dict]:
     rows = []
     for v in range(g.n):
         rows.append(_root_fans(g, v))
-        ex = _fan_cover(g, rows[-1])
+        ex = None if _nonfans(rows[-1]) else _certify(g, [(rg, vs) for rg, vs, _ in rows[-1]])
         if ex is not None:
             return True, {
                 "method": "fan-cover",
@@ -325,16 +304,15 @@ def decide_cmms_le_2(g: Graph) -> tuple[bool, dict]:
                 "expansion": _expansion_json(ex),
             }
     st = _spine(g, rows)
-    if st is not None:
-        ex = _spine_certificate(g, st)
-        if ex is not None:
-            return True, {
-                "method": "spine",
-                "central_cuts": list(st.central_cuts),
-                "labels": list(st.labels),
-                "value_le_2": True,
-                "expansion": _expansion_json(ex),
-            }
+    ex = None if st is None else _spine_certificate(g, st)
+    if ex is not None:
+        return True, {
+            "method": "spine",
+            "central_cuts": list(st.central_cuts),
+            "labels": list(st.labels),
+            "value_le_2": True,
+            "expansion": _expansion_json(ex),
+        }
     ok, wit = cmp_decide(RootedGraph(g), 2, witness=True)
     cert: dict = {"method": "solver", "value_le_2": ok}
     if ok:

@@ -94,6 +94,19 @@ def test_solve_witness_replays_at_the_reported_value(tmp_path, capsys, param):
     assert is_monotone(t) or param == "cms"
 
 
+@pytest.mark.parametrize("param", ["ms", "cms", "cmms", "cmp", "mp"])
+def test_solve_writes_an_empty_strategy_as_an_empty_file(tmp_path, capsys, param):
+    # K1 is cleared by no move: the witness file has no line, not a blank one
+    inp = write_inputs(tmp_path / "k1.g6", ["@"])
+    out = tmp_path / "wit.jsonl"
+    code, rep = run(
+        capsys, "solve", inp, "--param", param, "--emit-witness", "--out", str(out)
+    )
+    assert code == 0 and rep["results"][0]["value"] == 0
+    assert out.read_text() == ""
+    assert list(map(json.loads, out.read_text().splitlines())) == []
+
+
 def test_solve_reads_a_60_vertex_graph6_line(tmp_path, capsys):
     # '{' = chr(63 + 60) opens the graph6 line of every 60-vertex graph
     line = graph6_encode(path_graph(60))

@@ -1,5 +1,7 @@
+from collections import Counter
 from math import comb
 
+import networkx as nx
 import pytest
 
 from gso.canon import certificate, is_isomorphic
@@ -411,6 +413,34 @@ def test_orbit_roots_are_the_rooted_classes():
         for v in range(g.n):
             first.setdefault(rooted_certificate(doubly_rooted(g, v)), v)
         assert list(roots) == sorted(first.values()), graph6_encode(g)
+
+
+def test_fan_shape_matches_the_fan_definition():
+    # networkx oracle: every component of g - v is a single vertex, or a
+    # path (isomorphic to one) with an end adjacent to v
+    from gso.obstructions import _fan_shape
+    from test_graphs import to_nx
+
+    def fan(h, v):
+        for comp in nx.connected_components(h.subgraph(set(h) - {v})):
+            sub = h.subgraph(comp)
+            if len(comp) == 1:
+                continue
+            if not nx.is_isomorphic(sub, nx.path_graph(len(comp))):
+                return False
+            if not any(sub.degree(x) == 1 and h.has_edge(x, v) for x in comp):
+                return False
+        return True
+
+    seen = Counter()
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            h = to_nx(g)
+            for v in range(n):
+                want = fan(h, v)
+                assert _fan_shape(g, v) == want, (graph6_encode(g), v)
+                seen[want] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_base_mining_matches_every_root_loop(monkeypatch):

@@ -1,9 +1,13 @@
+import hashlib
+import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 import gso.recognizer as recognizer
+import gso.solvers as solvers
 from gso.expansions import (
     Expansion,
     InvalidExpansion,
@@ -136,6 +140,39 @@ def test_root_components_computed_once_per_vertex(monkeypatch):
             assert len(calls) <= g.n
 
 
+RECORDS_N7_SHA256 = "a402461229e663a0012e3ee01e60450a82780d28e88e7564b720d58c85545a08"
+
+
+def test_records_are_pinned_and_witnesses_are_searched_only_where_spliced(monkeypatch):
+    # a witness is searched for each root component at a fan-cover
+    # anchor, each spine part and each solver answer, and nowhere else
+    witnesses = []
+    real = solvers._expansion_decide
+
+    def spy(ec, k, connected, witness, budget=None):
+        witnesses.append(witness)
+        return real(ec, k, connected, witness, budget)
+
+    monkeypatch.setattr(solvers, "_expansion_decide", spy)
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    records = [list(decide_cmms_le_2(g)) for g in graphs]
+    searched = sum(witnesses)
+    monkeypatch.undo()
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == RECORDS_N7_SHA256
+
+    used = Counter()
+    for g, (_, cert) in zip(graphs, records):
+        if cert["method"] == "fan-cover":
+            used["fan-cover"] += len(root_components(g, cert["anchor"]))
+        elif cert["method"] == "spine":
+            used["spine"] += len(spine_structure(g).parts)
+        elif cert["method"] == "solver":
+            used["solver"] += 1
+    assert used == {"fan-cover": 316, "spine": 9, "solver": 831}
+    assert searched == sum(used.values()) == 1156
+
+
 def test_check_8_re_solves_only_answers_not_from_the_solver(monkeypatch):
     import gso.paperchecks
 
@@ -222,8 +259,9 @@ def _rooted_fan_cover(g, v, row):
     if recognizer._nonfans(row):
         return None
     glued = doubly_rooted(g, v)
+    parts = [(rg, vs, cmp_decide(rg, 2, witness=True)[1]) for rg, vs, _ in row]
     try:
-        ex = _rooted_splice(glued, row)
+        ex = _rooted_splice(glued, parts)
         enh = enhance(glued)
         if not _validated(ex, enh):
             return None
