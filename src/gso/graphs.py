@@ -105,6 +105,20 @@ class Graph:
             left &= ~comp
         return out
 
+    def is_forest(self, allowed: int | None = None) -> bool:
+        """Is the subgraph induced by the vertex mask `allowed` (default:
+        every vertex) acyclic?  It is when its edges number its vertices
+        less its components."""
+        if allowed is None:
+            allowed = (1 << self.n) - 1
+        ends = 0
+        m = allowed
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            ends += (self.adj[v] & allowed).bit_count()
+        return ends // 2 == allowed.bit_count() - len(self.components(allowed))
+
     def induced(self, vertices: Sequence[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on `vertices`; returns it plus old->new id map."""
         vs = sorted(set(vertices))

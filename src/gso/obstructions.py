@@ -42,6 +42,7 @@ from .graphs import (
     glue,
     norm_edge,
 )
+from .recognizer import is_fan
 from .simulate import HostCtx
 from .solvers import cmms_decide, cmp_decide, cms_decide, mp_decide, solve_game
 
@@ -336,8 +337,12 @@ def mine_branch_base(n_max: int = 7) -> list[RootedGraph]:
     non-fans that are nevertheless width-2 searchable (the star rooted
     at a leaf) are excluded here, and larger graphs become minimal in
     their place.
+
+    The fan test is `recognizer.is_fan`: a rooted graph with a cycle off
+    its root is rejected without a search, and only the rest are asked
+    of `cmp_decide`.
     """
-    return _minimal_rejects(n_max, lambda rg: cmp_decide(rg, 2))
+    return _minimal_rejects(n_max, is_fan)
 
 
 # ---------------------------------------------------------------------------

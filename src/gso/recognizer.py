@@ -10,14 +10,17 @@ structural precondition that fails, any inconsistent label, or any
 certificate that does not validate sends the decision to the exact
 solver, which is always the authority.  Of the 996 connected graphs
 with n <= 7, 161 are answered by a fan cover, 3 by a spine, 1 as
-trivial and 831 by the solver, and deciding all of them costs about 6
+trivial and 831 by the solver, and deciding all of them costs about 2.4
 times as much as `cmp_decide(RootedGraph(g), 2)` alone.  Check 8 of
 `gso.paperchecks` re-solves every answer that does not come from the
 solver.
 
 Rows hold decisions; witnesses are searched only for the parts a
 certificate splices.  `_root_fans` gives a vertex its row: the root
-components at that vertex, each with whether it is a fan.  A row with no
+components at that vertex, each with whether it is a fan.  A component
+with a cycle off the vertex needs three searchers (`root_components`),
+so it is a non-fan without a search: of the 7,391 root components the
+rows hold over the 996 graphs, 1,233 are searched.  A row with no
 non-fan is tried as a fan cover, and the spine reads its degrees,
 extremal parts, fans and hanging hairs from the rows of every vertex.
 `_certify` alone searches, splices and validates witnesses.  The
@@ -60,22 +63,48 @@ class SpineStructure:
     labels: tuple[str, ...]  # one per non-fan part, forward orientation
 
 
-def root_components(g: Graph, v: int) -> list[tuple[RootedGraph, tuple[int, ...]]]:
-    """Each component of g - v together with v, doubly rooted at v."""
+def root_components(
+    g: Graph, v: int
+) -> list[tuple[RootedGraph | None, tuple[int, ...]]]:
+    """Each component of g - v together with v: the component doubly
+    rooted at v, or None when it has a cycle off v, and its vertices.
+
+    A component with a cycle off v is no fan.  Doubly rooted at v, its
+    E_in edge is clean from the start and its E_out edge is never
+    cleaned, so v holds a searcher throughout.  Just before the last edge
+    xy of a cycle C in g - v is cleaned, x and y each touch a clean C-edge
+    and the dirty xy, so x, y and v all hold searchers: cmp > 2.
+    """
     out = []
     for comp in g.components(((1 << g.n) - 1) & ~(1 << v)):
-        vs = [x for x in range(g.n) if (comp | 1 << v) >> x & 1]
-        sub, idx = g.induced(vs)
-        out.append((doubly_rooted(sub, idx[v]), tuple(vs)))
+        vs = tuple(x for x in range(g.n) if (comp | 1 << v) >> x & 1)
+        if g.is_forest(comp):
+            sub, idx = g.induced(vs)
+            out.append((doubly_rooted(sub, idx[v]), vs))
+        else:
+            out.append((None, vs))
     return out
 
 
+def is_fan(rg: RootedGraph) -> bool:
+    """cmp(rg) <= 2 for rg doubly rooted at one vertex v.  The expansion
+    engine is asked only when rg.graph - v is a forest: a cycle off v
+    needs three searchers (see `root_components`)."""
+    if len(rg.s_in) != 1 or rg.s_out != rg.s_in:
+        raise ValueError("a fan is doubly rooted at one vertex")
+    g = rg.graph
+    (v,) = rg.s_in
+    return g.is_forest(((1 << g.n) - 1) & ~(1 << v)) and cmp_decide(rg, 2)
+
+
 # one row per vertex: its root components, each with whether it is a fan
-_Row = list[tuple[RootedGraph, tuple[int, ...], bool]]
+_Row = list[tuple[RootedGraph | None, tuple[int, ...], bool]]
 
 
 def _root_fans(g: Graph, v: int) -> _Row:
-    return [(rg, vs, cmp_decide(rg, 2)) for rg, vs in root_components(g, v)]
+    return [
+        (rg, vs, rg is not None and cmp_decide(rg, 2)) for rg, vs in root_components(g, v)
+    ]
 
 
 def _nonfans(row: _Row) -> list[tuple[int, ...]]:
@@ -190,15 +219,11 @@ def _spine(g: Graph, rows: Sequence[_Row]) -> SpineStructure | None:
             (w,) = extra_cuts
             if dec.weights.get(w) != "light":
                 return None
-            hangs = [
-                (rg, vs)
-                for rg, vs, _ in rows[w]
-                if not set(vs) & (b.vertices - {w})
-            ]
+            hangs = [vs for _, vs, _ in rows[w] if not set(vs) & (b.vertices - {w})]
             if len(hangs) != 1:
                 return None
-            hrg, hvs = hangs[0]
-            if hrg.graph.n != 2 or hrg.graph.m != 1:
+            (hvs,) = hangs
+            if len(hvs) != 2:
                 return None
             x = next(v for v in hvs if v != w)
             if g.degree(x) != 1:

@@ -92,6 +92,24 @@ def test_vertex_mask_connectivity_matches_networkx(rng):
                 assert g.is_connected(allowed) == nx.is_connected(sub)
 
 
+def test_vertex_mask_forest_matches_networkx(rng):
+    """is_forest(allowed) reads the subgraph induced by allowed; the empty
+    mask is a forest."""
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        g = Graph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        )
+        for allowed in {0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)}:
+            sub = to_nx(g).subgraph(v for v in range(n) if allowed >> v & 1)
+            want = nx.is_forest(sub) if allowed else True
+            assert g.is_forest(allowed) == want
+            seen.add(want)
+        assert g.is_forest() == nx.is_forest(to_nx(g))
+    assert seen == {True, False}
+
+
 def test_components_partition(rng):
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)])
     masks = g.components()

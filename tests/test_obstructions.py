@@ -338,6 +338,26 @@ def test_structural_fans_pass_the_solver_test():
                     assert fan_check_solver(g, v)
 
 
+def test_solver_fans_have_no_cycle_off_the_root():
+    # the rule `root_components` and `is_fan` skip searches by: a graph
+    # doubly rooted at v with a cycle in g - v is no fan
+    from gso.gen import connected_graphs
+    from gso.recognizer import is_fan
+
+    seen = Counter()
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for v in range(g.n):
+                forest = g.is_forest(((1 << g.n) - 1) & ~(1 << v))
+                fan = fan_check_solver(g, v)
+                assert forest or not fan, (graph6_encode(g), v)
+                assert is_fan(doubly_rooted(g, v)) == fan
+                seen[forest, fan] += 1
+    assert set(seen) == {(True, True), (True, False), (False, False)}
+    with pytest.raises(ValueError):
+        is_fan(RootedGraph(path_graph(2), {0}, {1}))
+
+
 def test_fan_base_is_frozen():
     base = mine_fan_base(7)
     got = sorted(

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 import gso.recognizer as recognizer
@@ -93,6 +94,19 @@ def test_root_components_partition():
     assert len(comps) == 3
     for rg, vs in comps:
         assert rg.graph.n == 2 and 0 in vs
+    # a component with a cycle off the root is no fan and is not built
+    for v in range(4):
+        assert root_components(complete_graph(4), v) == [(None, (0, 1, 2, 3))]
+    # the triangle 2-3-4 hangs off 1; the path 1-0 and the pendant 5 do not
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4)])
+    comps = root_components(g, 1)
+    assert [vs for _, vs in comps] == [(0, 1), (1, 2, 3, 4), (1, 5)]
+    assert comps[1][0] is None
+    assert [rg.graph.m for rg, _ in (comps[0], comps[2])] == [1, 1]
+    # a cycle through the root is no cycle off it: the triangle at 2 is built
+    comps = root_components(g, 2)
+    assert [vs for _, vs in comps] == [(0, 1, 2, 5), (2, 3, 4)]
+    assert comps[1][0] == doubly_rooted(cycle_graph(3), 0)
 
 
 def test_spine_degree_values():
@@ -137,7 +151,8 @@ def test_root_components_computed_once_per_vertex(monkeypatch):
         for g in connected_graphs(n):
             calls.clear()
             decide_cmms_le_2(g)
-            assert len(calls) <= g.n
+            # the rows reach the wrapped function: a graph with edges calls it
+            assert 0 < len(calls) <= g.n or g.m == 0
 
 
 RECORDS_N7_SHA256 = "a402461229e663a0012e3ee01e60450a82780d28e88e7564b720d58c85545a08"
@@ -171,6 +186,51 @@ def test_records_are_pinned_and_witnesses_are_searched_only_where_spliced(monkey
             used["solver"] += 1
     assert used == {"fan-cover": 316, "spine": 9, "solver": 831}
     assert searched == sum(used.values()) == 1156
+
+
+def test_cycles_off_the_root_are_never_searched(monkeypatch):
+    # a component with a cycle off its root needs three searchers
+    # (`root_components`), so neither the recognizer's rows nor the branch
+    # base search one; these are all the expansion searches the two make
+    from gso.obstructions import mine_branch_base
+    from test_graphs import to_nx
+
+    searches = []
+    real_search = solvers._expansion_decide
+
+    def counted(ec, k, connected, witness, budget=None):
+        searches.append(ec)
+        return real_search(ec, k, connected, witness, budget)
+
+    asked = []
+    real_decide = recognizer.cmp_decide
+
+    def spy(rg, k, witness=False):
+        asked.append(rg)
+        return real_decide(rg, k, witness)
+
+    monkeypatch.setattr(solvers, "_expansion_decide", counted)
+    monkeypatch.setattr(recognizer, "cmp_decide", spy)
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    for g in graphs:
+        decide_cmms_le_2(g)
+    recognized = len(searches)
+    searches.clear()
+    mine_branch_base(7)
+    monkeypatch.undo()
+    assert (len(graphs), recognized, len(searches)) == (996, 2413, 703)
+
+    # every graph doubly rooted at one vertex that is searched is a forest
+    # off that vertex; the spine's extremal and central parts and
+    # `label_block` are rooted otherwise, and the solver's answers not at all
+    rooted = 0
+    for rg in asked:
+        if len(rg.s_in) == 1 and rg.s_out == rg.s_in:
+            h = to_nx(rg.graph)
+            h.remove_nodes_from(rg.s_in)
+            assert len(h) == 0 or nx.is_forest(h)
+            rooted += 1
+    assert len(asked) == 2413 + 703 and rooted == 2255
 
 
 def test_check_8_re_solves_only_answers_not_from_the_solver(monkeypatch):
