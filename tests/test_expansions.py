@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gso.expansions import (
@@ -19,6 +21,9 @@ from gso.graphs import (
     star_graph,
 )
 from gso.simulate import is_monotone, simulate, width
+from gso.solvers import cmp_value, mp_value
+
+from test_solvers import _game_golden_sample
 
 
 def chain(host, *sets):
@@ -176,3 +181,20 @@ def test_strategy_to_expansion_rejects_nonmonotone():
     t = simulate(g, [p(0), s(0, 1), r(1)])
     with pytest.raises(InvalidExpansion):
         strategy_to_expansion(t)
+
+
+def test_realization_of_the_witnesses_is_golden():
+    # one digest over the cost and the strategy of the cmp and mp witness
+    # of every sample graph: pins the realization's choice of moves, not
+    # only its width
+    h = hashlib.sha256()
+    for rg in _game_golden_sample():
+        enh = enhance(rg)
+        for solve in (cmp_value, mp_value):
+            ex = solve(rg, witness=True).witness
+            h.update(repr(expansion_cost(ex, enh)).encode() + b"\n")
+            h.update(repr(expansion_to_strategy(enh, ex)).encode() + b"\n")
+        h.update(b"--\n")
+    assert h.hexdigest() == (
+        "42bcb8fd0b93a31fc11287404f4f6a90aa8fc4c9c3a54118e8bd9e36a2ae349f"
+    )
