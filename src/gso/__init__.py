@@ -6,7 +6,6 @@ from .graphs import (
     Graph,
     RootedGraph,
     Part,
-    boundary,
     contract_edge,
     contract_edge_rooted,
     doubly_rooted,

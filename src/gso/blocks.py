@@ -22,7 +22,6 @@ chord.  Chords and faces are computed only when read.
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,78 +63,59 @@ class BlockDecomposition:
     weights: dict[int, str]  # cut vertex -> light | heavy
 
 
-def _biconnected_edge_groups(g: Graph) -> list[list[Edge]]:
-    """Edge sets of the biconnected components (iterative Hopcroft-Tarjan)."""
-    n = g.n
-    num = [0] * n
-    low = [0] * n
-    counter = [1]
-    stack: list[Edge] = []
-    groups: list[list[Edge]] = []
-    visited = [False] * n
+def _block_masks(g: Graph) -> list[int]:
+    """Vertex masks of the blocks of g, each component split by its cut
+    vertices.
 
-    for root in range(n):
-        if visited[root]:
-            continue
-        work = [(root, -1, iter(list(g.neighbors(root))))]
-        visited[root] = True
-        num[root] = low[root] = counter[0]
-        counter[0] += 1
-        while work:
-            v, parent, it = work[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if not visited[w]:
-                    stack.append(norm_edge(v, w))
-                    visited[w] = True
-                    num[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    work.append((w, v, iter(list(g.neighbors(w)))))
-                    advanced = True
-                    break
-                elif num[w] < num[v]:
-                    stack.append(norm_edge(v, w))
-                    low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= num[pv]:
-                    group = []
-                    e = norm_edge(pv, v)
-                    while stack:
-                        top = stack.pop()
-                        group.append(top)
-                        if top == e:
-                            break
-                    if group:
-                        groups.append(group)
-    return groups
+    A connected mask that no vertex cuts is a block, or a lone vertex.
+    Any other mask splits at its least cut vertex v: every block lies
+    inside one component of the mask minus v, with v added back, and is
+    a block there too.  The pieces wait on an explicit stack, so a deep
+    block tree never nests calls.
+    """
+    out = []
+    stack = g.components()
+    while stack:
+        mask = stack.pop()
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            parts = g.components(mask ^ low)
+            if len(parts) > 1:
+                stack.extend(part | low for part in parts)
+                break
+        else:
+            if mask & (mask - 1):
+                out.append(mask)
+    return out
 
 
 def blocks_and_cuts(g: Graph) -> BlockDecomposition:
+    """Blocks and cut vertices of a connected graph with an edge.
+
+    A block is an induced subgraph: an edge joining two vertices of a
+    2-connected subgraph leaves it 2-connected, so a maximal one holds
+    every edge of g between its vertices.
+    """
     if not g.is_connected():
         raise ValueError("block decomposition requires a connected graph")
     if g.m < 1:
         raise ValueError("block decomposition requires at least one edge")
     blocks = []
     seen: dict[int, int] = {}  # vertex -> number of blocks containing it
-    for group in _biconnected_edge_groups(g):
-        vs = frozenset(v for e in group for v in e)
+    for mask in _block_masks(g):
+        vs = frozenset(v for v in range(g.n) if mask >> v & 1)
         for v in vs:
             seen[v] = seen.get(v, 0) + 1
-        es = frozenset(group)
+        es = frozenset(e for e in g.edges if mask >> e[0] & 1 and mask >> e[1] & 1)
         if len(es) == 1:
             (u, v) = next(iter(es))
             kind = "hair" if g.degree(u) == 1 or g.degree(v) == 1 else "bridge"
             blocks.append(Block(vs, es, kind))
             continue
         kind = "cycle" if len(es) == len(vs) else "essential"
-        blocks.append(Block(vs, es, kind, _outer_cycle(g, vs)))
+        blocks.append(Block(vs, es, kind, _outer_cycle(g, mask)))
     cuts = frozenset(v for v, c in seen.items() if c >= 2)
     weights = {}
     for c in cuts:
@@ -147,16 +127,16 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
 def is_outerplanar(g: Graph) -> bool:
     """Every non-trivial block of every component has an outer cycle."""
     return all(
-        len(group) == 1 or _outer_cycle(g, {v for e in group for v in e}) is not None
-        for group in _biconnected_edge_groups(g)
+        mask.bit_count() == 2 or _outer_cycle(g, mask) is not None
+        for mask in _block_masks(g)
     )
 
 
-def _outer_cycle(g: Graph, vertices: Collection[int]) -> tuple[int, ...] | None:
-    """Outer cycle of the 2-connected block of g on `vertices`, or None
-    when the block is not outerplanar: its first Hamiltonian cycle, kept
-    when no two chords cross on it."""
-    cyc = _hamiltonian_cycle(g, vertices)
+def _outer_cycle(g: Graph, mask: int) -> tuple[int, ...] | None:
+    """Outer cycle of the 2-connected block of g on the vertex mask
+    `mask`, or None when the block is not outerplanar: its first
+    Hamiltonian cycle, kept when no two chords cross on it."""
+    cyc = _hamiltonian_cycle(g, mask)
     if cyc is None:
         return None
     pos = {v: i for i, v in enumerate(cyc)}
@@ -172,12 +152,11 @@ def _outer_cycle(g: Graph, vertices: Collection[int]) -> tuple[int, ...] | None:
     return tuple(cyc)
 
 
-def _hamiltonian_cycle(g: Graph, vertices: Collection[int]) -> list[int] | None:
-    """Hamiltonian cycle of the subgraph induced by `vertices`, from its
-    least vertex, neighbours tried in increasing order."""
-    n = len(vertices)
-    start = min(vertices)
-    allowed = sum(1 << v for v in vertices)
+def _hamiltonian_cycle(g: Graph, mask: int) -> list[int] | None:
+    """Hamiltonian cycle of the subgraph induced by the vertex mask
+    `mask`, from its least vertex, neighbours tried in increasing order."""
+    n = mask.bit_count()
+    start = (mask & -mask).bit_length() - 1
     path = [start]
     used = 1 << start
 
@@ -186,7 +165,7 @@ def _hamiltonian_cycle(g: Graph, vertices: Collection[int]) -> list[int] | None:
         if len(path) == n:
             return g.has_edge(path[-1], start)
         for w in g.neighbors(path[-1]):
-            if allowed >> w & 1 and not used >> w & 1:
+            if mask >> w & 1 and not used >> w & 1:
                 path.append(w)
                 used |= 1 << w
                 if rec():

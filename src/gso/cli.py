@@ -188,11 +188,21 @@ def _load_base(path: str | None):
         return read_graphs(fh)
 
 
+# obr_count(12) has 2,735 digits and obr_count(13) 5,469, past the
+# 4,300 that CPython converts to a string by default
+_MAX_BRANCH_LEVEL = 12
+
+
 def cmd_branches(args) -> int:
     """Counts and bounds for the base that is built, or for `--base-size`
     members under `--count-only`."""
     if args.k < 1:
         raise ValueError(f"branch level k must be at least 1, got {args.k}")
+    if args.k > _MAX_BRANCH_LEVEL:
+        raise ValueError(
+            f"branch level k must be at most {_MAX_BRANCH_LEVEL}, got {args.k}: "
+            "the counts above it pass Python's 4300-digit limit for printing an int"
+        )
     report = {"command": "branches", "version": __version__, "k": args.k}
     size = args.base_size
     if not args.count_only:

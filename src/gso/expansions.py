@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Edge, Enhancement, Graph, boundary, norm_edge, vertex_set
+from .graphs import Edge, Enhancement, Graph, norm_edge
 from .simulate import HostCtx, Move, Trace, p, s
 
 
@@ -84,10 +84,9 @@ def _check_conditions(
 
 @dataclass(frozen=True)
 class _Jump:
-    occupied: frozenset[int]  # searchers just before the cleaning move
+    occupied: int  # vertex mask of the searchers just before the cleaning move
     landing: int
     source: int | None  # slide source, None for a placement
-    cleaned: frozenset[Edge]
 
 
 def _realization(ex: Expansion, enh: Enhancement | None) -> tuple[int, list[_Jump]]:
@@ -98,26 +97,27 @@ def _realization(ex: Expansion, enh: Enhancement | None) -> tuple[int, list[_Jum
     the boundary of the realized set.  Raises InvalidExpansion when no
     monotone strategy can clean the edges in this order (an edge whose
     endpoints both entered the boundary earlier would have been cleaned
-    already).
+    already).  Positions are edge masks and boundaries vertex masks of
+    one `HostCtx`.
     """
     host = ex.host
+    ctx = HostCtx(host)
     if enh is None:
-        start, floor = frozenset(), 0
+        start, floor = 0, 0
     elif enh.host != host:
         raise InvalidExpansion("expansion host differs from the enhancement")
     else:
-        start, floor = enh.e_start, len(enh.base.s_in)
-    all_edges = frozenset(host.edges)
+        start, floor = ctx.emask(enh.e_start), len(enh.base.s_in)
     # every set of a valid expansion contains E_in, the rest of the start
     # is the edges inside S_in
-    pos: list[frozenset[Edge]] = [start]
+    pos = [start]
     for a in ex.sets:
-        aa = a | start
+        aa = ctx.emask(a) | start
         if aa != pos[-1]:
             pos.append(aa)
-    bnd = [frozenset(boundary(host, a)) for a in pos]
+    bnd = [ctx.vmask(a) & ctx.vmask(ctx.full & ~a) for a in pos]
     r = len(pos)
-    INF = host.n + len(all_edges) + 2
+    INF = host.n + ctx.m + 2
     best = [INF] * r
     back: list[tuple[int, _Jump] | None] = [None] * r
     best[0] = 0
@@ -125,7 +125,7 @@ def _realization(ex: Expansion, enh: Enhancement | None) -> tuple[int, list[_Jum
         for j in range(i):
             if best[j] >= INF:
                 continue
-            jump = _cheapest_jump(host, all_edges, pos[j], pos[i], bnd[j], bnd[i])
+            jump = _cheapest_jump(ctx, pos[j], pos[i], bnd[j], bnd[i])
             if jump is None:
                 continue
             w, rec = jump
@@ -146,46 +146,37 @@ def _realization(ex: Expansion, enh: Enhancement | None) -> tuple[int, list[_Jum
 
 
 def _cheapest_jump(
-    host: Graph,
-    all_edges: frozenset[Edge],
-    a: frozenset[Edge],
-    a2: frozenset[Edge],
-    ba: frozenset[int],
-    ba2: frozenset[int],
+    ctx: HostCtx, a: int, a2: int, ba: int, ba2: int
 ) -> tuple[int, _Jump] | None:
-    d = a2 - a
-    cands = set.intersection(*(set(e) for e in d))
-    dirty = all_edges - a
+    """Cheapest one move from clean edge mask a, with boundary ba, to a2,
+    with boundary ba2: (width, jump), or None when no move does it.
+
+    The move cleans the star d = a2 minus a, landing at a common end v of
+    d's edges off ba, by a placement or by a slide from an end of d off
+    ba2.  Just before it the searchers stand on base: ba, d's other ends,
+    and ba2 less v.  An edge is clean once searchers hold both its ends,
+    so the move is legal and cleans exactly d when `HostCtx.occupied(base)`
+    shows no dirty edge inside base (it would be clean already) and none
+    from v into base outside d (the landing would clean it out of order).
+    """
+    d = a2 & ~a
+    dirty = ctx.full & ~a
+    ends = ctx.vmask(d)
     best: tuple[int, _Jump] | None = None
-    for v in sorted(cands):
-        if v in ba:
+    for v, iv in enumerate(ctx.inc):
+        vb = 1 << v
+        if iv & d != d or ba & vb:
             continue
-        base = set(ba) | {x for e in d for x in e if x != v} | (ba2 - {v})
-        if v in base:
+        base = ba | ((ends | ba2) & ~vb)
+        both, seen = ctx.occupied(base)
+        if both & dirty or iv & seen & dirty & ~d:
             continue
-        ok = True
-        for e in dirty:
-            if v in e:
-                other = e[0] if e[1] == v else e[1]
-                if other in base and e not in d:
-                    ok = False
-                    break
-            elif e[0] in base and e[1] in base:
-                ok = False
-                break
-        if not ok:
-            continue
-        occupied = frozenset(base)
-        if best is None or len(base) + 1 < best[0]:
-            best = (len(base) + 1, _Jump(occupied, v, None, frozenset(d)))
-        for e in sorted(d):
-            if v not in e:
-                continue
-            w = e[0] if e[1] == v else e[1]
-            if w in ba2:
-                continue
-            if best is None or len(base) < best[0]:
-                best = (len(base), _Jump(occupied, v, w, frozenset(d)))
+        size = base.bit_count()
+        if best is None or size + 1 < best[0]:
+            best = (size + 1, _Jump(base, v, None))
+        sources = ends & ~vb & ~ba2
+        if sources and size < best[0]:
+            best = (size, _Jump(base, v, (sources & -sources).bit_length() - 1))
     return best
 
 
@@ -222,16 +213,17 @@ def expansion_to_strategy(enh: Enhancement, ex: Expansion) -> list[Move]:
         moves.append(s(enh.u_in, v))
     current = set(s_in)
     for jm in jumps:
-        for v in sorted(current - jm.occupied):
+        occupied = {v for v in range(enh.host.n) if jm.occupied >> v & 1}
+        for v in sorted(current - occupied):
             moves.append(Move("r", v))
-        for v in sorted(jm.occupied - current):
+        for v in sorted(occupied - current):
             moves.append(p(v))
         if jm.source is None:
             moves.append(p(jm.landing))
-            current = set(jm.occupied) | {jm.landing}
+            current = occupied | {jm.landing}
         else:
             moves.append(s(jm.source, jm.landing))
-            current = (set(jm.occupied) - {jm.source}) | {jm.landing}
+            current = (occupied - {jm.source}) | {jm.landing}
     return moves
 
 
@@ -246,7 +238,7 @@ def expansion_from_chunks(
     the first edge left.  Every prefix is one set.  The chunks must be
     disjoint and miss e_in; the result is not validated.
     """
-    laid = set(vertex_set(e_in))
+    laid = {v for e in e_in for v in e}
     cur = set(e_in)
     sets = [frozenset(cur)]
     for chunk in chunks:

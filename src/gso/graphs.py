@@ -142,19 +142,6 @@ def component_graphs(g: Graph) -> list[Graph]:
     ]
 
 
-def boundary(g: Graph, f: Iterable[Edge]) -> frozenset[int]:
-    """Vertices touched by both f and its complement in E(g)."""
-    fset = {norm_edge(*e) for e in f}
-    rest = set(g.edges) - fset
-    vin = {v for e in fset for v in e}
-    vout = {v for e in rest for v in e}
-    return frozenset(vin & vout)
-
-
-def vertex_set(edges: Iterable[Edge]) -> frozenset[int]:
-    return frozenset(v for e in edges for v in e)
-
-
 def _merged_ids(n: int, u: int, v: int) -> list[int]:
     """The id of each of n vertices after contracting edge (u, v), u < v:
     the merged vertex keeps id u; v disappears and the ids above shift down."""

@@ -1,3 +1,5 @@
+import sys
+
 import networkx as nx
 import pytest
 
@@ -49,6 +51,24 @@ def test_requires_connected_with_edges():
         blocks_and_cuts(Graph.from_edges(3, [(0, 1)]))
     with pytest.raises(ValueError):
         blocks_and_cuts(Graph.from_edges(1, []))
+
+
+def test_deep_block_tree_needs_no_deep_stack():
+    # a path's 199 blocks chain 198 cut vertices; the walk must not nest
+    # a call per block, so 50 frames above the caller's depth suffice
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        dec = blocks_and_cuts(path_graph(200))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(dec.blocks) == 199
+    assert dec.cut_vertices == frozenset(range(1, 199))
 
 
 def test_matches_networkx_decomposition(rng):

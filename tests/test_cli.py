@@ -388,6 +388,22 @@ def test_branches_level_below_one_is_exit_2_before_any_work(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def test_branches_level_above_twelve_is_exit_2_before_any_work(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("counted branches at a level the report cannot print")
+
+    monkeypatch.setattr("gso.cli.branch_count", fail)
+    code = main(["branches", "-k", "13", "--count-only"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "at most 12" in captured.err
+    monkeypatch.undo()
+    code, rep = run(capsys, "branches", "-k", "12", "--count-only")
+    assert code == 0 and rep["k"] == 12
+
+
 def test_branches_count_only(capsys):
     code, rep = run(capsys, "branches", "-k", "3", "--count-only")
     assert code == 0

@@ -5,7 +5,6 @@ from gso.graphs import (
     Graph,
     Part,
     RootedGraph,
-    boundary,
     complete_graph,
     contract_edge,
     contract_edge_rooted,
@@ -128,13 +127,6 @@ def test_relabel_preserves_structure():
     g = path_graph(4)
     h = g.relabel([3, 2, 1, 0])
     assert nx.is_isomorphic(to_nx(g), to_nx(h))
-
-
-def test_boundary_of_edge_set():
-    g = path_graph(4)
-    assert boundary(g, [(0, 1)]) == frozenset({1})
-    assert boundary(g, [(0, 1), (1, 2), (2, 3)]) == frozenset()
-    assert boundary(g, []) == frozenset()
 
 
 def test_contract_edge_triangle():
