@@ -27,6 +27,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
+from math import log10
 
 from . import __version__
 from .expansions import expansion_to_strategy
@@ -193,6 +194,20 @@ def _load_base(path: str | None):
 _MAX_BRANCH_LEVEL = 12
 
 
+def _check_printable(k: int, size: int) -> None:
+    """Refuse a level and base size whose `obr_count`, the largest count
+    in the report, may have more digits than Python prints from an int
+    (`sys.get_int_max_str_digits`, 0 or absent before Python 3.10.7 for
+    no limit).  An int of b bits has at most int(b * log10(2)) + 1
+    digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and int(obr_count(k, size).bit_length() * log10(2)) + 1 > limit:
+        raise ValueError(
+            f"branch level {k} with base size {size}: obr_count would pass "
+            f"Python's {limit}-digit limit for printing an int"
+        )
+
+
 def cmd_branches(args) -> int:
     """Counts and bounds for the base that is built, or for `--base-size`
     members under `--count-only`."""
@@ -205,10 +220,13 @@ def cmd_branches(args) -> int:
         )
     report = {"command": "branches", "version": __version__, "k": args.k}
     size = args.base_size
-    if not args.count_only:
+    if args.count_only:
+        _check_printable(args.k, size)
+    else:
         with _open_out(args.out) as fh:
             base = _load_base(args.base)
             size = len(base)
+            _check_printable(args.k, size)
             report["materialized_branches"] = len(branch_set(args.k, base))
             obr = sorted(obr_set(args.k, base), key=graph6_encode)
             report["materialized_obr"] = len(obr)

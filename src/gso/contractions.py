@@ -4,10 +4,11 @@ Both relations are decided by enumerating partitions of the host's
 vertices into connected classes and matching the quotient against the
 pattern.  Exponential, but it only ever runs on small graphs; a node
 budget turns runaway searches into a distinct error.  No library path
-calls `is_contraction`, `is_minor` or `contains_any`: they are the
-tests' oracle, kept here while the benchmark wraps them.  The library
-reads `proper_contractions`.  `is_outerplanar` lives in `gso.blocks`
-and is re-exported here.
+calls `is_contraction`, `is_minor`, `contains_any` or
+`proper_contractions`: they are the tests' oracle, kept here while the
+benchmark wraps them (`verify_obr` names the contraction classes of a
+glued family by its branches instead).  `is_outerplanar` lives in
+`gso.blocks` and is re-exported here.
 """
 
 from __future__ import annotations

@@ -48,14 +48,15 @@ def validate_expansion(
     e_in: frozenset[Edge] = frozenset(),
     e_out: frozenset[Edge] = frozenset(),
 ) -> None:
-    _check_conditions(ex, e_in, e_out, connected=True)
+    _check_conditions(ex, e_in, e_out, HostCtx(ex.host))
 
 
 def _check_conditions(
-    ex: Expansion, e_in: frozenset[Edge], e_out: frozenset[Edge], connected: bool
+    ex: Expansion, e_in: frozenset[Edge], e_out: frozenset[Edge], ctx: HostCtx | None
 ) -> None:
     """Raise InvalidExpansion at the first condition ex breaks, in the
-    order 3, 4, 1, 2, 5, 6; condition 5 (connected) only if asked."""
+    order 3, 4, 1, 2, 5, 6; condition 5 (connected) only when given
+    ctx, the `HostCtx` of ex.host."""
     host = ex.host
     sets = ex.sets
     if not sets:
@@ -72,8 +73,7 @@ def _check_conditions(
     for i in range(len(sets) - 1):
         if len(sets[i + 1] - sets[i]) > 1:
             raise InvalidExpansion(f"condition 2: step {i + 1} adds more than one edge")
-    if connected:
-        ctx = HostCtx(host)
+    if ctx is not None:
         for i, a in enumerate(sets):
             if not ctx.edges_connected(ctx.emask(a)):
                 raise InvalidExpansion(f"condition 5: set {i + 1} not connected")
@@ -89,7 +89,9 @@ class _Jump:
     source: int | None  # slide source, None for a placement
 
 
-def _realization(ex: Expansion, enh: Enhancement | None) -> tuple[int, list[_Jump]]:
+def _realization(
+    ex: Expansion, enh: Enhancement | None, ctx: HostCtx
+) -> tuple[int, list[_Jump]]:
     """Cheapest strategy realizing the expansion's cleaning order.
 
     Returns (width, jumps).  Each jump is one cleaning move covering a
@@ -98,10 +100,9 @@ def _realization(ex: Expansion, enh: Enhancement | None) -> tuple[int, list[_Jum
     monotone strategy can clean the edges in this order (an edge whose
     endpoints both entered the boundary earlier would have been cleaned
     already).  Positions are edge masks and boundaries vertex masks of
-    one `HostCtx`.
+    ctx, the `HostCtx` of ex.host.
     """
     host = ex.host
-    ctx = HostCtx(host)
     if enh is None:
         start, floor = 0, 0
     elif enh.host != host:
@@ -186,11 +187,12 @@ def expansion_cost(ex: Expansion, enh: Enhancement | None = None) -> int:
     Without an enhancement the expansion is unrooted: E_in and E_out are
     empty, so a nonempty first set raises InvalidExpansion.
     """
+    ctx = HostCtx(ex.host)  # condition 5 and the realization share it
     if enh is None:
-        validate_expansion(ex)
+        _check_conditions(ex, frozenset(), frozenset(), ctx)
     else:
-        validate_expansion(ex, enh.e_in, enh.e_out)
-    return _realization(ex, enh)[0]
+        _check_conditions(ex, enh.e_in, enh.e_out, ctx)
+    return _realization(ex, enh, ctx)[0]
 
 
 def expansion_to_strategy(enh: Enhancement, ex: Expansion) -> list[Move]:
@@ -203,8 +205,8 @@ def expansion_to_strategy(enh: Enhancement, ex: Expansion) -> list[Move]:
     the cheapest realization of the expansion's cleaning order, holding
     exactly the boundary of the realized set between moves.
     """
-    _check_conditions(ex, enh.e_in, enh.e_out, connected=False)
-    _, jumps = _realization(ex, enh)
+    _check_conditions(ex, enh.e_in, enh.e_out, None)
+    _, jumps = _realization(ex, enh, HostCtx(ex.host))
     moves: list[Move] = []
     s_in = sorted(enh.base.s_in)
     for _ in s_in:

@@ -27,8 +27,7 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .blocks import is_outerplanar
-from .canon import canonical_certificate, certificate, rooted_certificate, unique
-from .contractions import proper_contractions
+from .canon import canonical_certificate, canonical_graph, certificate, rooted_certificate
 from .gen import _edge_orbit_mins, _orbit_mins, split_level, with_orbit_mins
 from .graphs import (
     Edge,
@@ -238,9 +237,17 @@ def glue_family_at_root(fam: Sequence[RootedGraph], m: int) -> list[Graph]:
     for rg in fam:
         if not (len(rg.s_in) == 1 and rg.s_in == rg.s_out):
             raise ValueError("family members must be doubly rooted on one vertex")
-    return unique(
-        _identify_roots(combo)[0] for combo in combinations_with_replacement(fam, m)
-    )
+    return [g for g, _ in _glued(fam, m)]
+
+
+def _glued(fam: Sequence[RootedGraph], m: int) -> list[tuple[Graph, tuple[int, ...]]]:
+    """`glue_family_at_root(fam, m)`, each canonical graph with the indices
+    into fam of the first multiset of members that gave its class."""
+    reps: dict[bytes, tuple[Graph, tuple[int, ...]]] = {}
+    for combo in combinations_with_replacement(range(len(fam)), m):
+        c = canonical_graph(_identify_roots([fam[i] for i in combo])[0])
+        reps.setdefault(canonical_certificate(c), (c, combo))
+    return [reps[c] for c in sorted(reps)]
 
 
 def _identify_roots(members: Sequence[RootedGraph]) -> tuple[Graph, int]:
@@ -443,6 +450,45 @@ def obr_count_lower_bound_holds(k: int, base_size: int = 5) -> bool:
     return obr_count(k, base_size) * 3 * 2**e >= 4 * 5**e
 
 
+def _rooted_contractions(rg: RootedGraph) -> dict[bytes, RootedGraph]:
+    """rg's rooted single-edge contractions, one per rooted isomorphism
+    class, keyed by rooted certificate."""
+    out: dict[bytes, RootedGraph] = {}
+    for e in rg.graph.edges:
+        c = contract_edge_rooted(rg, e)
+        out.setdefault(rooted_certificate(c), c)
+    return out
+
+
+def _obr_contractions(
+    branches: Sequence[Branch],
+) -> Iterator[tuple[Graph, dict[tuple[bytes, ...], list[RootedGraph]]]]:
+    """The glued graphs of three of these branches, as `obr_set` lists
+    them, each with its single-edge contractions keyed by their parts.
+
+    Every edge of a glued graph lies in one branch, and contracting it
+    contracts that branch alone, rooted at the image of its root.  So a
+    contraction is the contracted branch glued at the root to the other
+    two; its key is the sorted triple of their rooted certificates, and
+    its value those three parts, for `_identify_roots`.  Glueing
+    isomorphic rooted parts gives isomorphic graphs, so equal keys mean
+    isomorphic contractions; the certificates and contractions of each
+    branch are found once, not on every glued graph.
+    """
+    parts = [_branch_rooted(b) for b in branches]
+    certs = [rooted_certificate(rg) for rg in parts]
+    contracted = [_rooted_contractions(rg) for rg in parts]
+    for g, combo in _glued(parts, 3):
+        keyed: dict[tuple[bytes, ...], list[RootedGraph]] = {}
+        for j, i in enumerate(combo):
+            rest = combo[:j] + combo[j + 1 :]
+            for cert, part in contracted[i].items():
+                key = tuple(sorted([cert, *(certs[x] for x in rest)]))
+                if key not in keyed:
+                    keyed[key] = [part, *(parts[x] for x in rest)]
+        yield g, keyed
+
+
 def verify_obr(k: int, base: Sequence[RootedGraph]) -> dict:
     """Check the level-k family claims by constrained solver calls.
 
@@ -453,31 +499,39 @@ def verify_obr(k: int, base: Sequence[RootedGraph]) -> dict:
     root throughout; width-(k+1) strategies exist cleaning the trunk
     first, and also cleaning it last.
 
-    Each contraction is solved once per isomorphism class across the
-    family: `proper_contractions` contracts one edge per automorphism
-    orbit of the glued graph and returns canonical graphs, so one class
-    is one graph, and a contraction shared by several glued graphs
-    reuses its verdict (still reported once for each of them).
+    A contraction is named by its parts (`_obr_contractions`): the
+    contracted branch and the other two, by rooted certificate.  Each
+    name is solved once across the family, on its first glued graph, so
+    a contraction shared by several glued graphs reuses its verdict
+    (still reported once for each of them), and no glued graph or
+    contraction is canonicalised to find its classes.  The violations of
+    a glued graph are listed once per isomorphism class of contraction,
+    in certificate order; only they are certified.
     """
     report: dict = {"k": k, "violations": [], "graphs": 0, "branches": 0}
-    # canonical contraction -> whether it breaks the claim
-    broken: dict[Graph, bool] = {}
+    branches = branch_set(k, base)
+    # contraction key -> whether the contraction breaks the claim
+    broken: dict[tuple[bytes, ...], bool] = {}
 
-    for g in obr_set(k, base):
+    for g, contractions in _obr_contractions(branches):
         report["graphs"] += 1
         if cmms_decide(g, k + 1):
             report["violations"].append(("value", certificate(g).decode()))
-        for c in proper_contractions(g):
-            bad = broken.get(c)
-            if bad is None:
-                ctx = HostCtx(c)  # the k+1 and k solves share its move tables
-                bad = broken[c] = not cmms_decide(ctx, k + 1) or cmms_decide(ctx, k)
-            if bad:
-                report["violations"].append(
-                    ("contraction", certificate(g).decode(), certificate(c).decode())
-                )
+        bad: set[bytes] = set()
+        for key, parts in contractions.items():
+            hit = broken.get(key)
+            if hit is None:
+                # the k+1 and k solves share its move tables
+                ctx = HostCtx(_identify_roots(parts)[0])
+                hit = broken[key] = not cmms_decide(ctx, k + 1) or cmms_decide(ctx, k)
+            if hit:
+                bad.add(certificate(_identify_roots(parts)[0]))
+        for c in sorted(bad):
+            report["violations"].append(
+                ("contraction", certificate(g).decode(), c.decode())
+            )
 
-    for b in branch_set(k, base):
+    for b in branches:
         report["branches"] += 1
         ctx = HostCtx(b.graph)
         trunk = ctx.emask([b.trunk])

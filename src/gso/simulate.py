@@ -64,7 +64,9 @@ class HostCtx:
       reachable from a stable start, the vertex v a move vacates is the
       only unguarded vertex with both clean and dirty edges, so the
       closure loses flood(1 << v, guard): the region grown from any
-      other seed stays on dirty edges unless it meets v.
+      other seed stays on dirty edges unless it meets v.  floods(guard)
+      holds that flood for every vertex off guard, one walk per
+      component of host - guard.
     * joined(vmask(c), new) = edges_connected(c | new) for a connected,
       nonempty c disjoint from new, in passes over new alone: a search
       whose sets only grow and stay connected tests just the edges a
@@ -152,6 +154,31 @@ class HostCtx:
             frontier = nxt & free & ~w
             w |= frontier
         return out
+
+    @cached_property
+    def _flood_rows(self) -> dict[int, list[int]]:
+        return {}
+
+    def floods(self, guard: int) -> list[int]:
+        """floods(guard)[v] == flood(1 << v, guard) for every vertex v off
+        the vertex mask guard (0 on guard).  That flood is the edges at
+        v's component of host - guard, so one walk per component fills
+        the row; it is kept on the host, keyed by guard, and every solve
+        on it shares the rows."""
+        row = self._flood_rows.get(guard)
+        if row is None:
+            row = self._flood_rows[guard] = [0] * self.g.n
+            left = ((1 << self.g.n) - 1) & ~guard
+            while left:
+                low = left & -left
+                out = self.flood(low, guard)
+                comp = self.vmask(out) & ~guard | low
+                left &= ~comp
+                while comp:
+                    x = comp & -comp
+                    comp ^= x
+                    row[x.bit_length() - 1] = out
+        return row
 
     def vmask(self, emask: int) -> int:
         """Vertex mask of the edge set emask: the vertices at one of its edges."""

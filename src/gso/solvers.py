@@ -426,7 +426,8 @@ def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[list]:
     afterwards, plus the sliding edge of a slide; a placement vacates
     nothing (0), a removal or slide vacates v (inc[v]).  The flood,
     `HostCtx.flood(1 << v, searchers after the move)`, is -1 until a
-    non-monotone solve first needs it.
+    non-monotone solve first needs it and reads it from
+    `HostCtx.floods`.
 
     The table lives on the host (`HostCtx.game_moves`, keyed (pmask,
     guard)), so every solve on it shares the tables and their memoised
@@ -541,8 +542,10 @@ def solve_game(
       neither empty nor all of inc[v].  A monotone solve drops such a
       move.  In a non-monotone one recontamination can start at v alone,
       and the closure loses the edges at every vertex that unguarded
-      paths reach from v: c2 = q & ~`HostCtx.flood(1 << v, p2)`, computed
-      once per move, on first need.  Otherwise c2 = q.
+      paths reach from v: c2 = q & ~`HostCtx.flood(1 << v, p2)`, read
+      once per move, on first need, from `HostCtx.floods(p2)`, whose
+      one walk per component of host - p2 serves every v off p2.
+      Otherwise c2 = q.
     * Connected (connected solves): c induces a connected subgraph.
       When c2 contains a nonempty c (always in a monotone solve), c2 is
       connected exactly when the new edges c2 & ~c reach the vertices of
@@ -592,7 +595,7 @@ def solve_game(
                 if monotone:
                     continue
                 if lost < 0:
-                    lost = move[6] = ctx.flood(1 << v, p2)
+                    lost = move[6] = ctx.floods(p2)[v]
                 c2 = q & ~lost
             else:
                 c2 = q

@@ -404,6 +404,23 @@ def test_branches_level_above_twelve_is_exit_2_before_any_work(capsys, monkeypat
     assert code == 0 and rep["k"] == 12
 
 
+def test_branches_base_size_too_large_to_print_is_exit_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("counted branches for a report that cannot be printed")
+
+    # obr_count(12, 50) has about 8,600 digits, obr_count(12, 9) 4,170
+    monkeypatch.setattr("gso.cli.branch_count", fail)
+    code = main(["branches", "-k", "12", "--count-only", "--base-size", "50"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "level 12 with base size 50" in captured.err
+    monkeypatch.undo()
+    code, rep = run(capsys, "branches", "-k", "12", "--count-only", "--base-size", "9")
+    assert code == 0 and len(str(rep["obr_count"])) == 4170
+
+
 def test_branches_count_only(capsys):
     code, rep = run(capsys, "branches", "-k", "3", "--count-only")
     assert code == 0

@@ -4,8 +4,8 @@ from math import comb
 import networkx as nx
 import pytest
 
-from gso.canon import certificate, is_isomorphic
-from gso.contractions import contains_any
+from gso.canon import canonical_graph, certificate, is_isomorphic
+from gso.contractions import contains_any, proper_contractions
 from gso.gen import connected_graphs
 from gso.gio import graph6_encode
 from gso.graphs import (
@@ -22,6 +22,8 @@ from gso.graphs import (
 from gso.obstructions import (
     ABOVE,
     Branch,
+    _identify_roots,
+    _obr_contractions,
     base_branches,
     branch_count,
     branch_count_lower_bound_holds,
@@ -36,6 +38,7 @@ from gso.obstructions import (
     obr_count,
     obr_count_lower_bound_holds,
     obr_set,
+    verify_obr,
 )
 from gso.solvers import cmms_value, cmp_plain, cms_value, mp_value, ms_value
 
@@ -549,6 +552,68 @@ def test_obr_level_one_size():
     fam = obr_set(1, base)
     assert len(fam) == obr_count(1, len(base))
     assert all(g.is_connected() for g in fam)
+
+
+def test_branch_keyed_contractions_are_the_contraction_classes():
+    base = mine_branch_base(7)
+    for k, members in ((1, base), (2, base[:2])):
+        got = list(_obr_contractions(branch_set(k, members)))
+        assert [g for g, _ in got] == obr_set(k, members)
+        for g, keyed in got:
+            classes = proper_contractions(g)
+            assert len(keyed) == len(classes)
+            assert {
+                canonical_graph(_identify_roots(parts)[0]) for parts in keyed.values()
+            } == set(classes)
+
+
+def test_verify_obr_level_one_searches(monkeypatch):
+    import gso.canon
+    import gso.obstructions
+    import gso.solvers
+
+    base = mine_branch_base(7)
+    calls = Counter()
+    real_canon, real_solve = gso.canon._canon, gso.solvers.solve_game
+
+    def canon(*args, **kwargs):
+        calls["canon"] += 1
+        return real_canon(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        calls["solve"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(gso.canon, "_canon", canon)
+    monkeypatch.setattr(gso.solvers, "solve_game", solve)
+    monkeypatch.setattr(gso.obstructions, "solve_game", solve)
+    report = verify_obr(1, base)
+    assert (report["graphs"], report["branches"], report["ok"]) == (120, 8, True)
+    # 120 glued graphs + 8 branches + 38 rooted branch contractions; the
+    # solves: one per glued graph, two per each of the 360 contraction
+    # classes, four per branch
+    assert calls == {"canon": 166, "solve": 120 + 2 * 360 + 4 * 8}
+
+
+def test_verify_obr_level_two_on_two_base_members():
+    report = verify_obr(2, mine_branch_base(7)[:2])
+    assert (report["graphs"], report["branches"]) == (10, 3)
+    assert report["violations"] == [] and report["ok"]
+
+
+def test_verify_obr_lists_contraction_violations_by_class(monkeypatch):
+    # with every decision no, every contraction breaks the claim: each
+    # glued graph lists its contraction classes once, in certificate order
+    import gso.obstructions
+
+    base = mine_branch_base(7)[:4]
+    monkeypatch.setattr(gso.obstructions, "cmms_decide", lambda g, k: False)
+    got = [v for v in verify_obr(1, base)["violations"] if v[0] == "contraction"]
+    assert got == [
+        ("contraction", certificate(g).decode(), certificate(c).decode())
+        for g in obr_set(1, base)
+        for c in proper_contractions(g)
+    ]
 
 
 def test_lower_bounds_hold():

@@ -197,3 +197,15 @@ def test_kernels_match_brute_force_on_all_small_graphs():
                             ctx, q | new
                         )
     assert several > 1_000
+
+
+def test_flood_rows_match_flood_on_all_small_graphs():
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            ctx = HostCtx(g)
+            for guard in range(1 << n):
+                row = ctx.floods(guard)
+                assert ctx.floods(guard) is row
+                for v in range(n):
+                    want = 0 if guard >> v & 1 else ctx.flood(1 << v, guard)
+                    assert row[v] == want, (g, guard, v)

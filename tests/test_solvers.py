@@ -396,6 +396,7 @@ def test_shared_context_solves_match_fresh_ones():
 
 
 def test_checks_build_one_context_per_host(monkeypatch):
+    from gso.canon import canonical_graph
     from gso.contractions import proper_contractions
     from gso.obstructions import branch_set, mine_branch_base, obr_set, verify_obr
     from gso.paperchecks import check_monotone_connected
@@ -417,8 +418,13 @@ def test_checks_build_one_context_per_host(monkeypatch):
     built.clear()
     assert verify_obr(1, base)["ok"]
     assert len(contractions) < sum(len(proper_contractions(g)) for g in glued)
-    assert len(built) == len(contractions) + len(glued) + len(branches)
-    assert set(built) == contractions | set(glued) | {b.graph for b in branches}
+    # contraction hosts are glued from branch parts, not canonical graphs,
+    # so each built host is compared by its canonical form
+    classes = {canonical_graph(h) for h in built}
+    assert len(built) == len(classes) == 360 + 120 + 8
+    assert classes == contractions | set(glued) | {
+        canonical_graph(b.graph) for b in branches
+    }
 
 
 # (graph6, s_in, s_out, ms, cms, cmms, rooted game) with each solve as
