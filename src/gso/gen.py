@@ -5,28 +5,37 @@ Vertex splitting is the inverse of edge contraction.  `split_level`
 grows a level of graphs by one vertex: in each graph, one vertex v per
 orbit of its automorphisms (`_orbit_mins`) becomes the adjacent pair
 v, v' (v' is the new vertex), and each neighbour of v goes to v, to v'
-or to both.  Two rules prune the splits before they are canonicalised:
+or to both.  Three rules prune the splits before they are canonicalised:
 - mirror: swapping v and v' gives an isomorphic graph, so of the two
   assignments only the one whose first neighbour not sent to both goes
   to v is kept;
+- stabiliser: an automorphism of the graph that fixes v maps each split
+  at v onto an isomorphic one, so a split is skipped when one of the
+  given automorphisms fixing v maps it onto a smaller (both, moved)
+  after the mirror rule.  The least split of each orbit under all the
+  automorphisms fixing v is never skipped, so the rule is exact even
+  when the automorphisms given generate only part of the group (McKay,
+  "Isomorph-free exhaustive generation", J. Algorithms 26, 1998, builds
+  no such duplicate);
 - largest edge: the split is kept only when its new edge vv' has the
   largest (min degree, max degree, common neighbours) of all its edges;
   ties are kept.
 Each split left is canonicalised once, by `canonical_labelling`, which
-also gives the automorphisms that split the next level, and the splits
-are merged by certificate.
+also gives the automorphisms of the split, and the splits are merged by
+certificate.
 
 The rules lose no graph h whose contraction by some edge e of the
 largest invariant is isomorphic to a graph of the level: an automorphism
 of that graph moves the merged vertex to its orbit's least vertex, and
 one of the two mirror assignments rebuilds h with e as the new edge
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
-So a class closed under contraction, such as the connected graphs or
-mining's good graphs (`obstructions.mine_obstructions`), is grown from
-its own graphs one vertex smaller.  `connected_graphs(n)` keeps each
-class's canonical graph, in certificate order, and caches it with the
-least vertex of each automorphism orbit, since the checklist (checks 3,
-4 and 6-9, all at n <= 7) sweeps the same sizes many times.
+(McKay, as above).  So a class closed under contraction, such as the
+connected graphs or mining's good graphs (`obstructions.mine_obstructions`),
+is grown from its own graphs one vertex smaller.  `connected_graphs(n)`
+keeps each class's canonical graph, in certificate order, and caches it
+with the least vertex of each automorphism orbit, since the checklist
+(checks 3, 4 and 6-9, all at n <= 7) sweeps the same sizes many times.
+The automorphisms themselves are not cached: the next size searches
+each graph again for them, one graph at a time.
 """
 
 from __future__ import annotations
@@ -39,14 +48,16 @@ from .graphs import Edge, Graph, norm_edge
 T = TypeVar("T")
 Perm = tuple[int, ...]  # an automorphism: v goes to perm[v]
 
-# n -> (connected_graphs(n), the orbit mins of each graph's automorphisms)
+# n -> (connected_graphs(n), the orbit mins of each graph's automorphisms);
+# the automorphisms are searched again when size n + 1 is split, since
+# keeping every size's lists costs more memory than the searches cost time
 _cache: dict[int, tuple[tuple[Graph, ...], tuple[tuple[int, ...], ...]]] = {}
 
 
-def _orbit_mins(items: Sequence[T], images: Iterable[Sequence[T]]) -> list[T]:
-    """The least item of each orbit of the group that the permutations of
-    `items` generate, in `items` order; each permutation is given as the
-    image of every item, in `items` order."""
+def _orbits(items: Sequence[T], images: Iterable[Sequence[T]]) -> dict[T, T]:
+    """Each item with the least item of its orbit under the group that the
+    permutations of `items` generate, in `items` order; each permutation
+    is given as the image of every item, in `items` order."""
     # the orbits are the components of the pairs (x, image of x); each
     # component is a tree whose root, its least item, points to itself
     up = dict(zip(items, items))
@@ -60,35 +71,78 @@ def _orbit_mins(items: Sequence[T], images: Iterable[Sequence[T]]) -> list[T]:
                 up[y] = x
             elif y < x:
                 up[x] = y
-    return [x for x, u in up.items() if x == u]
+    for x in items:
+        while up[up[x]] != up[x]:
+            up[x] = up[up[x]]
+    return up
+
+
+def _orbit_mins(items: Sequence[T], images: Iterable[Sequence[T]]) -> list[T]:
+    """The least item of each orbit (see `_orbits`), in `items` order."""
+    return [x for x, m in _orbits(items, images).items() if x == m]
+
+
+def _edge_orbits(g: Graph, autos: Sequence[Perm]) -> dict[Edge, Edge]:
+    """Each edge of g with the least edge of its orbit under the group
+    `autos` generate, in edge order."""
+    edges = g.edges
+    return _orbits(edges, ([norm_edge(p[u], p[w]) for u, w in edges] for p in autos))
 
 
 def _edge_orbit_mins(g: Graph, autos: Sequence[Perm]) -> list[Edge]:
     """The least edge of each orbit of the group `autos` generate on the
     edges of g, in edge order."""
-    edges = g.edges
-    return _orbit_mins(edges, ([norm_edge(p[u], p[w]) for u, w in edges] for p in autos))
+    return [e for e, m in _edge_orbits(g, autos).items() if e == m]
 
 
-def _splits(g: Graph, roots: Iterable[int]) -> Iterator[Graph]:
-    """The splits of g at each vertex v of `roots` that the mirror and
-    largest-edge rules keep; v' is vertex g.n."""
+def _splits(
+    g: Graph, roots: Iterable[int], autos: Sequence[Perm]
+) -> Iterator[tuple[int, Graph]]:
+    """The splits of g at each vertex v of `roots` that the mirror,
+    stabiliser and largest-edge rules keep, each with its v; v' is vertex
+    g.n.  The stabiliser rule reads the automorphisms `autos` of g."""
     for v in roots:
         nbrs = g.adj[v]
+        # the automorphisms fixing v that move a neighbour, each as the
+        # (bit, image bit) of every neighbour
+        stab = []
+        for p in autos:
+            if p[v] == v:
+                img = [(1 << u, 1 << p[u]) for u in range(g.n) if nbrs >> u & 1]
+                if any(a != b for a, b in img):
+                    stab.append(img)
         # both: the neighbours sent to v and v'; moved: those sent to v' only
         both = nbrs
         while True:
-            rest = nbrs & ~both
-            # the lowest neighbour not sent to both stays with v
-            free = rest & (rest - 1)
-            moved = free
-            while True:
-                h = _split(g, v, both, moved)
-                if h is not None:
-                    yield h
-                if not moved:
+            # skip every split with this `both` if an automorphism maps it
+            # onto a smaller one; keep those that fix it
+            fixing = []
+            for img in stab:
+                image = sum(b for a, b in img if both & a)
+                if image < both:
                     break
-                moved = (moved - 1) & free
+                if image == both:
+                    fixing.append(img)
+            else:
+                rest = nbrs & ~both
+                # the lowest neighbour not sent to both stays with v
+                low = rest & -rest
+                free = rest ^ low
+                moved = free
+                while True:
+                    for img in fixing:
+                        image = sum(b for a, b in img if moved & a)
+                        if image & low:  # the mirror of the image
+                            image ^= rest
+                        if image < moved:
+                            break
+                    else:
+                        h = _split(g, v, both, moved)
+                        if h is not None:
+                            yield v, h
+                    if not moved:
+                        break
+                    moved = (moved - 1) & free
             if not both:
                 break
             both = (both - 1) & nbrs
@@ -130,30 +184,33 @@ def _split(g: Graph, v: int, both: int, moved: int) -> Graph | None:
 
 
 def split_level(
-    level: Iterable[tuple[Graph, Iterable[int]]],
+    level: Iterable[tuple[Graph, Iterable[int], Sequence[Perm]]],
     screen: Callable[[Graph], bool] | None = None,
-    keep: Callable[[Graph, Perm, list[Perm]], T] | None = None,
+    keep: Callable[[Graph, int, Perm, list[Perm]], T] | None = None,
 ) -> tuple[dict[bytes, T], int, int]:
-    """Split every graph of `level` at its given vertices, the least of
-    each orbit of automorphisms of it, by `_splits`; drop the splits
-    `screen` rejects, and canonicalise each split left once.
+    """Split every graph g of `level` at its given vertices, the least of
+    each orbit of automorphisms of it, by `_splits` with the given
+    automorphisms of g; drop the splits `screen` rejects, and
+    canonicalise each split left once.
 
     Returns the classes by certificate, then the number of splits
     canonicalised and the number screened out.  Each class holds
-    `keep(h, pos, autos)` of its first split h, h's canonical positions
-    and the automorphisms found; by default that triple itself.
+    `keep(h, v, pos, autos)` of its first split h, made at v, with h's
+    canonical positions and the automorphisms found; by default that
+    tuple itself.  Nothing of g is kept.
     """
     classes: dict[bytes, T] = {}
     searched = screened = 0
-    for g, roots in level:
-        for h in _splits(g, roots):
+    for g, roots, gens in level:
+        for v, h in _splits(g, roots, gens):
             if screen is not None and not screen(h):
                 screened += 1
                 continue
             searched += 1
             cert, pos, autos = canonical_labelling(h)
             if cert not in classes:
-                classes[cert] = (h, pos, autos) if keep is None else keep(h, pos, autos)
+                first = (h, v, pos, autos)
+                classes[cert] = first if keep is None else keep(*first)
     return classes, searched, screened
 
 
@@ -174,9 +231,16 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
             _cache[1] = ((Graph(1, (0,)),), ((0,),))
         else:
             connected_graphs(n - 1)
+            # each parent is searched again for the automorphisms that
+            # prune its splits, one parent at a time: the cache keeps none
+            level = (
+                (g, mins, canonical_labelling(g)[2]) for g, mins in zip(*_cache[n - 1])
+            )
             # each class keeps its canonical form, not its split: the splits
             # (with the edges their search cached) would all be alive at once
-            classes = split_level(zip(*_cache[n - 1]), keep=_canonical)[0]
+            classes = split_level(
+                level, keep=lambda h, v, pos, autos: _canonical(h, pos, autos)
+            )[0]
             graphs, roots = [], []
             shared: dict[tuple[int, ...], tuple[int, ...]] = {}
             for cert in sorted(classes):

@@ -11,7 +11,9 @@ the same `gen.split_level` that enumerates the connected graphs, and
 drops a split whose contractions have a shape no good graph has.  Each
 split left is canonicalised once.  A candidate with a child (a
 single-edge contraction, or for minors a component of a single-edge
-deletion) that is not good is rejected; any other is evaluated once,
+deletion) that is not good is rejected (the contraction by the edge
+it was split at gives back the good graph it was split from, so that
+one is not searched); any other is evaluated once,
 and it is an obstruction exactly when its parameter exceeds k.  That
 is the only question asked of a parameter, so `ABOVE` maps each name to
 one solver decision at k, not to a search for the value.  The fan and
@@ -28,7 +30,13 @@ from typing import Callable, Iterator, Sequence
 
 from .blocks import is_outerplanar
 from .canon import canonical_certificate, canonical_graph, certificate, rooted_certificate
-from .gen import _edge_orbit_mins, _orbit_mins, split_level, with_orbit_mins
+from .gen import (
+    Perm,
+    _edge_orbits,
+    _orbit_mins,
+    split_level,
+    with_orbit_mins,
+)
 from .graphs import (
     Edge,
     Graph,
@@ -94,15 +102,20 @@ def _is_obstruction(
 
 
 def _children(
-    g: Graph, relation: str, edges: Sequence[Edge] | None = None
+    g: Graph,
+    relation: str,
+    edges: Sequence[Edge] | None = None,
+    skip: Edge | None = None,
 ) -> Iterator[Graph]:
     """The graphs one step below g: its single-edge contractions and, for
     the minor relation, the components of its single-edge deletions; only
-    those of `edges` when given (by default every edge of g)."""
+    those of `edges` when given (by default every edge of g), and not the
+    contraction of `skip` (its deletion stays)."""
     if edges is None:
         edges = g.edges
     for e in edges:
-        yield contract_edge(g, e)
+        if e != skip:
+            yield contract_edge(g, e)
     if relation == "minor":
         for e in edges:
             d = Graph.from_edges(g.n, [f for f in g.edges if f != e])
@@ -157,8 +170,9 @@ def mine_obstructions(
     single-edge contractions are all good.  Contracting any edge of a
     candidate gives a good graph, so size n is grown from the good graphs
     on n-1 vertices by `gen.split_level`, at one vertex per orbit of the
-    automorphisms found when each was canonicalised; its mirror and
-    largest-edge rules lose no candidate (see `gen`).  A split with a
+    automorphisms found when each was canonicalised, which the level
+    keeps with each good graph; its mirror, stabiliser and largest-edge
+    rules lose no candidate (see `gen`).  A split with a
     contraction whose (edge count, degree histogram) no good graph on n-1
     vertices has is dropped before it is canonicalised: that contraction
     is not good.
@@ -170,47 +184,59 @@ def mine_obstructions(
     rejected, or found, or never produced because its contractions are
     all not good.  So a candidate with a child outside the good set
     contains an obstruction and is rejected; one child per edge orbit of
-    the candidate is enough.  Any other candidate is evaluated once, by
-    one decision at k (`ABOVE`, or `param(g) > k` for a callable param):
-    it is an obstruction when its parameter exceeds k, and good
-    otherwise.  No monotonicity of the parameter is assumed.  If K1
-    exceeds k, the output is [K1] and nothing is split.
+    the candidate is enough.  Each candidate keeps the vertex v its first
+    split was made at, and the contraction of that split's edge orbit is
+    not searched: contracting vv' gives back the good graph it was split
+    from.  The deletion children of that orbit are still tested.  Any
+    other candidate is evaluated once, by one decision at k (`ABOVE`, or
+    `param(g) > k` for a callable param): it is an obstruction when its
+    parameter exceeds k, and good otherwise.  No monotonicity of the
+    parameter is assumed.  If K1 exceeds k, the output is [K1] and
+    nothing is split.
 
     With a `stats` list, one record per size is appended: splits
     `screened` out by their contraction shapes, `splits` certified,
-    distinct `candidates`, `rejected` by a child, `evaluated`, `good`
-    and `obstructions`.
+    distinct `candidates`, `children` certified, `rejected` by a child,
+    `evaluated`, `good` and `obstructions`.
     """
     above = _above_fn(param)
     good: set[bytes] = set()
     found: list[Graph] = []
     # the good graphs of the size below, each with the least vertex of
-    # each orbit of its automorphisms
-    level: list[tuple[Graph, list[int]]] = []
+    # each orbit of its automorphisms and those automorphisms
+    level: list[tuple[Graph, list[int], list[Perm]]] = []
     for n in range(1, n_max + 1):
-        shapes = {_shape(g) for g, _ in level}
+        shapes = {_shape(g) for g, _, _ in level}
         # a contraction of a shape no good graph has is not good
         cands, splits, screened = split_level(
             level, lambda h: all(s in shapes for s in _contraction_shapes(h))
         )
         if n == 1:
             k1 = Graph(1, (0,))
-            cands[canonical_certificate(k1)] = (k1, (0,), [])
+            cands[canonical_certificate(k1)] = (k1, None, (0,), [])
         level = []
         fresh: list[tuple[bytes, Graph]] = []
-        rejected = 0
+        rejected = children = 0
         for cert in sorted(cands, key=lambda c: (cands[c][0].m, c)):
-            h, pos, autos = cands[cert]
+            h, v, pos, autos = cands[cert]
             # an automorphism maps the children of an edge onto those
             # of its image, so one edge per orbit is enough
-            edges = _edge_orbit_mins(h, autos)
-            if any(certificate(c) not in good for c in _children(h, relation, edges)):
-                rejected += 1
-            elif above(h, k):
-                fresh.append((cert, h.relabel(pos)))
+            orbit = _edge_orbits(h, autos)
+            edges = [e for e, m in orbit.items() if e == m]
+            # contracting the split edge vv' gives back the good graph h
+            # was split from
+            known = None if v is None else orbit[(v, h.n - 1)]
+            for c in _children(h, relation, edges, known):
+                children += 1
+                if certificate(c) not in good:
+                    rejected += 1
+                    break
             else:
-                good.add(cert)
-                level.append((h, _orbit_mins(range(h.n), autos)))
+                if above(h, k):
+                    fresh.append((cert, h.relabel(pos)))
+                else:
+                    good.add(cert)
+                    level.append((h, _orbit_mins(range(h.n), autos), autos))
         fresh.sort(key=lambda p: p[0])
         found.extend(g for _, g in fresh)
         if stats is not None:
@@ -220,6 +246,7 @@ def mine_obstructions(
                     "screened": screened,
                     "splits": splits,
                     "candidates": len(cands),
+                    "children": children,
                     "rejected": rejected,
                     "evaluated": len(cands) - rejected,
                     "good": len(level),

@@ -308,8 +308,10 @@ def test_mine_stats_pin_the_good_counts(capsys):
     assert [r["good"] for r in stats] == [1, 1, 2, 5, 13, 45, 165]
     assert [r["obstructions"] for r in stats] == [0, 0, 0, 1, 2, 1, 2]
     # the pruning: fewer splits certified or more screened means a rule changed
-    assert [r["splits"] for r in stats] == [0, 1, 2, 7, 25, 118, 563]
-    assert [r["screened"] for r in stats] == [0, 0, 0, 0, 5, 59, 505]
+    assert [r["splits"] for r in stats] == [0, 1, 2, 6, 15, 57, 251]
+    assert [r["screened"] for r in stats] == [0, 0, 0, 0, 5, 42, 308]
+    # each candidate's split edge gives back its good parent, unsearched
+    assert [r["children"] for r in stats] == [0, 0, 0, 4, 26, 153, 910]
     assert [r["candidates"] for r in stats] == [1, 1, 2, 6, 15, 49, 207]
 
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gso import canon, gen
-from gso.canon import certificate, unique
+from gso.canon import canonical_labelling, certificate, unique
 from gso.gen import connected_graphs, with_orbit_mins
 from gso.graphs import Graph
 
@@ -61,8 +61,12 @@ def test_orbit_pruning_keeps_the_unpruned_output(monkeypatch):
     monkeypatch.setattr(canon, "_canon", canon_spy)
     got = [connected_graphs(n) for n in range(1, 8)]
     monkeypatch.undo()
-    # one search per split that the mirror and largest-edge rules keep
-    assert len(labelled) == 2178
+    # one search per split that the mirror, stabiliser and largest-edge
+    # rules keep (1,168), and one per graph of sizes 1-6 (143) for the
+    # automorphisms that prune its splits
+    assert len(labelled) == 1311
+    parents = {id(g) for graphs in got[:6] for g in graphs}
+    assert sum(id(g) in parents for g in labelled) == 143
     # each split is searched once, by canonical_labelling alone: no
     # other search (certificate, canonical_graph) runs beside it
     assert [id(g) for g in searched] == [id(g) for g in labelled]
@@ -81,3 +85,25 @@ def test_kept_orbits_are_the_full_groups_orbits():
             # found on a split, then carried to the canonical graph
             group = [p for p in itertools.permutations(range(n)) if g.relabel(p) == g]
             assert roots == tuple(sorted({min(p[v] for p in group) for v in range(n)}))
+
+
+def test_stabiliser_rule_keeps_every_split_class():
+    # at every root, the splits kept with the automorphisms give the same
+    # classes as the mirror and largest-edge rules alone, both with the
+    # automorphisms a search finds and (n <= 5) with the whole group
+    kept = alone = 0
+    for n in range(1, 7):
+        for g, roots in with_orbit_mins(n):
+            groups = [canonical_labelling(g)[2]]
+            if n <= 5:
+                perms = itertools.permutations(range(n))
+                groups.append([p for p in perms if g.relabel(p) == g])
+            for v in roots:
+                want = [certificate(h) for _, h in gen._splits(g, [v], [])]
+                for autos in groups:
+                    got = [certificate(h) for _, h in gen._splits(g, [v], autos)]
+                    assert set(got) == set(want), (g, v)
+                    kept += len(got)
+                    alone += len(want)
+    # the rule does prune
+    assert kept < alone

@@ -68,10 +68,10 @@ def test_mining_certifies_each_split_and_child_once(monkeypatch):
         searched.append(g)
         return real_canon(g, *args)
 
-    def splits_spy(g, roots):
-        for h in real_splits(g, roots):
+    def splits_spy(g, roots, autos):
+        for v, h in real_splits(g, roots, autos):
             splits.append(h)
-            yield h
+            yield v, h
 
     def children_spy(*args):
         for c in real_children(*args):
@@ -93,6 +93,7 @@ def test_mining_certifies_each_split_and_child_once(monkeypatch):
     # only splits and children are searched; screened splits are not
     assert set(ids) <= split_ids | child_ids
     assert sum(i in split_ids for i in ids) == sum(r["splits"] for r in stats)
+    assert sum(i in child_ids for i in ids) == sum(r["children"] for r in stats)
     assert sum(r["screened"] for r in stats) == len(splits) - sum(
         r["splits"] for r in stats
     )
@@ -255,7 +256,8 @@ def test_splits_reach_every_connected_graph():
 
 def test_one_edge_per_orbit_gives_every_child_class():
     from gso.canon import canonical_labelling
-    from gso.obstructions import _children, _edge_orbit_mins
+    from gso.gen import _edge_orbit_mins
+    from gso.obstructions import _children
 
     for n in range(2, 7):
         for g in connected_graphs(n):
