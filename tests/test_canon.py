@@ -325,3 +325,40 @@ def test_automorphisms_of_symmetric_graphs():
         # each of these graphs is vertex-transitive but the star
         want = [0] + [1] * (g.n - 1) if name == "K1,6" else [0] * g.n
         assert _orbits(g.n, found) == want, name
+
+
+# --- pinned outputs of the canonical search --------------------------------
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_golden_canonical_labellings():
+    # the positions and automorphisms feed gen's orbits, mining's edge
+    # orbits and the split counts, which the certificates alone do not pin
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    assert len(graphs) == 996
+    assert _digest(repr(canonical_labelling(g)) for g in graphs) == (
+        "81d57b511172d85167046481a45666cb78e61ae69baa5ffd4ae38d48e3b51268"
+    )
+
+
+def test_golden_coloured_certificates():
+    # coloured and plain certificates of seeded graphs, disconnected ones
+    # included, under palettes with gaps and repeats
+    rng = random.Random(20141)
+    lines = []
+    for _ in range(1000):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        g = Graph.from_edges(
+            n,
+            [e for e in itertools.combinations(range(n), 2) if rng.random() < density],
+        )
+        palette = rng.choice(((0,), (0, 1), (0, 1, 2, 5), (3, 7, 7, 9)))
+        colors = [rng.choice(palette) for _ in range(n)]
+        lines += [repr(certificate(g, colors)), repr(certificate(g))]
+    assert _digest(lines) == (
+        "c0c2b5f65a6b01280658f718389484832817c0355b18a4be00779db08c94372f"
+    )

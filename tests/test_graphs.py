@@ -1,6 +1,9 @@
+import random
+
 import networkx as nx
 import pytest
 
+from gso.gen import connected_graphs
 from gso.graphs import (
     Graph,
     Part,
@@ -12,6 +15,7 @@ from gso.graphs import (
     doubly_rooted,
     enhance,
     glue,
+    _merged_ids,
     norm_edge,
     path_graph,
     rev,
@@ -144,6 +148,37 @@ def test_contract_edge_matches_networkx(rng):
         c = contract_edge(g, e)
         h = nx.contracted_edge(to_nx(g), e, self_loops=False)
         assert nx.is_isomorphic(to_nx(c), h)
+
+
+def contract_by_edge_list(g: Graph, e: tuple[int, int]) -> Graph:
+    """The contraction by its definition: map each edge's ends through
+    `_merged_ids` and drop the merged edge and the parallel copies."""
+    u, v = norm_edge(*e)
+    to = _merged_ids(g.n, u, v)
+    return Graph.from_edges(
+        g.n - 1, {norm_edge(to[a], to[b]) for a, b in g.edges if to[a] != to[b]}
+    )
+
+
+def test_contract_edge_matches_its_edge_list_definition():
+    graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+    rng = random.Random(151)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(Graph.from_edges(n, edges))
+    assert sum(not g.is_connected() for g in graphs) > 100
+    for g in graphs:
+        for u, v in g.edges:
+            want = contract_by_edge_list(g, (u, v))
+            assert contract_edge(g, (u, v)) == want, (g.edges, u, v)
+            assert contract_edge(g, (v, u)) == want
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if not g.has_edge(u, v):
+                    with pytest.raises(ValueError):
+                        contract_edge(g, (u, v))
 
 
 def test_rooted_graph_validation():
