@@ -125,7 +125,12 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Every non-trivial block of every component has an outer cycle."""
+    """Every non-trivial block of every component has an outer cycle.
+
+    An outerplanar graph with n >= 2 has at most 2n - 3 edges, so a
+    denser one is refused before any block is walked."""
+    if g.n >= 2 and g.m > 2 * g.n - 3:
+        return False
     return all(
         mask.bit_count() == 2 or _outer_cycle(g, mask) is not None
         for mask in _block_masks(g)

@@ -16,10 +16,12 @@ Refinement works cell by cell: a vertex's new rank is the number of
 distinct signatures in the cells before its own plus its rank inside
 its cell, so singleton cells, and cells with no neighbour in a cell that
 just split, need no signature.  The ranks are the ones a single sort of
-every signature gives.  `canonical_labelling(g)` returns, from one
-search of g, the certificate, the canonical positions and the
-automorphisms the search finds; `gen` splits each graph by the orbits of
-those automorphisms, and mining takes one edge per orbit.
+every signature gives.  An uncoloured search starts from one cell, where
+every rank is 0, so its first pass keys the vertices by degree alone.
+`canonical_labelling(g)` returns, from one search of g, the certificate,
+the canonical positions and the automorphisms the search finds; `gen`
+splits each graph by the orbits of those automorphisms, and mining takes
+one edge per orbit.
 """
 
 from __future__ import annotations
@@ -69,10 +71,16 @@ def _refine(
                 else:
                     out.append(cell)
                     continue
-                parts: dict[tuple[int, ...], list[int]] = {}
-                for v in cell:
-                    sig = tuple(sorted([rank[u] for u in nbrs[v]]))
-                    parts.setdefault(sig, []).append(v)
+                parts: dict[object, list[int]] = {}
+                if len(cells) == 1:
+                    # every rank is 0, so a signature is (0,) * degree and
+                    # the degrees order the parts as the signatures would
+                    for v in cell:
+                        parts.setdefault(adj[v].bit_count(), []).append(v)
+                else:
+                    for v in cell:
+                        sig = tuple(sorted([rank[u] for u in nbrs[v]]))
+                        parts.setdefault(sig, []).append(v)
                 if len(parts) > 1:
                     out += [parts[sig] for sig in sorted(parts)]
                     for v in cell:
@@ -160,19 +168,31 @@ def _search(
 
 
 def _canon(
-    g: Graph, colors: Sequence[int], autos: list[tuple[int, ...]] | None = None
+    g: Graph,
+    colors: Sequence[int] | None = None,
+    autos: list[tuple[int, ...]] | None = None,
 ) -> Leaf:
     """Least adjacency code over the individualisation tree, and its first
-    leaf; the automorphisms the search finds are appended to `autos`."""
+    leaf; the automorphisms the search finds are appended to `autos`.
+    `colors` None means uncoloured: the search starts from one cell."""
     # lists, not tuples: tuple() of a generator is resized to fit, so it is
     # not taken from the interpreter's small-tuple free lists but joins them
     # when freed; they then stay full (about 0.4 MB more peak memory)
-    vs = range(g.n)
-    nbrs = [[u for u in vs if m >> u & 1] for m in g.adj]
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    cells = [by_color[c] for c in sorted(by_color)]
+    nbrs = []
+    for m in g.adj:
+        nb = []
+        while m:
+            low = m & -m
+            nb.append(low.bit_length() - 1)
+            m ^= low
+        nbrs.append(nb)
+    if colors is None:
+        cells = [list(range(g.n))]
+    else:
+        by_color: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            by_color.setdefault(c, []).append(v)
+        cells = [by_color[c] for c in sorted(by_color)]
     if autos is None:
         autos = []
     return _search(nbrs, g.adj, g.edges, cells, (1 << g.n) - 1, [], None, autos)
@@ -192,14 +212,14 @@ def canonical_labelling(
     callers here need only the former: they skip a choice that one of
     them maps onto an earlier one."""
     autos: list[tuple[int, ...]] = []
-    code, pos = _canon(g, (0,) * g.n, autos)
+    code, pos = _canon(g, None, autos)
     return repr((g.n, code, (0,) * g.n)).encode(), pos, autos
 
 
 def certificate(g: Graph, colors: Sequence[int] | None = None) -> bytes:
     """Byte string equal across (color-preserving) isomorphic graphs."""
     if colors is None:
-        colors = [0] * g.n
+        return repr((g.n, _canon(g)[0], (0,) * g.n)).encode()
     colors = tuple(colors)
     # refinement works on ranks; the certificate keeps the raw color values
     # so that semantically different colorings never collide
@@ -214,7 +234,7 @@ def certificate(g: Graph, colors: Sequence[int] | None = None) -> bytes:
 
 def canonical_graph(g: Graph) -> Graph:
     """A canonical representative: relabeling shared by all isomorphic inputs."""
-    return g.relabel(_canon(g, (0,) * g.n)[1])
+    return g.relabel(_canon(g)[1])
 
 
 def canonical_certificate(c: Graph) -> bytes:

@@ -149,12 +149,26 @@ def _merged_ids(n: int, u: int, v: int) -> list[int]:
 
 
 def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    """g with edge e merged into its lower end, ids as `_merged_ids` gives.
+
+    Each row drops bit v, shifts the bits above it down by one and gains
+    bit u where it had bit v; the merged row is adj[u] | adj[v] less u
+    and v, shifted alike."""
     u, v = norm_edge(*e)
     if not g.has_edge(u, v):
         raise ValueError(f"no such edge ({u},{v})")
-    to = _merged_ids(g.n, u, v)
-    edges = {norm_edge(to[a], to[b]) for a, b in g.edges if to[a] != to[b]}
-    return Graph.from_edges(g.n - 1, edges)
+    low = (1 << v) - 1  # the bits below v, which keep their place
+    bit_u, bit_v = 1 << u, 1 << v
+    rows = []
+    for x, row in enumerate(g.adj):
+        if x == v:
+            continue
+        if x == u:
+            row = (row | g.adj[v]) & ~(bit_u | bit_v)
+        elif row & bit_v:
+            row |= bit_u
+        rows.append((row & low) | (row >> 1 & ~low))
+    return Graph(g.n - 1, tuple(rows))
 
 
 @dataclass(frozen=True)

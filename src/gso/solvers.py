@@ -599,6 +599,10 @@ def solve_game(
                 c2 = q & ~lost
             else:
                 c2 = q
+            # the filters below only decide whether a new state is added
+            st2 = (c2, p2)
+            if st2 in visited:
+                continue
             if c2 & forbid:
                 continue
             if first_clean is not None and c == 0 and c2:
@@ -618,9 +622,6 @@ def solve_game(
                         joint = linked[c2] = ctx.edges_connected(c2)
                     if not joint:
                         continue
-            st2 = (c2, p2)
-            if st2 in visited:
-                continue
             visited.add(st2)
             if witness:
                 parent[st2] = (state, kind, v, u)

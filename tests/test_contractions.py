@@ -171,6 +171,25 @@ def test_outerplanar_known_cases():
     assert not is_outerplanar(complete_bipartite(2, 3))
 
 
+def test_outerplanar_edge_bound(monkeypatch):
+    # an outerplanar graph with n >= 2 has at most 2n - 3 edges; K4 has
+    # 6 > 5 and is refused without a block walk
+    k4 = complete_graph(4)
+    assert not nx_outerplanar(k4)
+
+    def no_block_walk(*args, **kwargs):
+        raise AssertionError("is_outerplanar walked the blocks")
+
+    with monkeypatch.context() as m:
+        m.setattr(gso.blocks, "_block_masks", no_block_walk)
+        assert not is_outerplanar(k4)
+    # K4 less an edge meets the bound and is outerplanar
+    k4e = Graph.from_edges(4, k4.edges[1:])
+    assert k4e.m == 2 * 4 - 3
+    assert is_outerplanar(k4e) and nx_outerplanar(k4e)
+    assert is_outerplanar(Graph(1, (0,)))
+
+
 def minor_outerplanar(g: Graph) -> bool:
     # outerplanar iff no component has a K4 or K2,3 minor (the minor
     # search partitions every host vertex, so it needs a connected host)
