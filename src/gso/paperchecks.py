@@ -53,6 +53,7 @@ from .obstructions import (
 from .recognizer import decide_cmms_le_2
 from .simulate import HostCtx, is_monotone, simulate, width
 from .solvers import (
+    SolveResult,
     cmms_decide,
     cmms_value,
     cmp_decide,
@@ -214,12 +215,47 @@ def check_recognizer(n_max: int = 7, corpus: list[Graph] | None = None) -> Check
 # --- property suites (criterion 9) ---------------------------------------
 
 
+def _packed(g: Graph, *masks: int) -> int:
+    """n, then g's rows and the vertex masks, n bits each, as one int.
+    Its bit length grows with n, so for a fixed number of masks it names
+    the instance."""
+    code = g.n
+    for x in (*g.adj, *masks):
+        code = code << g.n | x
+    return code
+
+
+def _ask(memo: dict | None, fn, inst: Graph | RootedGraph, *k: int) -> int | bool:
+    """fn(inst, *k) as a plain answer: the value of a `*_value` call, the
+    decision of a `*_decide` call.  With a memo (one per suite), each
+    distinct call is made once: the answer is kept in the table of (fn,
+    *k) under one int packing the instance and its roots, so the memo
+    holds no graph."""
+    table = key = None
+    if memo is not None:
+        if isinstance(inst, RootedGraph):
+            masks = [sum(1 << v for v in roots) for roots in (inst.s_in, inst.s_out)]
+            key = _packed(inst.graph, *masks)
+        else:
+            key = _packed(inst)
+        table = memo.setdefault((fn, *k), {})
+        got = table.get(key)
+        if got is not None:
+            return got
+    got = fn(inst, *k)
+    if isinstance(got, SolveResult):
+        got = got.value
+    if table is not None:
+        table[key] = got
+    return got
+
+
 def _random_connected(rng: random.Random, n_max: int = 5) -> Graph:
     n = rng.randint(1, n_max)
     return rng.choice(connected_graphs(n))
 
 
-def _prop_glue(rng: random.Random) -> bool:
+def _prop_glue(rng: random.Random, memo: dict | None = None) -> bool:
     k = rng.randint(2, 3)
     parts = []
     offset = 0
@@ -247,19 +283,19 @@ def _prop_glue(rng: random.Random) -> bool:
         glued, _ = glue([p for p, _ in parts])
     except ValueError:
         return True  # overlap precondition violated by the draw; vacuous
-    bound = max(cmp_value(rg).value for _, rg in parts)
-    return cmp_decide(glued, bound)
+    bound = max(_ask(memo, cmp_value, rg) for _, rg in parts)
+    return _ask(memo, cmp_decide, glued, bound)
 
 
-def _prop_shrink(rng: random.Random) -> bool:
+def _prop_shrink(rng: random.Random, memo: dict | None = None) -> bool:
     rg = _random_rooted(rng, _random_connected(rng))
-    return cmp_decide(RootedGraph(rg.graph), cmp_value(rg).value)
+    return _ask(memo, cmp_decide, RootedGraph(rg.graph), _ask(memo, cmp_value, rg))
 
 
-def _prop_contraction_mono(rng: random.Random) -> bool:
+def _prop_contraction_mono(rng: random.Random, memo: dict | None = None) -> bool:
     rg = _random_rooted(rng, _random_connected(rng))
-    before_cmp = cmp_value(rg).value
-    before_cms = cms_value(rg.graph).value
+    before_cmp = _ask(memo, cmp_value, rg)
+    before_cms = _ask(memo, cms_value, rg.graph)
     cur = rg
     for _ in range(rng.randint(1, 3)):
         if cur.graph.m == 0:
@@ -269,21 +305,22 @@ def _prop_contraction_mono(rng: random.Random) -> bool:
         return True
     ok = True
     if cur.graph.is_connected(sum(1 << v for v in cur.s_in)):
-        ok = cmp_decide(cur, before_cmp)
-    return ok and cms_decide(cur.graph, before_cms)
+        ok = _ask(memo, cmp_decide, cur, before_cmp)
+    return ok and _ask(memo, cms_decide, cur.graph, before_cms)
 
 
-def _prop_mp_le_cmp(rng: random.Random) -> bool:
+def _prop_mp_le_cmp(rng: random.Random, memo: dict | None = None) -> bool:
     rg = _random_rooted(rng, _random_connected(rng))
-    return mp_decide(rg, cmp_value(rg).value)
+    return _ask(memo, mp_decide, rg, _ask(memo, cmp_value, rg))
 
 
-def _prop_cms_le_cmms(rng: random.Random) -> bool:
+def _prop_cms_le_cmms(rng: random.Random, memo: dict | None = None) -> bool:
     g = _random_connected(rng)
-    return cms_decide(g, cmms_value(g).value)
+    return _ask(memo, cms_decide, g, _ask(memo, cmms_value, g))
 
 
-def _prop_closure(rng: random.Random) -> bool:
+def _prop_closure(rng: random.Random, memo: dict | None = None) -> bool:
+    # no solver call, so nothing to memoise
     g = _random_connected(rng, 6)
     ctx = HostCtx(g)
     q = rng.getrandbits(ctx.m) if ctx.m else 0
@@ -325,7 +362,8 @@ def check_properties(seed: int = 0, cases: int = 500) -> CheckResult:
     fails = []
     for name, prop in PROPERTY_SUITES.items():
         rng = random.Random(seed)
-        bad = sum(1 for _ in range(cases) if not prop(rng))
+        memo: dict = {}  # this suite's answers, dropped with it (see `_ask`)
+        bad = sum(1 for _ in range(cases) if not prop(rng, memo))
         if bad:
             fails.append(f"{name}: {bad}/{cases}")
     return CheckResult(

@@ -58,20 +58,23 @@ class HostCtx:
       twice on the way, so the first is the running overlap of the seen
       mask with each new inc[v], in |p| steps.
     * flood(seeds, guard): the edges at every vertex that unguarded
-      paths reach from the unguarded vertex mask seeds, the one walk
-      over vertices.  closure(q, guard) = q minus the flood from every
-      unguarded vertex at a dirty edge (not in q).  In a game state
-      reachable from a stable start, the vertex v a move vacates is the
-      only unguarded vertex with both clean and dirty edges, so the
-      closure loses flood(1 << v, guard): the region grown from any
-      other seed stays on dirty edges unless it meets v.  floods(guard)
-      holds that flood for every vertex off guard, one walk per
-      component of host - guard.
-    * joined(vmask(c), new) = edges_connected(c | new) for a connected,
-      nonempty c disjoint from new, in passes over new alone: a search
-      whose sets only grow and stay connected tests just the edges a
-      move adds.  It is the one walk over edges: edges_connected(e) is
-      joined from e's lowest edge over the rest of e.
+      paths reach from the unguarded vertex mask seeds.  spread, the one
+      walk over vertices, returns those vertices with their edges.
+      closure(q, guard) = q minus the flood from every unguarded vertex
+      at a dirty edge (not in q).  In a game state reachable from a
+      stable start, the vertex v a move vacates is the only unguarded
+      vertex with both clean and dirty edges, so the closure loses
+      flood(1 << v, guard): the region grown from any other seed stays
+      on dirty edges unless it meets v.  floods(guard) holds that flood
+      for every vertex off guard, one walk per component of host -
+      guard, the component being the vertices the walk reports.
+    * joined(vmask(c), new) is vmask(c | new) when c | new is connected
+      and 0 when not, for a connected, nonempty c disjoint from new, in
+      passes over new alone: a search whose sets only grow and stay
+      connected tests just the edges a move adds, and carries each
+      set's vertex mask forward.  It is the one walk over edges:
+      edges_connected(e) is joined from e's lowest edge over the rest
+      of e.
     """
 
     def __init__(self, g: Graph):
@@ -91,11 +94,13 @@ class HostCtx:
     @cached_property
     def slides(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """slides[v]: (u, index of edge vu) for every neighbour u of v, in
-        `Graph.neighbors` order."""
-        return tuple(
-            tuple((u, self.eidx[norm_edge(v, u)]) for u in self.g.neighbors(v))
-            for v in range(self.g.n)
-        )
+        increasing order of u, built in one pass over `edges`: each u < v
+        is met in an edge (u, v) before every edge (v, w)."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.g.n)]
+        for i, (u, v) in enumerate(self.edges):
+            out[u].append((v, i))
+            out[v].append((u, i))
+        return tuple(map(tuple, out))
 
     @cached_property
     def game_moves(self) -> dict:
@@ -139,6 +144,12 @@ class HostCtx:
         """The edges at the vertices that unguarded paths reach from the
         vertex mask seeds: what recontamination takes when it starts at
         seeds.  seeds should hold no guarded vertex."""
+        return self.spread(seeds, guard)[1]
+
+    def spread(self, seeds: int, guard: int) -> tuple[int, int]:
+        """(the vertices that unguarded paths reach from the vertex mask
+        seeds, seeds included; the edges at them): the one walk behind
+        `flood` and `floods`."""
         free = ~guard
         adj, inc = self.adj, self.inc
         w = frontier = seeds
@@ -153,26 +164,26 @@ class HostCtx:
                 out |= inc[x]
             frontier = nxt & free & ~w
             w |= frontier
-        return out
+        return w, out
 
     @cached_property
-    def _flood_rows(self) -> dict[int, list[int]]:
+    def flood_rows(self) -> dict[int, list[int]]:
+        """The rows `floods` has built, keyed by guard: the game solver
+        reads a row here and calls `floods` only for one not yet built."""
         return {}
 
     def floods(self, guard: int) -> list[int]:
         """floods(guard)[v] == flood(1 << v, guard) for every vertex v off
         the vertex mask guard (0 on guard).  That flood is the edges at
         v's component of host - guard, so one walk per component fills
-        the row; it is kept on the host, keyed by guard, and every solve
-        on it shares the rows."""
-        row = self._flood_rows.get(guard)
+        the row, and the walk names the component; the row is kept in
+        `flood_rows`, and every solve on the host shares the rows."""
+        row = self.flood_rows.get(guard)
         if row is None:
-            row = self._flood_rows[guard] = [0] * self.g.n
+            row = self.flood_rows[guard] = [0] * self.g.n
             left = ((1 << self.g.n) - 1) & ~guard
             while left:
-                low = left & -left
-                out = self.flood(low, guard)
-                comp = self.vmask(out) & ~guard | low
+                comp, out = self.spread(left & -left, guard)
                 left &= ~comp
                 while comp:
                     x = comp & -comp
@@ -188,11 +199,12 @@ class HostCtx:
                 out |= 1 << v
         return out
 
-    def joined(self, verts: int, new: int) -> bool:
-        """Does every edge of new reach the vertex mask verts through
-        edges of new?  For a connected edge set c with vmask(c) == verts
-        and new disjoint from c, this is edges_connected(c | new), in a
-        few passes over new alone."""
+    def joined(self, verts: int, new: int) -> int:
+        """verts grown by the vertices of new when every edge of new
+        reaches the vertex mask verts through edges of new, else 0.  For
+        a connected edge set c with vmask(c) == verts and new disjoint
+        from c, it is nonzero exactly when edges_connected(c | new), and
+        then it is vmask(c | new); it takes a few passes over new alone."""
         ev = self.ev
         while new:
             left = new
@@ -205,14 +217,14 @@ class HostCtx:
                     verts |= e
                     left ^= low
             if left == new:
-                return False
+                return 0
             new = left
-        return True
+        return verts
 
     def edges_connected(self, emask: int) -> bool:
         """Do the edges in emask induce a connected subgraph?"""
         low = emask & -emask
-        return not emask or self.joined(self.ev[low.bit_length() - 1], emask ^ low)
+        return not emask or self.joined(self.ev[low.bit_length() - 1], emask ^ low) != 0
 
 
 @dataclass(frozen=True)

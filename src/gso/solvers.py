@@ -21,8 +21,10 @@ each other:
   and connected variants, optional constraints support the
   trunk-first / trunk-last / guarded-vertex checks.  It searches only
   from a start the game can reach, so only the vertex a move vacates
-  can start recontamination, and each move is tested there alone (see
-  `solve_game`).
+  can start recontamination.  The moves out of a searcher set are
+  built once per host, grouped by the vertex they vacate, and a search
+  tests that vertex once per group and each move there alone (see
+  `_moves` and `solve_game`).
 
 In each engine a search with a witness and one without run the same
 loop over one frontier deque and differ only in which end they pop.  A
@@ -418,71 +420,82 @@ def cmp_plain(g: Graph) -> int:
 # game solver
 
 
-def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[list]:
+def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[tuple[int, list]]:
     """Every move from searcher set pmask with at most k searchers, in
-    search order, as [kind, v, u, searchers after the move, edges the
-    move cleans, edges at the vacated vertex, edges the vacated vertex
-    floods]: the edges cleaned are those with both ends occupied
-    afterwards, plus the sliding edge of a slide; a placement vacates
-    nothing (0), a removal or slide vacates v (inc[v]).  The flood,
-    `HostCtx.flood(1 << v, searchers after the move)`, is -1 until a
-    non-monotone solve first needs it and reads it from
-    `HostCtx.floods`.
+    search order, grouped by the vertex they vacate: a list of groups
+    (edges at the vacated vertex, entries), each entry [kind, v, u,
+    searchers after the move, edges the move cleans, edges it cleans at
+    the vacated vertex].  The edges cleaned are those with both ends
+    occupied afterwards, plus the sliding edge of a slide, so the last
+    field is the sliding edge of a slide and 0 otherwise.  The
+    placements vacate nothing and form the first group, under 0; then
+    each occupied vertex v but the guard leads a group under inc[v]: its
+    removal, then its slides in `HostCtx.slides` order.  No solve
+    changes an entry.  They are lists, not tuples, because a host's
+    tables are dropped with it: CPython keeps up to 2000 freed tuples of
+    each small size for reuse, which raised the peak memory of
+    `verify-paper`, and returns a freed list's memory.
 
     The table lives on the host (`HostCtx.game_moves`, keyed (pmask,
-    guard)), so every solve on it shares the tables and their memoised
-    fields; it does not depend on k.  The removals and slides are built
-    on the first request for the key, the placements, which lead the
-    list, on the first request with fewer than k searchers in pmask.
+    guard)), so every solve on it shares the tables; it does not depend
+    on k.  The departures are built on the first request for the key,
+    the placements on the first request with fewer than k searchers in
+    pmask; `HostCtx.occupied(pmask)` is found once, for both.
     """
     key = (pmask, guard)
     row = ctx.game_moves.get(key)
     if row is None:
-        row = ctx.game_moves[key] = [_departures(ctx, pmask, guard), None]
+        b, occ = ctx.occupied(pmask)
+        row = ctx.game_moves[key] = [_departures(ctx, pmask, guard, b, occ), b, occ, None]
     if pmask.bit_count() >= k:
         return row[0]
-    if row[1] is None:
-        row[1] = _placements(ctx, pmask, guard) + row[0]
-    return row[1]
+    if row[3] is None:
+        row[3] = [_placements(ctx, pmask, guard, row[1], row[2]), *row[0]]
+    return row[3]
 
 
-def _placements(ctx: HostCtx, pmask: int, guard: int | None) -> list[list]:
-    """The placements out of pmask: with (b, U) = `HostCtx.occupied(pmask)`,
-    a searcher on v cleans b plus v's edges into pmask, inc[v] & U."""
+def _placements(
+    ctx: HostCtx, pmask: int, guard: int | None, b: int, occ: int
+) -> tuple[int, list]:
+    """The placements out of pmask, as one group under 0: with (b, occ) =
+    `HostCtx.occupied(pmask)`, a searcher on v cleans b plus v's edges
+    into pmask, inc[v] & occ."""
     if guard is not None and pmask == 0:
-        return [["p", guard, None, 1 << guard, 0, 0, 0]]
-    b, occ = ctx.occupied(pmask)
+        return 0, [["p", guard, None, 1 << guard, 0, 0]]
     inc = ctx.inc
-    return [
-        ["p", v, None, pmask | (1 << v), b | inc[v] & occ, 0, 0]
+    return 0, [
+        ["p", v, None, pmask | (1 << v), b | inc[v] & occ, 0]
         for v in range(ctx.g.n)
         if not pmask >> v & 1
     ]
 
 
-def _departures(ctx: HostCtx, pmask: int, guard: int | None) -> list[list]:
-    """The removals and slides out of pmask.  Removing v keeps b minus
-    v's edges; a slide from v to an unoccupied u adds u's edges into
-    pmask, inc[u] & U: the sliding edge and u's edges into the rest."""
-    out: list[list] = []
-    b, occ = ctx.occupied(pmask)
+def _departures(
+    ctx: HostCtx, pmask: int, guard: int | None, b: int, occ: int
+) -> list[tuple[int, list]]:
+    """The removals and slides out of pmask, one group per vacated
+    vertex v.  Removing v keeps b minus v's edges; a slide from v to an
+    unoccupied u adds u's edges into pmask, inc[u] & occ: the sliding
+    edge and u's edges into the rest."""
+    out = []
     inc = ctx.inc
+    slides = ctx.slides
     m = pmask
     while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
+        vb = m & -m
+        m ^= vb
+        v = vb.bit_length() - 1
         if v == guard:
             continue
-        rest = pmask & ~(1 << v)
+        rest = pmask ^ vb
         iv = inc[v]
         kept = b & ~iv
-        out.append(["r", v, None, rest, kept, iv, -1])
-        for u, ei in ctx.slides[v]:
-            if rest >> u & 1:
-                cleaned = kept | (1 << ei)
-            else:
-                cleaned = kept | inc[u] & occ
-            out.append(["s", v, u, rest | (1 << u), cleaned, iv, -1])
+        group = [["r", v, None, rest, kept, 0]]
+        for u, ei in slides[v]:
+            eb = 1 << ei
+            cleaned = kept | (eb if rest >> u & 1 else inc[u] & occ)
+            group.append(["s", v, u, rest | (1 << u), cleaned, eb])
+        out.append((iv, group))
     return out
 
 
@@ -537,24 +550,31 @@ def solve_game(
       closure result is stable.  A move cleans only edges with both ends
       occupied afterwards, plus the slide edge at the vacated vertex v,
       so every unoccupied vertex but v keeps its edges as they were.  A
-      placement vacates nothing and loses nothing; after a removal or
-      slide, v has both clean and dirty edges exactly when inc[v] & q is
-      neither empty nor all of inc[v].  A monotone solve drops such a
-      move.  In a non-monotone one recontamination can start at v alone,
-      and the closure loses the edges at every vertex that unguarded
-      paths reach from v: c2 = q & ~`HostCtx.flood(1 << v, p2)`, read
-      once per move, on first need, from `HostCtx.floods(p2)`, whose
-      one walk per component of host - p2 serves every v off p2.
-      Otherwise c2 = q.
+      placement vacates nothing and loses nothing.  After a removal or
+      slide, v has both clean and dirty edges exactly when its dirty
+      edges d = inc[v] & ~c, less the slide edge e the move cleans, are
+      neither empty nor all of inc[v]: the removal is lossless exactly
+      when d is 0 or inc[v], the slide along e when d lies within {e}.
+      So the test runs on d once per group of `_moves`, and a monotone
+      solve drops the whole group when v has a clean edge and two or
+      more dirty ones, and otherwise each move that leaves v mixed.  In
+      a non-monotone solve recontamination can start at v alone, and the
+      closure loses the edges at every vertex that unguarded paths reach
+      from v: c2 = q & ~`HostCtx.flood(1 << v, p2)`, read from the row
+      `HostCtx.flood_rows[p2]`, which `HostCtx.floods(p2)` builds on
+      first need by one walk per component of host - p2 and which serves
+      every v off p2.  Otherwise c2 = q.
     * Connected (connected solves): c induces a connected subgraph.
       When c2 contains a nonempty c (always in a monotone solve), c2 is
       connected exactly when the new edges c2 & ~c reach the vertices of
-      c through one another (`HostCtx.joined`); the vertices of c are
-      found once per state, on first need.  Out of c == 0, or after a
-      closure that lost edges, no part of c2 is known to be connected,
-      so `HostCtx.edges_connected(c2)` runs the same `joined` walk from
-      c2's lowest edge; its answer is read from
-      `HostCtx.connected_sets`, which every solve on the host shares.
+      c through one another (`HostCtx.joined`), and that walk returns
+      the vertices of c2, which the queue carries with the state.  Out
+      of c == 0, or after a closure that lost edges, no part of c2 is
+      known to be connected, so `HostCtx.edges_connected(c2)` runs the
+      same `joined` walk from c2's lowest edge; its answer is read from
+      `HostCtx.connected_sets`, which every solve on the host shares,
+      and the vertices of such a c2 are found when it is popped, on
+      first need.
     """
     ctx = host if isinstance(host, HostCtx) else HostCtx(host)
     goal = ctx.full & ~forbid
@@ -571,14 +591,16 @@ def solve_game(
     visited = {start}
     # state -> (previous state, kind, v, u) of the move that reached it
     parent: dict[tuple[int, int], tuple] = {}
-    queue = deque([start])
+    # each state with the vertex mask of its clean set, or -1 if unknown
+    queue = deque([(start, -1)])
     explored = 0
     # the moves out of a state depend on its searcher set alone
     moves_at: dict[int, list] = {}
     linked = ctx.connected_sets
+    flood_rows = ctx.flood_rows
 
     while queue:
-        state = queue.popleft() if witness else queue.pop()
+        state, verts = queue.popleft() if witness else queue.pop()
         c, pmask = state
         explored += 1
         if budget is not None and explored > budget:
@@ -586,56 +608,62 @@ def solve_game(
         moves = moves_at.get(pmask)
         if moves is None:
             moves = moves_at[pmask] = _moves(ctx, pmask, k, guard)
-        verts = -1  # vertex mask of c, found on first need
-        for move in moves:
-            kind, v, u, p2, cleaned, vac, lost = move
-            q = c | cleaned
-            x = vac & q
-            if x and x != vac:  # v has clean and dirty edges
-                if monotone:
-                    continue
-                if lost < 0:
-                    lost = move[6] = ctx.floods(p2)[v]
-                c2 = q & ~lost
-            else:
-                c2 = q
-            # the filters below only decide whether a new state is added
-            st2 = (c2, p2)
-            if st2 in visited:
-                continue
-            if c2 & forbid:
-                continue
-            if first_clean is not None and c == 0 and c2:
-                if c2 & first_clean != first_clean:
-                    continue
-            if last_clean is not None and c2 != goal and c2 & last_clean:
-                continue
-            if connected and c2 != c:
-                if c and c2 & c == c:
-                    if verts < 0:
-                        verts = ctx.vmask(c)
-                    if not ctx.joined(verts, c2 & ~c):
+        for iv, group in moves:
+            d = iv & ~c  # the vacated vertex's dirty edges
+            if monotone and d & (d - 1) and d != iv:
+                continue  # a clean edge and two dirty ones: every move loses
+            for kind, v, u, p2, cleaned, ev in group:
+                q = c | cleaned
+                x = d & ~ev
+                if x and x != iv:  # v is left with clean and dirty edges
+                    if monotone:
                         continue
+                    row = flood_rows.get(p2)
+                    if row is None:
+                        row = ctx.floods(p2)
+                    c2 = q & ~row[v]
                 else:
-                    joint = linked.get(c2)
-                    if joint is None:
-                        joint = linked[c2] = ctx.edges_connected(c2)
-                    if not joint:
+                    c2 = q
+                # the filters below only decide whether a new state is added
+                st2 = (c2, p2)
+                if st2 in visited:
+                    continue
+                if c2 & forbid:
+                    continue
+                if first_clean is not None and c == 0 and c2:
+                    if c2 & first_clean != first_clean:
                         continue
-            visited.add(st2)
-            if witness:
-                parent[st2] = (state, kind, v, u)
-            if c2 == goal:
-                if not witness:
-                    return True, None, explored
-                seq = []
-                cur = st2
-                while cur != start:
-                    cur, *mv = parent[cur]
-                    seq.append(Move(*mv))
-                seq.reverse()
-                return True, seq, explored
-            queue.append(st2)
+                if last_clean is not None and c2 != goal and c2 & last_clean:
+                    continue
+                verts2 = verts
+                if connected and c2 != c:
+                    if c and c2 & c == c:
+                        if verts < 0:
+                            verts = ctx.vmask(c)
+                        verts2 = ctx.joined(verts, c2 & ~c)
+                        if not verts2:
+                            continue
+                    else:
+                        joint = linked.get(c2)
+                        if joint is None:
+                            joint = linked[c2] = ctx.edges_connected(c2)
+                        if not joint:
+                            continue
+                        verts2 = -1
+                visited.add(st2)
+                if witness:
+                    parent[st2] = (state, kind, v, u)
+                if c2 == goal:
+                    if not witness:
+                        return True, None, explored
+                    seq = []
+                    cur = st2
+                    while cur != start:
+                        cur, *mv = parent[cur]
+                        seq.append(Move(*mv))
+                    seq.reverse()
+                    return True, seq, explored
+                queue.append((st2, verts2))
     return False, None, explored
 
 

@@ -182,6 +182,10 @@ def test_kernels_match_brute_force_on_all_small_graphs():
                 free = ((1 << n) - 1) & ~guard
                 for seeds in {free} | {seed_rng.getrandbits(n) & free for _ in range(3)}:
                     assert ctx.flood(seeds, guard) == brute_flood(g, ctx, seeds, guard)
+                    # the walk's vertices: seeds, and the unguarded ones at its edges
+                    reached, edges = ctx.spread(seeds, guard)
+                    assert edges == ctx.flood(seeds, guard)
+                    assert reached == seeds | ctx.vmask(edges) & ~guard
                     several += seeds.bit_count() > 1
                 qs = {0, ctx.full} | {rng.getrandbits(ctx.m) for _ in range(6)}
                 for q in qs:
@@ -193,9 +197,10 @@ def test_kernels_match_brute_force_on_all_small_graphs():
                     # a connected q grown by edges disjoint from it
                     if q and ctx.edges_connected(q):
                         new = rng.getrandbits(ctx.m) & ~q
-                        assert ctx.joined(ctx.vmask(q), new) == brute_edges_connected(
-                            ctx, q | new
-                        )
+                        grown = ctx.joined(ctx.vmask(q), new)
+                        assert bool(grown) == brute_edges_connected(ctx, q | new)
+                        # a yes carries the vertices of q | new
+                        assert grown in (0, ctx.vmask(q | new))
     assert several > 1_000
 
 

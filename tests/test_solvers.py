@@ -328,6 +328,16 @@ def test_value_search_stats_hold_levels_and_seconds():
         assert res.stats["seconds"] >= 0
 
 
+def _neighbour_edges(g: Graph) -> list[list[tuple[int, int]]]:
+    """(u, index of edge vu in g.edges) for each neighbour u of each v, in
+    increasing order of u, read off g.adj and g.edges alone."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    return [
+        [(u, index[min(u, v), max(u, v)]) for u in range(g.n) if g.adj[v] >> u & 1]
+        for v in range(g.n)
+    ]
+
+
 def test_move_table_entries_clean_both_occupied_edges():
     # every searcher set with at most 3 members, unguarded and guarded at
     # each vertex; the table is shared by every k, so it is asked first
@@ -336,6 +346,8 @@ def test_move_table_entries_clean_both_occupied_edges():
         for g in connected_graphs(n):
             ctx = HostCtx(g)
             both = lambda p: ctx.occupied(p)[0]  # noqa: E731
+            nbrs = _neighbour_edges(g)
+            at = [sum(1 << i for i, e in enumerate(g.edges) if v in e) for v in range(n)]
             for pmask in range(1 << n):
                 size = pmask.bit_count()
                 if size > 3:
@@ -343,10 +355,10 @@ def test_move_table_entries_clean_both_occupied_edges():
                 for guard in [None, *range(n)]:
                     departures = []
                     if guard is not None and pmask == 0:
-                        placements = [("p", guard, None, 1 << guard, 0)]
+                        placements = [["p", guard, None, 1 << guard, 0, 0]]
                     else:
                         placements = [
-                            ("p", v, None, pmask | 1 << v, both(pmask | 1 << v))
+                            ["p", v, None, pmask | 1 << v, both(pmask | 1 << v), 0]
                             for v in range(n)
                             if not pmask >> v & 1
                         ]
@@ -354,21 +366,84 @@ def test_move_table_entries_clean_both_occupied_edges():
                             if not pmask >> v & 1 or v == guard:
                                 continue
                             rest = pmask & ~(1 << v)
-                            departures.append(("r", v, None, rest, both(rest)))
-                            for u, ei in ctx.slides[v]:
+                            group = [["r", v, None, rest, both(rest), 0]]
+                            for u, ei in nbrs[v]:
                                 p2 = rest | 1 << u
-                                departures.append(("s", v, u, p2, both(p2) | 1 << ei))
+                                group.append(["s", v, u, p2, both(p2) | 1 << ei, 1 << ei])
+                            # the group is keyed by the vacated vertex's edges
+                            departures.append((at[v], group))
                     tight = _moves(ctx, pmask, size, guard)
                     roomy = _moves(ctx, pmask, size + 1, guard)
                     case = (graph6_encode(g), pmask, guard)
-                    assert [tuple(mv[:5]) for mv in tight] == departures, case
-                    assert [tuple(mv[:5]) for mv in roomy] == placements + departures, case
-                    # the departures are the same entries at every k
-                    assert all(a is b for a, b in zip(roomy[len(placements):], tight))
+                    assert tight == departures, case
+                    assert roomy == [(0, placements), *departures], case
+                    # the departures are the same groups at every k
+                    assert all(a is b for a, b in zip(roomy[1:], tight))
                     assert _moves(ctx, pmask, size, guard) is tight
-                    for kind, v, _, _, _, vac, lost in roomy:
-                        assert vac == (0 if kind == "p" else ctx.inc[v])
-                        assert lost == (0 if kind == "p" else -1)
+
+
+def _stable_sets(g: Graph, pmask: int) -> list[int]:
+    """Every clean set of g in which each vertex off pmask has all or none
+    of its edges clean: one choice per component of g - pmask (with the
+    edges from it into pmask) and one per edge inside pmask."""
+    units = []
+    left = ((1 << g.n) - 1) & ~pmask
+    while left:
+        comp = grow = left & -left
+        while grow:
+            nxt = 0
+            for v in range(g.n):
+                if grow >> v & 1:
+                    nxt |= g.adj[v]
+            grow = nxt & left & ~comp
+            comp |= grow
+        left &= ~comp
+        units.append(sum(1 << i for i, (u, v) in enumerate(g.edges) if (1 << u | 1 << v) & comp))
+    units += [
+        1 << i for i, (u, v) in enumerate(g.edges) if pmask >> u & 1 and pmask >> v & 1
+    ]
+    return [
+        sum(x for j, x in enumerate(units) if pick >> j & 1) for pick in range(1 << len(units))
+    ]
+
+
+def test_group_rule_keeps_the_moves_the_per_move_rule_keeps():
+    # every connected graph with n <= 6, every searcher set with at most 3
+    # members, every guard and every stable clean set: a monotone solve
+    # drops a group when the vacated vertex has a clean edge and two or
+    # more dirty ones, and otherwise each entry whose dirty edges at the
+    # vacated vertex, less the edge it cleans there, are neither none nor
+    # all; that keeps exactly the moves after which inc[v] & q is empty
+    # or all of inc[v], for q the clean set plus the edges the move cleans
+    kept = dropped = skipped = 0
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            ctx = HostCtx(g)
+            for pmask in range(1 << n):
+                if pmask.bit_count() > 3:
+                    continue
+                stable = _stable_sets(g, pmask)
+                assert all(ctx.closure(c, pmask) == c for c in stable)
+                for guard in [None, *range(n)]:
+                    moves = _moves(ctx, pmask, 4, guard)
+                    for c in stable:
+                        for iv, group in moves:
+                            d = iv & ~c
+                            skip = d & (d - 1) and d != iv
+                            skipped += bool(skip)
+                            for kind, v, u, p2, cleaned, ev in group:
+                                x = d & ~ev
+                                keep = not skip and not (x and x != iv)
+                                at_v = ctx.inc[v] if kind != "p" else 0
+                                y = at_v & (c | cleaned)
+                                assert keep == (not y or y == at_v), (
+                                    graph6_encode(g), pmask, guard, c, kind, v, u
+                                )
+                                kept += keep
+                                dropped += not keep
+    assert kept > 1_500_000 and dropped > 1_500_000 and skipped > 150_000, (
+        kept, dropped, skipped
+    )
 
 
 def test_shared_context_solves_match_fresh_ones():
@@ -599,6 +674,7 @@ def _full_test_game(host, k, connected, monotone, forbid, start_clean,
     from collections import deque
 
     ctx = HostCtx(host)
+    nbrs = _neighbour_edges(host)
     goal = ctx.full & ~forbid
     if start_occupied.bit_count() > k:
         return False, None, 0
@@ -623,7 +699,7 @@ def _full_test_game(host, k, connected, monotone, forbid, start_clean,
                 continue
             rest = pmask & ~(1 << v)
             out.append(("r", v, None, rest, both(rest)))
-            for u, ei in ctx.slides[v]:
+            for u, ei in nbrs[v]:
                 p2 = rest | (1 << u)
                 out.append(("s", v, u, p2, both(p2) | (1 << ei)))
         return out
@@ -764,6 +840,7 @@ def test_vacated_vertex_flood_equals_closure(rng):
     moves_checked = flooded = 0
     for g, k, clean, occ, kw in searches:
         guard = kw["guard"]
+        edges_at = [sum(1 << i for i, e in enumerate(g.edges) if v in e) for v in range(g.n)]
 
         def check(ctx, c, pmask):
             nonlocal moves_checked, flooded
@@ -772,13 +849,19 @@ def test_vacated_vertex_flood_equals_closure(rng):
                 # the full closure
                 assert (c, pmask) == (clean, occ)
                 return
-            for kind, v, u, p2, cleaned, vac, _ in _moves(ctx, pmask, k, guard):
-                q = c | cleaned
-                x = vac & q
-                got = q & ~ctx.flood(1 << v, p2) if x and x != vac else q
-                assert got == ctx.closure(q, p2), (graph6_encode(g), c, kind, v, u)
-                moves_checked += 1
-                flooded += got != q
+            for iv, group in _moves(ctx, pmask, k, guard):
+                d = iv & ~c
+                for kind, v, u, p2, cleaned, ev in group:
+                    # a group is keyed by the vacated vertex's edges
+                    assert iv == (0 if kind == "p" else edges_at[v])
+                    q = c | cleaned
+                    x = d & ~ev
+                    got = q & ~ctx.floods(p2)[v] if x and x != iv else q
+                    assert got == ctx.closure(q, p2), (graph6_encode(g), c, kind, v, u)
+                    if got != q:
+                        assert ctx.floods(p2)[v] == ctx.flood(1 << v, p2)
+                    moves_checked += 1
+                    flooded += got != q
 
         _full_test_game(
             g, k, True, False, start_clean=clean, start_occupied=occ,
