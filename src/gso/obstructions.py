@@ -53,12 +53,10 @@ from .recognizer import is_fan
 from .simulate import HostCtx
 from .solvers import cmms_decide, cmp_decide, cms_decide, mp_decide, solve_game
 
-# name -> above(g, k): whether the parameter of g exceeds k
+# name -> above(g, k): whether the parameter of the connected graph g exceeds k
 ABOVE: dict[str, Callable[[Graph, int], bool]] = {
     "cmp": lambda g, k: not cmp_decide(RootedGraph(g), k),
-    "mp": lambda g, k: not all(
-        mp_decide(RootedGraph(sub), k) for sub in component_graphs(g)
-    ),
+    "mp": lambda g, k: not mp_decide(RootedGraph(g), k),
     "ms": lambda g, k: not solve_game(g, k, monotone=True)[0],
     "cms": lambda g, k: not cms_decide(g, k),
     "cmms": lambda g, k: not cmms_decide(g, k),
@@ -300,7 +298,7 @@ def _identify_roots(members: Sequence[RootedGraph]) -> tuple[Graph, int]:
 
 
 def fan_check_solver(g: Graph, v: int) -> bool:
-    return cmp_decide(doubly_rooted(g, v), 2)
+    return is_fan(doubly_rooted(g, v))
 
 
 def fan_check_structural(g: Graph, v: int) -> bool:

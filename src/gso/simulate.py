@@ -7,15 +7,14 @@ can reach a contaminated edge along a path whose connecting vertices
 are all unguarded.  `HostCtx` holds a host's bitmask kernels:
 `occupied` gives the edges a searcher set cleans and touches, `flood`
 what recontamination from a vertex set takes, `closure` the clean set
-that survives, and `joined` and `edges_connected` whether edge sets are
-connected.
+that survives, and `joined`, `connected_vmask` and `edges_connected`
+whether edge sets are connected.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graphs import Edge, Graph, norm_edge
@@ -73,8 +72,15 @@ class HostCtx:
       passes over new alone: a search whose sets only grow and stay
       connected tests just the edges a move adds, and carries each
       set's vertex mask forward.  It is the one walk over edges:
-      edges_connected(e) is joined from e's lowest edge over the rest
-      of e.
+      connected_vmask(e), joined from e's lowest edge over the rest of
+      e, is vmask(e) for a connected, nonempty e and 0 otherwise, and
+      edges_connected(e) asks whether it is nonzero.
+
+    The game solver's tables are plain dicts here, so every solve given
+    the same context shares them: game_moves (`solvers._moves`, keyed
+    (searcher mask, guard)), connected_sets (connected_vmask of the
+    clean sets the solver tested in full, keyed by edge mask) and
+    flood_rows (the rows of floods, keyed by guard).
     """
 
     def __init__(self, g: Graph):
@@ -90,29 +96,9 @@ class HostCtx:
             inc[v] |= 1 << i
         self.inc = tuple(inc)
         self.adj = g.adj
-
-    @cached_property
-    def slides(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """slides[v]: (u, index of edge vu) for every neighbour u of v, in
-        increasing order of u, built in one pass over `edges`: each u < v
-        is met in an edge (u, v) before every edge (v, w)."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.g.n)]
-        for i, (u, v) in enumerate(self.edges):
-            out[u].append((v, i))
-            out[v].append((u, i))
-        return tuple(map(tuple, out))
-
-    @cached_property
-    def game_moves(self) -> dict:
-        """The game solver's move tables, keyed (searcher mask, guard) and
-        filled by `solvers._moves`: every solve on this host shares them."""
-        return {}
-
-    @cached_property
-    def connected_sets(self) -> dict[int, bool]:
-        """`edges_connected` of the clean sets the game solver tested in
-        full, keyed by edge mask: every solve on this host shares it."""
-        return {}
+        self.game_moves: dict = {}
+        self.connected_sets: dict[int, int] = {}
+        self.flood_rows: dict[int, list[int]] = {}
 
     def emask(self, edges: Iterable[Edge]) -> int:
         m = 0
@@ -166,12 +152,6 @@ class HostCtx:
             w |= frontier
         return w, out
 
-    @cached_property
-    def flood_rows(self) -> dict[int, list[int]]:
-        """The rows `floods` has built, keyed by guard: the game solver
-        reads a row here and calls `floods` only for one not yet built."""
-        return {}
-
     def floods(self, guard: int) -> list[int]:
         """floods(guard)[v] == flood(1 << v, guard) for every vertex v off
         the vertex mask guard (0 on guard).  That flood is the edges at
@@ -221,10 +201,15 @@ class HostCtx:
             new = left
         return verts
 
+    def connected_vmask(self, emask: int) -> int:
+        """vmask(emask) when the nonempty edge set emask is connected, else
+        0: `joined` from emask's lowest edge over the rest of it."""
+        low = emask & -emask
+        return self.joined(self.ev[low.bit_length() - 1], emask ^ low)
+
     def edges_connected(self, emask: int) -> bool:
         """Do the edges in emask induce a connected subgraph?"""
-        low = emask & -emask
-        return not emask or self.joined(self.ev[low.bit_length() - 1], emask ^ low) != 0
+        return not emask or self.connected_vmask(emask) != 0
 
 
 @dataclass(frozen=True)

@@ -430,7 +430,7 @@ def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[tuple[in
     field is the sliding edge of a slide and 0 otherwise.  The
     placements vacate nothing and form the first group, under 0; then
     each occupied vertex v but the guard leads a group under inc[v]: its
-    removal, then its slides in `HostCtx.slides` order.  No solve
+    removal, then its slides in increasing order of target.  No solve
     changes an entry.  They are lists, not tuples, because a host's
     tables are dropped with it: CPython keeps up to 2000 freed tuples of
     each small size for reuse, which raised the peak memory of
@@ -476,10 +476,9 @@ def _departures(
     """The removals and slides out of pmask, one group per vacated
     vertex v.  Removing v keeps b minus v's edges; a slide from v to an
     unoccupied u adds u's edges into pmask, inc[u] & occ: the sliding
-    edge and u's edges into the rest."""
+    edge inc[v] & inc[u] and u's edges into the rest."""
     out = []
-    inc = ctx.inc
-    slides = ctx.slides
+    adj, inc = ctx.adj, ctx.inc
     m = pmask
     while m:
         vb = m & -m
@@ -491,10 +490,14 @@ def _departures(
         iv = inc[v]
         kept = b & ~iv
         group = [["r", v, None, rest, kept, 0]]
-        for u, ei in slides[v]:
-            eb = 1 << ei
-            cleaned = kept | (eb if rest >> u & 1 else inc[u] & occ)
-            group.append(["s", v, u, rest | (1 << u), cleaned, eb])
+        nb = adj[v]
+        while nb:
+            ub = nb & -nb
+            nb ^= ub
+            u = ub.bit_length() - 1
+            eb = iv & inc[u]
+            cleaned = kept | (eb if rest & ub else inc[u] & occ)
+            group.append(["s", v, u, rest | ub, cleaned, eb])
         out.append((iv, group))
     return out
 
@@ -564,17 +567,17 @@ def solve_game(
       `HostCtx.flood_rows[p2]`, which `HostCtx.floods(p2)` builds on
       first need by one walk per component of host - p2 and which serves
       every v off p2.  Otherwise c2 = q.
-    * Connected (connected solves): c induces a connected subgraph.
+    * Connected (connected solves): c induces a connected subgraph, and
+      the queue carries each state with the vertices of c, found by the
+      walk that accepted it (for the start, the walk that checks it).
       When c2 contains a nonempty c (always in a monotone solve), c2 is
       connected exactly when the new edges c2 & ~c reach the vertices of
       c through one another (`HostCtx.joined`), and that walk returns
-      the vertices of c2, which the queue carries with the state.  Out
-      of c == 0, or after a closure that lost edges, no part of c2 is
-      known to be connected, so `HostCtx.edges_connected(c2)` runs the
-      same `joined` walk from c2's lowest edge; its answer is read from
-      `HostCtx.connected_sets`, which every solve on the host shares,
-      and the vertices of such a c2 are found when it is popped, on
-      first need.
+      the vertices of c2.  Out of c == 0, or after a closure that lost
+      edges, no part of c2 is known to be connected, so a nonempty c2
+      takes `HostCtx.connected_vmask(c2)`, the same walk from c2's
+      lowest edge, read from `HostCtx.connected_sets`, which every solve
+      on the host shares; an empty c2 has no vertices and is connected.
     """
     ctx = host if isinstance(host, HostCtx) else HostCtx(host)
     goal = ctx.full & ~forbid
@@ -583,16 +586,17 @@ def solve_game(
     start = (start_clean, start_occupied)
     if start_clean == goal:
         return True, [] if witness else None, 0
+    verts = ctx.connected_vmask(start_clean) if connected and start_clean else 0
     if start_clean and (
         ctx.closure(start_clean, start_occupied) != start_clean
-        or connected and not ctx.edges_connected(start_clean)
+        or connected and not verts
     ):
         raise ValueError("start state is not reachable in the game")
     visited = {start}
     # state -> (previous state, kind, v, u) of the move that reached it
     parent: dict[tuple[int, int], tuple] = {}
-    # each state with the vertex mask of its clean set, or -1 if unknown
-    queue = deque([(start, -1)])
+    # each state with the vertex mask of its clean set (0 unless connected)
+    queue = deque([(start, verts)])
     explored = 0
     # the moves out of a state depend on its searcher set alone
     moves_at: dict[int, list] = {}
@@ -638,18 +642,15 @@ def solve_game(
                 verts2 = verts
                 if connected and c2 != c:
                     if c and c2 & c == c:
-                        if verts < 0:
-                            verts = ctx.vmask(c)
                         verts2 = ctx.joined(verts, c2 & ~c)
-                        if not verts2:
-                            continue
+                    elif c2:
+                        verts2 = linked.get(c2)
+                        if verts2 is None:
+                            verts2 = linked[c2] = ctx.connected_vmask(c2)
                     else:
-                        joint = linked.get(c2)
-                        if joint is None:
-                            joint = linked[c2] = ctx.edges_connected(c2)
-                        if not joint:
-                            continue
-                        verts2 = -1
+                        verts2 = 0
+                    if c2 and not verts2:
+                        continue
                 visited.add(st2)
                 if witness:
                     parent[st2] = (state, kind, v, u)

@@ -40,7 +40,7 @@ from gso.obstructions import (
     obr_set,
     verify_obr,
 )
-from gso.solvers import cmms_value, cmp_plain, cms_value, mp_value, ms_value
+from gso.solvers import cmms_value, cmp_decide, cmp_plain, cms_value, mp_value, ms_value
 
 
 # --- minimal obstructions -------------------------------------------------
@@ -344,8 +344,9 @@ def test_structural_fans_pass_the_solver_test():
 
 
 def test_solver_fans_have_no_cycle_off_the_root():
-    # the rule `root_components` and `is_fan` skip searches by: a graph
-    # doubly rooted at v with a cycle in g - v is no fan
+    # the rule `root_components`, `is_fan` and `fan_check_solver` skip
+    # searches by: a graph doubly rooted at v with a cycle in g - v is no
+    # fan, checked against the expansion engine asked directly
     from gso.gen import connected_graphs
     from gso.recognizer import is_fan
 
@@ -354,9 +355,10 @@ def test_solver_fans_have_no_cycle_off_the_root():
         for g in connected_graphs(n):
             for v in range(g.n):
                 forest = g.is_forest(((1 << g.n) - 1) & ~(1 << v))
-                fan = fan_check_solver(g, v)
+                fan = cmp_decide(doubly_rooted(g, v), 2)
                 assert forest or not fan, (graph6_encode(g), v)
                 assert is_fan(doubly_rooted(g, v)) == fan
+                assert fan_check_solver(g, v) == fan
                 seen[forest, fan] += 1
     assert set(seen) == {(True, True), (True, False), (False, False)}
     with pytest.raises(ValueError):
@@ -471,7 +473,6 @@ def test_fan_shape_matches_the_fan_definition():
 def test_base_mining_matches_every_root_loop(monkeypatch):
     import gso.obstructions as obstructions
     from gso.obstructions import _fan_shape
-    from gso.solvers import cmp_decide
 
     certified = []
     real = obstructions.rooted_certificate

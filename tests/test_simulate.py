@@ -194,6 +194,10 @@ def test_kernels_match_brute_force_on_all_small_graphs():
                     verts = {v for i in range(ctx.m) if q >> i & 1 for v in ctx.edges[i]}
                     assert ctx.vmask(q) == sum(1 << v for v in verts)
                     assert ctx.edges_connected(q) == brute_edges_connected(ctx, q)
+                    # the walk behind it: the vertices of a connected q, else 0
+                    if q:
+                        want = ctx.vmask(q) if brute_edges_connected(ctx, q) else 0
+                        assert ctx.connected_vmask(q) == want
                     # a connected q grown by edges disjoint from it
                     if q and ctx.edges_connected(q):
                         new = rng.getrandbits(ctx.m) & ~q
