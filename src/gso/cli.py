@@ -6,17 +6,17 @@ stdout as JSON; graph artifacts go to --out.  Exit codes: 0 success,
 file, 3 budget exhaustion.  `main` is the one error boundary: a
 ValueError or OSError out of any subcommand exits 2 and a BudgetExceeded
 exits 3, each with one `error:` line on stderr.  Numeric options
-(`--budget`, `--max-n`, `-k`) and the pairing of `solve`'s
-`--emit-witness` with `--out` are checked, and inputs are read, before
-any long computation starts.  Every graph file (`solve`'s input,
-`--families`, `--corpus`, `--base`, `--family`) goes through
-`gio.read_graphs`, so a malformed line or a disconnected graph exits 2
-before any work.
+(`--budget`, `--max-n`, `-k`, `-m`), `branches --base-size` beside
+`--base` or `--out`, and a `branches` or `glue` run past 100,000 glued
+graphs are refused, and inputs are read, before any long computation
+starts.  Every graph file (`solve`'s input, `--families`, `--corpus`,
+`--base`, `--family`) goes through `gio.read_graphs`, so a malformed
+line or a disconnected graph exits 2 before any work.
 `mine` and `branches` open `--out` before computing; `solve` and `glue`
 write theirs after.
 
 Run it from a checkout without installing:
-    PYTHONPATH=src python -m gso.cli verify-paper --quick
+    PYTHONPATH=src python -m gso.cli verify-paper
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
-from math import log10
+from math import comb, log10
 
 from . import __version__
 from .expansions import expansion_to_strategy
@@ -76,13 +76,14 @@ _VALUE = {
 }
 
 
-def _solve_one(
-    rg: RootedGraph, param: str, k: int | None, budget: int | None, wit: bool, stats: bool
-):
+def _solve_one(rg: RootedGraph, args):
+    """`solve`'s result for rg, and its witness strategy when there is --out."""
+    param, k = args.param, args.k
     expansion = param in ("cmp", "mp")
     if not expansion and (rg.s_in or rg.s_out):
         raise ValueError(f"param {param} takes plain graphs, not rooted ones")
-    res = _VALUE[param](rg if expansion else rg.graph, witness=wit, budget=budget)
+    graph = rg if expansion else rg.graph
+    res = _VALUE[param](graph, witness=args.out is not None, budget=args.budget)
     value, moves = res.value, res.witness
     if expansion and moves is not None:
         moves = expansion_to_strategy(enhance(rg), moves)
@@ -92,29 +93,22 @@ def _solve_one(
         entry["s_out"] = sorted(rg.s_out)
     if k is not None:
         entry["decision"] = value <= k
-    if stats:
+    if args.stats:
         entry["stats"] = res.stats
     return entry, moves
 
 
 def cmd_solve(args) -> int:
-    if args.emit_witness != (args.out is not None):
-        raise ValueError("--emit-witness and --out go together: give both or neither")
     if args.budget is not None and args.budget < 0:
         raise ValueError(f"--budget must be at least 0, got {args.budget}")
     if args.k is not None and args.k < 0:
         raise ValueError(f"-k must be at least 0, got {args.k}")
     with open(args.input) as fh:
         graphs = read_graphs(fh)
-    results = [
-        _solve_one(rg, args.param, args.k, args.budget, args.emit_witness, args.stats)
-        for rg in graphs
-    ]
+    results = [_solve_one(rg, args) for rg in graphs]
     if args.out is not None:
         many = len(results) > 1
         for i, (_, moves) in enumerate(results):
-            if moves is None:
-                continue
             with open(_witness_path(args.out, i, many), "w") as fh:
                 fh.writelines(line + "\n" for line in _moves_jsonl(moves))
     report = {
@@ -166,9 +160,7 @@ def cmd_verify_paper(args) -> int:
         with open(args.corpus) as fh:
             corpus = [rg.graph for rg in read_graphs(fh)]
     stats: list[dict] | None = [] if args.stats else None
-    checks = run_all(
-        families=families, seed=args.seed, quick=args.quick, corpus=corpus, stats=stats
-    )
+    checks = run_all(families=families, seed=args.seed, corpus=corpus, stats=stats)
     report = {
         "command": "verify-paper",
         "version": __version__,
@@ -208,9 +200,19 @@ def _check_printable(k: int, size: int) -> None:
         )
 
 
+# the most graphs a `branches` or `glue` run may glue (`branches -k 2`
+# glues 8,436 in about 13 s on a 2-vCPU Xeon)
+_MAX_GLUED = 100_000
+
+
+def _check_glued(count: int, what: str) -> None:
+    if count > _MAX_GLUED:
+        raise ValueError(f"gluing {count:,} graphs passes the limit of {_MAX_GLUED:,}: {what}")
+
+
 def cmd_branches(args) -> int:
     """Counts and bounds for the base that is built, or for `--base-size`
-    members under `--count-only`."""
+    members with nothing built."""
     if args.k < 1:
         raise ValueError(f"branch level k must be at least 1, got {args.k}")
     if args.k > _MAX_BRANCH_LEVEL:
@@ -218,15 +220,22 @@ def cmd_branches(args) -> int:
             f"branch level k must be at most {_MAX_BRANCH_LEVEL}, got {args.k}: "
             "the counts above it pass Python's 4300-digit limit for printing an int"
         )
+    if args.base_size is not None and (args.base is not None or args.out is not None):
+        raise ValueError("--base-size counts without building: give it no --base or --out")
     report = {"command": "branches", "version": __version__, "k": args.k}
     size = args.base_size
-    if args.count_only:
+    if size is not None:
         _check_printable(args.k, size)
     else:
         with _open_out(args.out) as fh:
             base = _load_base(args.base)
             size = len(base)
             _check_printable(args.k, size)
+            _check_glued(
+                obr_count(args.k, size),
+                f"branch level {args.k} on {size} base members; "
+                f"--base-size {size} counts them alone",
+            )
             report["materialized_branches"] = len(branch_set(args.k, base))
             obr = sorted(obr_set(args.k, base), key=graph6_encode)
             report["materialized_obr"] = len(obr)
@@ -244,8 +253,11 @@ def cmd_branches(args) -> int:
 
 
 def cmd_glue(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"-m must be at least 1, got {args.m}")
     with open(args.family) as fh:
         fam = read_graphs(fh)
+    _check_glued(comb(len(fam) + args.m - 1, args.m), f"-m {args.m} of {len(fam)} members")
     glued = sorted(glue_family_at_root(fam, args.m), key=graph6_encode)
     if args.out:
         with open(args.out, "w") as fh:
@@ -272,15 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=int, default=None, metavar="NODES",
         help="most states each level k may explore, in the order that runs "
-        "(breadth-first with --emit-witness, last-in-first-out without); "
+        "(breadth-first with --out, last-in-first-out without); "
         "exit 3 when exceeded",
     )
-    p.add_argument("--emit-witness", action="store_true")
-    p.add_argument("--out", default=None, metavar="FILE")
+    p.add_argument("--out", default=None, metavar="FILE", help="write witness strategies")
     p.add_argument(
         "--stats", action="store_true",
         help="add a stats key to each result: states, states per level k, seconds "
-        "(the last level's count depends on --emit-witness)",
+        "(the last level's count depends on --out)",
     )
     p.set_defaults(fn=cmd_solve)
 
@@ -303,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph6 or rooted JSONL graphs the recognizer check also decides",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quick", action="store_true")
     p.add_argument(
         "--stats", action="store_true",
         help="add a stats key: the name and seconds of each check",
@@ -314,10 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--base", default=None, metavar="FILE")
     p.add_argument(
-        "--base-size", type=int, default=5,
-        help="base members assumed by --count-only",
+        "--base-size", type=int, default=None, metavar="N",
+        help="count for N base members (the paper's base has 5) and build nothing",
     )
-    p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(fn=cmd_branches)
 

@@ -112,14 +112,14 @@ def _random_rooted(rng: random.Random, g: Graph) -> RootedGraph:
     return RootedGraph(g, s_in, s_out)
 
 
-def check_game_equivalence(seed: int = 0, per_size: int = 100) -> CheckResult:
-    """Random rooted graphs of each size n <= 6: cmp equals the rooted
+def check_game_equivalence(seed: int = 0) -> CheckResult:
+    """100 random rooted graphs of each size n <= 6: cmp equals the rooted
     game value, and the witness converts to a strategy and back."""
     rng = random.Random(seed)
     bad = []
     for n in range(1, 7):
         pool = connected_graphs(n)
-        for _ in range(per_size):
+        for _ in range(100):
             rg = _random_rooted(rng, rng.choice(pool))
             res = cmp_value(rg, witness=True)
             game = rooted_game_value(rg)
@@ -358,7 +358,8 @@ PROPERTY_SUITES = {
 }
 
 
-def check_properties(seed: int = 0, cases: int = 500) -> CheckResult:
+def check_properties(seed: int = 0) -> CheckResult:
+    cases = 500
     fails = []
     for name, prop in PROPERTY_SUITES.items():
         rng = random.Random(seed)
@@ -434,25 +435,21 @@ def check_minor_k1() -> CheckResult:
 def run_all(
     families: list[Graph] | None = None,
     seed: int = 0,
-    quick: bool = False,
     corpus: list[Graph] | None = None,
     stats: list[dict] | None = None,
 ) -> list[CheckResult]:
     """The eleven checks in order.  With a `stats` list, one record per
     check is appended: its name and the seconds it took."""
-    per_size = 20 if quick else 100
-    cases = 100 if quick else 500
-    n_rec = 6 if quick else 7
     checks = [
         check_mined_k1,
         check_o1,
-        lambda: check_game_equivalence(seed, per_size=per_size),
-        lambda: check_monotone_connected(6 if quick else 7),
+        lambda: check_game_equivalence(seed),
+        check_monotone_connected,
         check_counting,
         check_fan_base,
         check_obr,
-        lambda: check_recognizer(n_rec, corpus=corpus),
-        lambda: check_properties(seed, cases=cases),
+        lambda: check_recognizer(corpus=corpus),
+        lambda: check_properties(seed),
         lambda: check_d1(families),
         check_minor_k1,
     ]

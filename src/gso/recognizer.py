@@ -58,7 +58,6 @@ class SpinePart:
 @dataclass(frozen=True)
 class SpineStructure:
     central_cuts: tuple[int, ...]
-    central_blocks: tuple[Block, ...]
     parts: tuple[SpinePart, ...]  # extremal, F_1, B_1*, ..., F_{r+1}, extremal
     labels: tuple[str, ...]  # one per non-fan part, forward orientation
 
@@ -267,7 +266,7 @@ def _spine(g: Graph, rows: Sequence[_Row]) -> SpineStructure | None:
     labels = tuple(
         label_block(pt.rooted) for pt in parts if pt.kind != "fan"
     )
-    return SpineStructure(tuple(order), tuple(border), tuple(parts), labels)
+    return SpineStructure(tuple(order), tuple(parts), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class _ExpCtx:
     S_in) and target every edge but E_out.  Every search on the context
     starts from start, whose boundary is start_bnd and whose dirty
     neighbours of each vertex are start_dadj; the searches copy that
-    table, never change it.
+    table, never change it.  rg is kept for a witness, which is laid out
+    on `enhance(rg).host`.
     """
 
     def __init__(self, rg: RootedGraph):
@@ -143,14 +144,7 @@ class _ExpCtx:
         self.start_bnd = start_bnd
         self.start_dadj = dadj
         self.s_in_size = len(rg.s_in)
-
-    def host(self) -> Graph:
-        """The enhanced host, `enhance(rg).host`."""
-        adj = [0] * len(self.inc)
-        for u, w, ub, wb in self.ends:
-            adj[u] |= wb
-            adj[w] |= ub
-        return Graph(len(adj), tuple(adj))
+        self.rg = rg
 
     def edges(self, mask: int) -> list[Edge]:
         """The edges in mask, in host edge order."""
@@ -355,7 +349,7 @@ def _reconstruct(ec: _ExpCtx, parent: dict, last: int) -> Expansion:
         chunks.append(ec.edges(arrived))
     chunks.append(ec.edges(ec.start & ~ec.e_in))
     chunks.reverse()
-    return expansion_from_chunks(ec.host(), frozenset(ec.edges(ec.e_in)), chunks)
+    return expansion_from_chunks(enhance(ec.rg).host, frozenset(ec.edges(ec.e_in)), chunks)
 
 
 def cmp_decide(rg: RootedGraph, k: int, witness: bool = False):

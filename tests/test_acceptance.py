@@ -1,7 +1,7 @@
 """Acceptance gate: the full verification checklist, one line per check.
 
-The checklist runs once per session in full (non-quick) mode; each test
-prints its own pass/fail line and asserts the corresponding result.
+The checklist runs once per session; each test prints its own pass/fail
+line and asserts the corresponding result.
 Check 10 needs external family data and reports as skipped without it.
 """
 
@@ -19,7 +19,7 @@ N_CHECKS = 11
 @pytest.fixture(scope="session")
 def timed_checklist():
     stats = []
-    return run_all(families=None, seed=0, quick=False, stats=stats), stats
+    return run_all(families=None, seed=0, stats=stats), stats
 
 
 @pytest.fixture(scope="session")

@@ -51,9 +51,7 @@ def test_solve_emits_witness_strategy(tmp_path, capsys):
     rg = RootedGraph(path_graph(4))
     inp = write_inputs(tmp_path / "in.jsonl", [rooted_to_json(rg)])
     out = tmp_path / "wit.jsonl"
-    code, _ = run(
-        capsys, "solve", inp, "--param", "cmp", "--emit-witness", "--out", str(out)
-    )
+    code, _ = run(capsys, "solve", inp, "--param", "cmp", "--out", str(out))
     assert code == 0
     moves = []
     for line in out.read_text().splitlines():
@@ -80,9 +78,7 @@ def test_solve_witness_replays_at_the_reported_value(tmp_path, capsys, param):
         target = frozenset(host.edges)
     inp = write_inputs(tmp_path / "in.jsonl", [line])
     out = tmp_path / "wit.jsonl"
-    code, rep = run(
-        capsys, "solve", inp, "--param", param, "--emit-witness", "--out", str(out)
-    )
+    code, rep = run(capsys, "solve", inp, "--param", param, "--out", str(out))
     assert code == 0
     moves = [
         Move(obj["op"], obj["v"], obj.get("u"))
@@ -99,9 +95,7 @@ def test_solve_writes_an_empty_strategy_as_an_empty_file(tmp_path, capsys, param
     # K1 is cleared by no move: the witness file has no line, not a blank one
     inp = write_inputs(tmp_path / "k1.g6", ["@"])
     out = tmp_path / "wit.jsonl"
-    code, rep = run(
-        capsys, "solve", inp, "--param", param, "--emit-witness", "--out", str(out)
-    )
+    code, rep = run(capsys, "solve", inp, "--param", param, "--out", str(out))
     assert code == 0 and rep["results"][0]["value"] == 0
     assert out.read_text() == ""
     assert list(map(json.loads, out.read_text().splitlines())) == []
@@ -167,7 +161,7 @@ def test_solve_stats_add_each_results_search_stats(tmp_path, capsys, param):
 
 @pytest.mark.parametrize("param", ["ms", "cms", "cmms", "cmp", "mp"])
 def test_solve_stats_levels_below_the_value_ignore_emit_witness(tmp_path, capsys, param):
-    # a witness search pops breadth-first, a plain one last-in-first-out:
+    # a witness search (--out) pops breadth-first, a plain one last-in-first-out:
     # the value and every level below it (a no-decision, which visits
     # every reachable state) read the same either way
     graphs = [path_graph(4), cycle_graph(5), complete_graph(4), k23_plus()]
@@ -178,9 +172,7 @@ def test_solve_stats_levels_below_the_value_ignore_emit_witness(tmp_path, capsys
     code, plain = run(capsys, "solve", inp, "--param", param, "--stats")
     assert code == 0
     out = str(tmp_path / "wit.jsonl")
-    code, wit = run(
-        capsys, "solve", inp, "--param", param, "--stats", "--emit-witness", "--out", out
-    )
+    code, wit = run(capsys, "solve", inp, "--param", param, "--stats", "--out", out)
     assert code == 0
     for a, b in zip(plain["results"], wit["results"], strict=True):
         assert a["value"] == b["value"]
@@ -245,25 +237,6 @@ def test_solve_negative_level_is_exit_2_before_the_input_is_read(tmp_path, capsy
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "flags", [["--emit-witness"], ["--out", "{tmp}/wit.jsonl"]], ids=["witness", "out"]
-)
-def test_solve_unpaired_witness_flags_are_exit_2_before_any_solve(
-    tmp_path, capsys, monkeypatch, flags
-):
-    def fail(*args, **kwargs):
-        raise AssertionError("solved with --emit-witness and --out unpaired")
-
-    monkeypatch.setitem(cli._VALUE, "cmp", fail)
-    inp = write_inputs(tmp_path / "in.g6", [graph6_encode(path_graph(4))])
-    argv = [f.replace("{tmp}", str(tmp_path)) for f in flags]
-    code = main(["solve", inp, "--param", "cmp", *argv])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == [tmp_path / "in.g6"]
 
 
 @pytest.mark.parametrize("param", ["cmp", "cmms"])
@@ -395,14 +368,14 @@ def test_branches_level_above_twelve_is_exit_2_before_any_work(capsys, monkeypat
         raise AssertionError("counted branches at a level the report cannot print")
 
     monkeypatch.setattr("gso.cli.branch_count", fail)
-    code = main(["branches", "-k", "13", "--count-only"])
+    code = main(["branches", "-k", "13", "--base-size", "5"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "at most 12" in captured.err
     monkeypatch.undo()
-    code, rep = run(capsys, "branches", "-k", "12", "--count-only")
+    code, rep = run(capsys, "branches", "-k", "12", "--base-size", "5")
     assert code == 0 and rep["k"] == 12
 
 
@@ -412,19 +385,19 @@ def test_branches_base_size_too_large_to_print_is_exit_2(capsys, monkeypatch):
 
     # obr_count(12, 50) has about 8,600 digits, obr_count(12, 9) 4,170
     monkeypatch.setattr("gso.cli.branch_count", fail)
-    code = main(["branches", "-k", "12", "--count-only", "--base-size", "50"])
+    code = main(["branches", "-k", "12", "--base-size", "50"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "level 12 with base size 50" in captured.err
     monkeypatch.undo()
-    code, rep = run(capsys, "branches", "-k", "12", "--count-only", "--base-size", "9")
+    code, rep = run(capsys, "branches", "-k", "12", "--base-size", "9")
     assert code == 0 and len(str(rep["obr_count"])) == 4170
 
 
 def test_branches_count_only(capsys):
-    code, rep = run(capsys, "branches", "-k", "3", "--count-only")
+    code, rep = run(capsys, "branches", "-k", "3", "--base-size", "5")
     assert code == 0
     assert rep["branch_count"] == 120
     assert rep["obr_count"] == 295240
@@ -437,10 +410,7 @@ def test_branches_materialize_from_base(tmp_path, capsys):
     ]
     inp = write_inputs(tmp_path / "base.jsonl", base)
     out = tmp_path / "obr.g6"
-    code, rep = run(
-        capsys, "branches", "-k", "1", "--base", inp, "--base-size", "2",
-        "--out", str(out),
-    )
+    code, rep = run(capsys, "branches", "-k", "1", "--base", inp, "--out", str(out))
     assert code == 0
     assert rep["materialized_branches"] == 2
     assert rep["materialized_obr"] == rep["obr_count"] == 4
@@ -463,7 +433,7 @@ def test_branches_counts_follow_the_loaded_base(tmp_path, capsys):
 
 
 def test_branches_count_only_reports_bounds(capsys):
-    code, rep = run(capsys, "branches", "-k", "2", "--count-only")
+    code, rep = run(capsys, "branches", "-k", "2", "--base-size", "5")
     assert code == 0
     assert rep["base_size"] == 5
     assert rep["branch_bound_holds"] is True and rep["obr_bound_holds"] is True
@@ -475,7 +445,7 @@ def test_branches_count_only_reports_bounds(capsys):
 def test_branches_level_below_one_is_exit_2(tmp_path, capsys, k, count_only):
     argv = ["branches", "-k", k]
     if count_only:
-        argv.append("--count-only")
+        argv += ["--base-size", "5"]
     else:
         base = [rooted_to_json(doubly_rooted(path_graph(3), 0))]
         argv += ["--base", write_inputs(tmp_path / "base.jsonl", base)]
@@ -488,11 +458,97 @@ def test_branches_level_below_one_is_exit_2(tmp_path, capsys, k, count_only):
 
 @pytest.mark.parametrize("k,size", [("1", "-1"), ("2", "-3")])
 def test_branches_negative_base_size_is_exit_2(capsys, k, size):
-    code = main(["branches", "-k", k, "--count-only", "--base-size", size])
+    code = main(["branches", "-k", k, "--base-size", size])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: base size") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags", [["--base", "{tmp}/base.jsonl"], ["--out", "{tmp}/obr.g6"]], ids=["base", "out"]
+)
+def test_branches_base_size_with_a_built_base_is_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, flags
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("read or built a base that --base-size leaves unbuilt")
+
+    monkeypatch.setattr("gso.cli.read_graphs", fail)
+    monkeypatch.setattr("gso.cli.mine_branch_base", fail)
+    write_inputs(tmp_path / "base.jsonl", [rooted_to_json(doubly_rooted(path_graph(3), 0))])
+    argv = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+    code = main(["branches", "-k", "1", "--base-size", "5", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --base-size") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.jsonl"]
+
+
+def test_branches_past_the_glue_limit_is_exit_2_before_any_glue(tmp_path, capsys, monkeypatch):
+    # two members give obr_count(5, 2) = 2,081,156 graphs at level 5
+    base = [
+        rooted_to_json(doubly_rooted(path_graph(3), 0)),
+        rooted_to_json(doubly_rooted(path_graph(4), 0)),
+    ]
+    inp = write_inputs(tmp_path / "base.jsonl", base)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("glued past the limit")
+
+    monkeypatch.setattr("gso.cli.branch_set", fail)
+    monkeypatch.setattr("gso.cli.obr_set", fail)
+    code = main(["branches", "-k", "5", "--base", inp])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "2,081,156 graphs" in captured.err and "--base-size 2" in captured.err
+    monkeypatch.undo()
+    code, rep = run(capsys, "branches", "-k", "1", "--base", inp)
+    assert code == 0 and rep["materialized_obr"] == 4
+
+
+def test_glue_past_the_limit_is_exit_2_before_any_glue(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("glued past the limit")
+
+    monkeypatch.setattr("gso.cli.glue_family_at_root", fail)
+    fam = [rooted_to_json(doubly_rooted(path_graph(n), 0)) for n in (2, 3, 4)]
+    inp = write_inputs(tmp_path / "fam.jsonl", fam)
+    # comb(3 + 500 - 1, 500) = 125,751 multisets of 500 members
+    code = main(["glue", "--family", inp, "-m", "500"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "125,751 graphs" in captured.err
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_glue_level_below_one_is_exit_2_before_the_family_is_read(capsys, monkeypatch, m):
+    def fail(*args, **kwargs):
+        raise AssertionError("read the family under a meaningless -m")
+
+    monkeypatch.setattr("gso.cli.read_graphs", fail)
+    code = main(["glue", "--family", "absent.jsonl", "-m", m])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: -m must be at least 1, got {m}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper", "--quick"],
+        ["solve", "in.g6", "--emit-witness", "--out", "w.jsonl"],
+        ["branches", "-k", "3", "--count-only"],
+    ],
+    ids=["quick", "emit-witness", "count-only"],
+)
+def test_removed_options_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -530,11 +586,15 @@ def test_glue_bad_family_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_verify_paper_quick(capsys):
-    code, rep = run(capsys, "verify-paper", "--quick", "--seed", "7")
+def test_verify_paper_with_another_seed(capsys):
+    # checks 3 and 9 are seeded; every check passes, so the report is the
+    # seed-0 reference but for its seed field
+    ref = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify-seed0.json"
+    want = json.loads(ref.read_text())
+    want["seed"] = 7
+    code, rep = run(capsys, "verify-paper", "--seed", "7")
     assert code == 0
-    assert rep["ok"] is True
-    assert len(rep["checks"]) == 11
+    assert rep == want
 
 
 @pytest.fixture
@@ -610,7 +670,7 @@ def test_verify_paper_passes_the_loaded_corpus(tmp_path, capsys, monkeypatch):
     [
         ["mine", "--max-n", "5", "-k", "1"],
         ["branches", "-k", "1"],
-        ["verify-paper", "--quick"],
+        ["verify-paper"],
     ],
     ids=["mine", "branches", "verify-paper"],
 )

@@ -1,4 +1,5 @@
-"""Every import in the library modules is at module level and used.
+"""Every import in the library modules is at module level and used, and
+names the package itself or the standard library.
 
 `__init__.py` is skipped by the unused-import check: its imports are the
 package's exports.  An import kept on purpose as a re-export carries
@@ -6,6 +7,7 @@ package's exports.  An import kept on purpose as a re-export carries
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gso"
@@ -51,3 +53,30 @@ def test_no_import_inside_a_function():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [f for p in modules for f in function_imports(p)] == []
+
+
+def foreign_imports(path: Path) -> list[str]:
+    """The absolute imports in path whose top-level module is not in the
+    standard library; relative imports name the package itself."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [
+            f"{path.name}:{node.lineno} {name}"
+            for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return sorted(out)
+
+
+def test_the_library_imports_nothing_outside_the_standard_library():
+    # the library keeps zero runtime dependencies: an install with no
+    # extras runs it
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [f for p in modules for f in foreign_imports(p)] == []

@@ -123,7 +123,7 @@ def test_spine_structure_consistency(rng):
         st = spine_structure(g)
         if st is None:
             continue
-        assert len(st.central_blocks) == len(st.central_cuts) - 1
+        assert sum(pt.kind == "central" for pt in st.parts) == len(st.central_cuts) - 1
         assert len(st.parts) >= 3
         kinds = [pt.kind for pt in st.parts]
         assert kinds[0] == "extremal" and kinds[-1] == "extremal"

@@ -1036,7 +1036,6 @@ def test_exp_ctx_matches_the_enhanced_host():
         assert ec.target == ctx.full & ~ctx.emask(enh.e_out)
         assert ec.start_bnd == _parent_bmask(ctx, ec.start)
         assert ec.start_dadj == _rebuilt_dadj(ctx, ec.target & ~ec.start)
-        assert ec.host() == enh.host
         assert frozenset(ec.edges(ec.target)) == ctx.eset(ec.target)
         overlap += bool(rg.s_in & rg.s_out)
     assert overlap > 30
