@@ -12,8 +12,9 @@ graphs are refused, and inputs are read, before any long computation
 starts.  Every graph file (`solve`'s input, `--families`, `--corpus`,
 `--base`, `--family`) goes through `gio.read_graphs`, so a malformed
 line or a disconnected graph exits 2 before any work.
-`mine` and `branches` open `--out` before computing; `solve` and `glue`
-write theirs after.
+`mine` opens `--out` before computing, and `branches` once its base is
+loaded and the build passes both limits, before any graph is glued, so
+a refused build leaves no file; `solve` and `glue` write theirs after.
 
 Run it from a checkout without installing:
     PYTHONPATH=src python -m gso.cli verify-paper
@@ -227,15 +228,15 @@ def cmd_branches(args) -> int:
     if size is not None:
         _check_printable(args.k, size)
     else:
+        base = _load_base(args.base)
+        size = len(base)
+        _check_printable(args.k, size)
+        _check_glued(
+            obr_count(args.k, size),
+            f"branch level {args.k} on {size} base members; "
+            f"--base-size {size} counts them alone",
+        )
         with _open_out(args.out) as fh:
-            base = _load_base(args.base)
-            size = len(base)
-            _check_printable(args.k, size)
-            _check_glued(
-                obr_count(args.k, size),
-                f"branch level {args.k} on {size} base members; "
-                f"--base-size {size} counts them alone",
-            )
             report["materialized_branches"] = len(branch_set(args.k, base))
             obr = sorted(obr_set(args.k, base), key=graph6_encode)
             report["materialized_obr"] = len(obr)

@@ -76,11 +76,15 @@ class HostCtx:
       e, is vmask(e) for a connected, nonempty e and 0 otherwise, and
       edges_connected(e) asks whether it is nonzero.
 
-    The game solver's tables are plain dicts here, so every solve given
-    the same context shares them: game_moves (`solvers._moves`, keyed
-    (searcher mask, guard)), connected_sets (connected_vmask of the
-    clean sets the solver tested in full, keyed by edge mask) and
-    flood_rows (the rows of floods, keyed by guard).
+    The game solver's tables live here, so every solve given the same
+    context shares them: move_rows (each vertex's removal and slides,
+    built by `solvers._moves` on the first solve and None until then:
+    contexts that only simulate never build them), game_moves (the group
+    headers of `solvers._moves`, keyed (searcher mask, guard): per
+    vacated vertex its edges, the searchers and edges left and its row
+    of move_rows), connected_sets (connected_vmask of the clean sets the
+    solver tested in full, keyed by edge mask) and flood_rows (the rows
+    of floods, keyed by guard).
     """
 
     def __init__(self, g: Graph):
@@ -96,6 +100,7 @@ class HostCtx:
             inc[v] |= 1 << i
         self.inc = tuple(inc)
         self.adj = g.adj
+        self.move_rows: list[list[list]] | None = None
         self.game_moves: dict = {}
         self.connected_sets: dict[int, int] = {}
         self.flood_rows: dict[int, list[int]] = {}

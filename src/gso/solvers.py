@@ -21,10 +21,14 @@ each other:
   and connected variants, optional constraints support the
   trunk-first / trunk-last / guarded-vertex checks.  It searches only
   from a start the game can reach, so only the vertex a move vacates
-  can start recontamination.  The moves out of a searcher set are
-  built once per host, grouped by the vertex they vacate, and a search
-  tests that vertex once per group and each move there alone (see
-  `_moves` and `solve_game`).
+  can start recontamination.  Each vertex's removal and slides form one
+  row built once per host, and the moves out of a searcher set are a
+  table of group headers, one per vertex they vacate, built once per
+  host and pointing at that vertex's row.  A search tests the vacated
+  vertex once per group, computes each move's searchers and cleaned
+  edges from the header and the row item, and tests each move there
+  alone; it keys its states by one int (see `_moves` and
+  `solve_game`).
 
 In each engine a search with a witness and one without run the same
 loop over one frontier deque and differ only in which end they pop.  A
@@ -414,86 +418,79 @@ def cmp_plain(g: Graph) -> int:
 # game solver
 
 
-def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[tuple[int, list]]:
+def _moves(ctx: HostCtx, pmask: int, k: int, guard: int | None) -> list[list]:
     """Every move from searcher set pmask with at most k searchers, in
-    search order, grouped by the vertex they vacate: a list of groups
-    (edges at the vacated vertex, entries), each entry [kind, v, u,
-    searchers after the move, edges the move cleans, edges it cleans at
-    the vacated vertex].  The edges cleaned are those with both ends
-    occupied afterwards, plus the sliding edge of a slide, so the last
-    field is the sliding edge of a slide and 0 otherwise.  The
-    placements vacate nothing and form the first group, under 0; then
-    each occupied vertex v but the guard leads a group under inc[v]: its
-    removal, then its slides in increasing order of target.  No solve
-    changes an entry.  They are lists, not tuples, because a host's
-    tables are dropped with it: CPython keeps up to 2000 freed tuples of
-    each small size for reuse, which raised the peak memory of
-    `verify-paper`, and returns a freed list's memory.
+    search order, as groups [edges at the vacated vertex, that vertex,
+    rest, kept, occ, items], one per vacated vertex.  Each item [u, bit
+    of u, sliding edge, edges at u] is one move: it leaves the searchers
+    rest | bit of u and cleans kept plus the sliding edge when u is in
+    rest, else plus u's edges into occ.  The edges cleaned are those
+    with both ends occupied afterwards, plus the sliding edge of a
+    slide, and only a slide has a sliding edge.
 
-    The table lives on the host (`HostCtx.game_moves`, keyed (pmask,
-    guard)), so every solve on it shares the tables; it does not depend
-    on k.  The departures are built on the first request for the key,
-    the placements on the first request with fewer than k searchers in
-    pmask; `HostCtx.occupied(pmask)` is found once, for both.
+    With (b, occ) = `HostCtx.occupied(pmask)`, each occupied vertex v
+    but the guard leads a group [inc[v], v, pmask minus v, b & ~inc[v],
+    occ, v's row of `HostCtx.move_rows`]: its removal, the item [None,
+    0, 0, 0], then its slides in increasing order of target.  When
+    fewer than k searchers stand, the placements come first, as the
+    group [0, None, pmask, b, occ, items] with the item [v, bit of v, 0,
+    inc[v]] for each unoccupied v, or for the guard alone when pmask is
+    0: a placement on v cleans b | inc[v] & occ.
+
+    The headers live on the host (`HostCtx.game_moves`, keyed (pmask,
+    guard)), so every solve on it shares them; they do not depend on k.
+    The departures are built on the first request for the key, the
+    placements on the first request with fewer than k searchers in
+    pmask, and the per-vertex rows on the host's first request of all.
+    Headers and items are lists, not tuples: built as tuples they raised
+    the peak memory of `verify-paper` by about 0.25 MB (in checks 8 and
+    9, after check 7's hosts are dropped), and as lists they do not.
     """
     key = (pmask, guard)
-    row = ctx.game_moves.get(key)
-    if row is None:
+    table = ctx.game_moves.get(key)
+    if table is None:
+        rows = ctx.move_rows
+        if rows is None:
+            rows = ctx.move_rows = _vertex_rows(ctx)
         b, occ = ctx.occupied(pmask)
-        row = ctx.game_moves[key] = [_departures(ctx, pmask, guard, b, occ), b, occ, None]
+        inc = ctx.inc
+        out = []
+        m = pmask
+        while m:
+            vb = m & -m
+            m ^= vb
+            v = vb.bit_length() - 1
+            if v != guard:
+                out.append([inc[v], v, pmask ^ vb, b & ~inc[v], occ, rows[v]])
+        table = ctx.game_moves[key] = [out, b, occ, None]
     if pmask.bit_count() >= k:
-        return row[0]
-    if row[3] is None:
-        row[3] = [_placements(ctx, pmask, guard, row[1], row[2]), *row[0]]
-    return row[3]
+        return table[0]
+    if table[3] is None:
+        inc = ctx.inc
+        if guard is not None and pmask == 0:
+            items = [[guard, 1 << guard, 0, inc[guard]]]
+        else:
+            items = [[v, 1 << v, 0, inc[v]] for v in range(ctx.g.n) if not pmask >> v & 1]
+        table[3] = [[0, None, pmask, table[1], table[2], items], *table[0]]
+    return table[3]
 
 
-def _placements(
-    ctx: HostCtx, pmask: int, guard: int | None, b: int, occ: int
-) -> tuple[int, list]:
-    """The placements out of pmask, as one group under 0: with (b, occ) =
-    `HostCtx.occupied(pmask)`, a searcher on v cleans b plus v's edges
-    into pmask, inc[v] & occ."""
-    if guard is not None and pmask == 0:
-        return 0, [["p", guard, None, 1 << guard, 0, 0]]
-    inc = ctx.inc
-    return 0, [
-        ["p", v, None, pmask | (1 << v), b | inc[v] & occ, 0]
-        for v in range(ctx.g.n)
-        if not pmask >> v & 1
-    ]
-
-
-def _departures(
-    ctx: HostCtx, pmask: int, guard: int | None, b: int, occ: int
-) -> list[tuple[int, list]]:
-    """The removals and slides out of pmask, one group per vacated
-    vertex v.  Removing v keeps b minus v's edges; a slide from v to an
-    unoccupied u adds u's edges into pmask, inc[u] & occ: the sliding
-    edge inc[v] & inc[u] and u's edges into the rest."""
-    out = []
+def _vertex_rows(ctx: HostCtx) -> list[list[list]]:
+    """Each vertex v's moves as items of `_moves`: its removal, then a
+    slide to each neighbour u in increasing order, along the edge
+    inc[v] & inc[u]."""
     adj, inc = ctx.adj, ctx.inc
-    m = pmask
-    while m:
-        vb = m & -m
-        m ^= vb
-        v = vb.bit_length() - 1
-        if v == guard:
-            continue
-        rest = pmask ^ vb
-        iv = inc[v]
-        kept = b & ~iv
-        group = [["r", v, None, rest, kept, 0]]
+    rows = []
+    for v, iv in enumerate(inc):
+        row = [[None, 0, 0, 0]]
         nb = adj[v]
         while nb:
             ub = nb & -nb
             nb ^= ub
             u = ub.bit_length() - 1
-            eb = iv & inc[u]
-            cleaned = kept | (eb if rest & ub else inc[u] & occ)
-            group.append(["s", v, u, rest | ub, cleaned, eb])
-        out.append((iv, group))
-    return out
+            row.append([u, ub, iv & inc[u], inc[u]])
+        rows.append(row)
+    return rows
 
 
 def solve_game(
@@ -514,7 +511,7 @@ def solve_game(
     """Reachability for the mixed search game with at most k searchers.
 
     host is a graph or its `HostCtx`; solves given the same context
-    share its move tables.  The goal is every edge clean except the
+    share its move rows and group headers.  The goal is every edge clean except the
     forbidden ones, which must never be cleaned.  start_clean and
     start_occupied: mid-game initial state (the rooted start:
     `Enhancement.e_start` clean, searchers on S_in).  first_clean: the
@@ -530,11 +527,21 @@ def solve_game(
     module docstring).
 
     A move to searcher set p2 makes q = c plus the edges with both ends
-    in p2, plus the sliding edge, clean; the moves out of a searcher set
-    and the edges each one cleans are built once per host (`_moves`).
-    The clean set after the move is closure(q, p2), the edges of q that
-    no unguarded path joins to a dirty edge.  A monotone solve keeps the
+    in p2, plus the sliding edge, clean.  The group headers of the moves
+    out of a searcher set, and each vertex's row of moves, are built
+    once per host (`_moves`); the loop computes each move from a header
+    (iv, v, rest, kept, occ) and a row item (u, ub, eb, iu) as p2 = rest
+    | ub and q = c | kept | (eb if rest & ub else iu & occ), which also
+    gives a placement (v None, rest the searcher set, eb 0).  The clean
+    set after the move is closure(q, p2), the edges of q that no
+    unguarded path joins to a dirty edge.  A monotone solve keeps the
     move only if nothing is lost, with c2 = q.
+
+    A state (c, p) is the int c << n | p in the visited set and the
+    parent map, and the queue holds (c, p, vertices of c).  The parent
+    map keeps the group's vertex and the item's vertex of the move that
+    reached a state, and `_witness` names the move from them only when
+    the goal is hit.
 
     The start must be a state the game can reach, or the call raises
     ValueError: closure(start_clean, start_occupied) == start_clean
@@ -577,7 +584,6 @@ def solve_game(
     goal = ctx.full & ~forbid
     if start_occupied.bit_count() > k:
         return False, None, 0
-    start = (start_clean, start_occupied)
     if start_clean == goal:
         return True, [] if witness else None, 0
     verts = ctx.connected_vmask(start_clean) if connected and start_clean else 0
@@ -586,11 +592,14 @@ def solve_game(
         or connected and not verts
     ):
         raise ValueError("start state is not reachable in the game")
+    n = ctx.g.n
+    start = start_clean << n | start_occupied
     visited = {start}
-    # state -> (previous state, kind, v, u) of the move that reached it
-    parent: dict[tuple[int, int], tuple] = {}
+    # state c << n | p -> (previous state, group vertex, item vertex) of
+    # the move that reached it
+    parent: dict[int, tuple] = {}
     # each state with the vertex mask of its clean set (0 unless connected)
-    queue = deque([(start, verts)])
+    queue = deque([(start_clean, start_occupied, verts)])
     explored = 0
     # the moves out of a state depend on its searcher set alone
     moves_at: dict[int, list] = {}
@@ -598,21 +607,21 @@ def solve_game(
     flood_rows = ctx.flood_rows
 
     while queue:
-        state, verts = queue.popleft() if witness else queue.pop()
-        c, pmask = state
+        c, pmask, verts = queue.popleft() if witness else queue.pop()
         explored += 1
         if budget is not None and explored > budget:
             raise BudgetExceeded("game state budget exhausted")
         moves = moves_at.get(pmask)
         if moves is None:
             moves = moves_at[pmask] = _moves(ctx, pmask, k, guard)
-        for iv, group in moves:
+        for iv, v, rest, kept, occ, items in moves:
             d = iv & ~c  # the vacated vertex's dirty edges
             if monotone and d & (d - 1) and d != iv:
                 continue  # a clean edge and two dirty ones: every move loses
-            for kind, v, u, p2, cleaned, ev in group:
-                q = c | cleaned
-                x = d & ~ev
+            for u, ub, eb, iu in items:
+                p2 = rest | ub
+                q = c | kept | (eb if rest & ub else iu & occ)
+                x = d & ~eb
                 if x and x != iv:  # v is left with clean and dirty edges
                     if monotone:
                         continue
@@ -623,7 +632,7 @@ def solve_game(
                 else:
                     c2 = q
                 # the filters below only decide whether a new state is added
-                st2 = (c2, p2)
+                st2 = c2 << n | p2
                 if st2 in visited:
                     continue
                 if c2 & forbid:
@@ -647,19 +656,29 @@ def solve_game(
                         continue
                 visited.add(st2)
                 if witness:
-                    parent[st2] = (state, kind, v, u)
+                    parent[st2] = (c << n | pmask, v, u)
                 if c2 == goal:
                     if not witness:
                         return True, None, explored
-                    seq = []
-                    cur = st2
-                    while cur != start:
-                        cur, *mv = parent[cur]
-                        seq.append(Move(*mv))
-                    seq.reverse()
-                    return True, seq, explored
-                queue.append((st2, verts2))
+                    return True, _witness(parent, start, st2), explored
+                queue.append((c2, p2, verts2))
     return False, None, explored
+
+
+def _witness(parent: dict[int, tuple], start: int, last: int) -> list[Move]:
+    """The moves from start to last along the parent map of `solve_game`:
+    a placement's group has no vertex, a removal's item has none."""
+    seq = []
+    while last != start:
+        last, v, u = parent[last]
+        if v is None:
+            seq.append(Move("p", u))
+        elif u is None:
+            seq.append(Move("r", v))
+        else:
+            seq.append(Move("s", v, u))
+    seq.reverse()
+    return seq
 
 
 def _game_value(

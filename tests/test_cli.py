@@ -341,13 +341,30 @@ def test_missing_file_is_exit_2(tmp_path, capsys, monkeypatch, argv):
     def fail(*args, **kwargs):
         raise AssertionError("computed before --out was opened")
 
+    # `branches` loads its base before it opens --out, but glues nothing
     monkeypatch.setattr("gso.cli.mine_obstructions", fail)
-    monkeypatch.setattr("gso.cli.mine_branch_base", fail)
+    monkeypatch.setattr("gso.cli.branch_set", fail)
+    monkeypatch.setattr("gso.cli.obr_set", fail)
     absent = str(tmp_path / "absent")
     code = main([a.replace("{absent}", absent) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k,members", [(3, None), (12, 10)], ids=["glued", "printable"])
+def test_branches_refused_build_leaves_no_out_file(tmp_path, capsys, k, members):
+    # the default 8-member base at level 3 passes the glue limit; 10
+    # members at level 12 give an obr_count of 4,434 digits
+    argv = ["branches", "-k", str(k), "--out", str(tmp_path / "o.g6")]
+    if members is not None:
+        base = [rooted_to_json(doubly_rooted(path_graph(n), 0)) for n in range(2, 2 + members)]
+        argv += ["--base", write_inputs(tmp_path / "base.jsonl", base)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "o.g6" not in [p.name for p in tmp_path.iterdir()]
 
 
 def test_branches_level_below_one_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch):

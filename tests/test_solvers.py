@@ -312,6 +312,27 @@ def test_value_search_builds_host_tables_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_contexts_that_never_solve_build_no_move_rows(monkeypatch):
+    made = []
+    real = HostCtx.__init__
+
+    def recording(self, g):
+        made.append(self)
+        real(self, g)
+
+    monkeypatch.setattr(HostCtx, "__init__", recording)
+    g = cycle_graph(5)
+    ctx = HostCtx(g)
+    assert ctx.closure(ctx.emask([(0, 1), (1, 2)]), 0b00010) == 0
+    t = simulate(g, [Move("p", 0), Move("p", 1), Move("s", 1, 2), Move("s", 2, 3)])
+    assert width(t) == 2 and len(made) == 2
+    assert all(c.move_rows is None and not c.game_moves for c in made)
+    # the first solve builds one row per vertex: its removal, then its slides
+    assert solvers.cms_decide(ctx, 2)
+    assert [len(row) for row in ctx.move_rows] == [3] * 5
+    assert ctx.move_rows[0][0] == [None, 0, 0, 0]
+
+
 def test_value_search_stats_hold_levels_and_seconds():
     rg = doubly_rooted(complete_graph(4), 0)
     for res in (
@@ -336,6 +357,24 @@ def _neighbour_edges(g: Graph) -> list[list[tuple[int, int]]]:
         [(u, index[min(u, v), max(u, v)]) for u in range(g.n) if g.adj[v] >> u & 1]
         for v in range(g.n)
     ]
+
+
+def _entries(group: list) -> tuple[int, list[list]]:
+    """A group of `_moves` as (edges at the vacated vertex, entries), each
+    entry [kind, v, u, searchers after the move, edges the move cleans,
+    edges it cleans at the vacated vertex], computed as the solver
+    computes them from the group header and its items."""
+    iv, gv, rest, kept, occ, items = group
+    out = []
+    for u, ub, eb, iu in items:
+        cleaned = kept | (eb if rest & ub else iu & occ)
+        if gv is None:
+            out.append(["p", u, None, rest | ub, cleaned, eb])
+        elif u is None:
+            out.append(["r", gv, None, rest | ub, cleaned, eb])
+        else:
+            out.append(["s", gv, u, rest | ub, cleaned, eb])
+    return iv, out
 
 
 def test_move_table_entries_clean_both_occupied_edges():
@@ -375,10 +414,14 @@ def test_move_table_entries_clean_both_occupied_edges():
                     tight = _moves(ctx, pmask, size, guard)
                     roomy = _moves(ctx, pmask, size + 1, guard)
                     case = (graph6_encode(g), pmask, guard)
-                    assert tight == departures, case
-                    assert roomy == [(0, placements), *departures], case
-                    # the departures are the same groups at every k
+                    assert [_entries(gr) for gr in tight] == departures, case
+                    assert [_entries(gr) for gr in roomy] == [
+                        (0, placements), *departures
+                    ], case
+                    # the departures are the same groups at every k, and
+                    # each reads its vertex's row of the host's move rows
                     assert all(a is b for a, b in zip(roomy[1:], tight))
+                    assert all(gr[5] is ctx.move_rows[gr[1]] for gr in tight)
                     assert _moves(ctx, pmask, size, guard) is tight
 
 
@@ -425,7 +468,7 @@ def test_group_rule_keeps_the_moves_the_per_move_rule_keeps():
                 stable = _stable_sets(g, pmask)
                 assert all(ctx.closure(c, pmask) == c for c in stable)
                 for guard in [None, *range(n)]:
-                    moves = _moves(ctx, pmask, 4, guard)
+                    moves = [_entries(gr) for gr in _moves(ctx, pmask, 4, guard)]
                     for c in stable:
                         for iv, group in moves:
                             d = iv & ~c
@@ -625,6 +668,26 @@ def test_cmp_witness_sets_are_golden():
         h.update(b"--\n")
     assert h.hexdigest() == (
         "11bf52c4081786caed5ff9ec439af4b365e6e981b78524f3fad679209dfcc5b5"
+    )
+
+
+def test_game_witnesses_are_golden():
+    # one digest over the game engine's witness moves on every sample
+    # graph (ms, cms, cmms, then the rooted game): pins the breadth-first
+    # order in which a witness search meets its states and tries its moves
+    h = hashlib.sha256()
+    for rg in _game_golden_sample():
+        g = rg.graph
+        for res in (
+            ms_value(g, witness=True),
+            cms_value(g, witness=True),
+            cmms_value(g, witness=True),
+            rooted_game_value(rg, witness=True),
+        ):
+            h.update(repr([(m.kind, m.v, m.u) for m in res.witness]).encode() + b"\n")
+        h.update(b"--\n")
+    assert h.hexdigest() == (
+        "af187380ac058599f31f28c50a6f43a8d27ba92f22b3198efd9ce5233c807792"
     )
 
 
@@ -849,7 +912,7 @@ def test_vacated_vertex_flood_equals_closure(rng):
                 # the full closure
                 assert (c, pmask) == (clean, occ)
                 return
-            for iv, group in _moves(ctx, pmask, k, guard):
+            for iv, group in map(_entries, _moves(ctx, pmask, k, guard)):
                 d = iv & ~c
                 for kind, v, u, p2, cleaned, ev in group:
                     # a group is keyed by the vacated vertex's edges
